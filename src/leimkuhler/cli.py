@@ -58,27 +58,15 @@ class CliConfig:
     """Validated, fully resolved options for one invocation."""
 
     fit: FitConfig
-    input_format: str = "lines"
-    column: str | None = None
     families: tuple = ()
     r_values: tuple = DEFAULT_R_VALUES
     resolution: int = 257
 
     def __post_init__(self):
-        if self.input_format not in ("lines", "csv"):
-            raise UsageError(f"format must be 'lines' or 'csv', "
-                             f"got {self.input_format!r}")
-        if self.input_format == "csv" and not self.column:
-            raise UsageError("csv format requires --column")
         for tag in self.families:
             if tag not in FAMILY_TAGS:
                 raise UsageError(f"unknown family {tag!r}; "
                                  f"choose from {', '.join(FAMILY_TAGS)}")
-        if not self.r_values:
-            raise UsageError("need at least one r value")
-        for r in self.r_values:
-            if not (r > 0):
-                raise UsageError(f"r values must be positive, got {r}")
         if self.resolution < 2:
             raise UsageError(f"resolution must be at least 2, got {self.resolution}")
 
@@ -99,6 +87,9 @@ def _parse_r_list(text):
         raise UsageError(f"cannot parse r list {text!r}") from None
     if not values:
         raise UsageError("empty r list")
+    for r in values:
+        if not (r > 0):
+            raise UsageError(f"r values must be positive, got {r}")
     return values
 
 
@@ -271,7 +262,6 @@ def cmd_indices(args, file_config):
         raise UsageError("give exactly one of a dataset input or "
                          "--model with --params")
     r_values = _resolved_r_values(args, file_config)
-    CliConfig(fit=FitConfig(), r_values=r_values)
     if has_model:
         if args.params is None:
             raise UsageError("--model requires --params")
@@ -291,8 +281,6 @@ def cmd_indices(args, file_config):
 
 
 def cmd_simulate(args, file_config):
-    if args.n < 1:
-        raise UsageError(f"--n must be at least 1, got {args.n}")
     if args.family not in _SIMULATE_FAMILIES:
         raise UsageError(f"unknown family {args.family!r}; "
                          f"choose from {', '.join(_SIMULATE_FAMILIES)}")

@@ -251,40 +251,11 @@ def _eval_gpig(u, p):
     return 1.0 + np.expm1(p.kappa * np.log(u)) * np.exp(_psi_invgauss(logub, p.alpha, p.beta))
 
 
-def _hyp1f1_vec(a, b, z):
-    """Vector 1F1(a; b; z_i) for b > 0, routing z < 0 through the
-    Kummer transform like specfun.kummer_1f1 does."""
-    z = np.asarray(z, dtype=float)
-    out = np.empty_like(z)
-    neg = z < 0
-    if np.any(~neg):
-        out[~neg] = _hyp1f1_series_vec(a, b, z[~neg])
-    if np.any(neg):
-        zn = -z[neg]
-        out[neg] = np.exp(-zn) * _hyp1f1_series_vec(b - a, b, zn)
-    return out
-
-
-def _hyp1f1_series_vec(a, b, z):
-    # elementwise Taylor series; all z >= 0
-    total = np.ones_like(z)
-    term = np.ones_like(z)
-    active = np.ones(z.shape, dtype=bool)
-    for k in range(specfun._MAX_ITER):
-        term = term * ((a + k) / ((b + k) * (k + 1.0))) * z
-        total = total + term
-        if k > 2:
-            active = np.abs(term) >= 1e-17 * np.abs(total)
-            if not active.any():
-                return total
-    raise ConvergenceError("vector 1F1 series did not converge")
-
-
 def _eval_pagb(u, p):
-    b_arg = p.alpha + p.beta
-    denom = specfun.kummer_1f1(p.beta, b_arg, p.shift).value
-    numer = _hyp1f1_vec(p.beta, b_arg, p.shift + np.log(u))
-    return numer / denom
+    # numerator and denominator 1F1(beta; alpha+beta; .) in one series call
+    z = np.append(p.shift + np.log(u), p.shift)
+    values, _ = specfun._kummer_series(p.beta, p.alpha + p.beta, z)
+    return values[:-1] / values[-1]
 
 
 _EVAL = {

@@ -24,6 +24,7 @@ import numpy as np
 from scipy.stats import qmc
 
 from .curves import PARAM_NAMES, CurveModel, Family, ParamVector, evaluate
+from .indices import _polygon_gini
 from .specfun import ConvergenceError
 
 __all__ = [
@@ -191,9 +192,34 @@ def _residuals(family, raw, u, k_emp):
     return k - k_emp
 
 
-def _trapezoid_gini(u, k):
-    area = float(np.trapezoid(np.concatenate(([0.0], k)), np.concatenate(([0.0], u))))
-    return min(max(2.0 * area - 1.0, 1e-6), 1.0 - 1e-6)
+def _fd_jacobian(resid, x, r0, lo, hi):
+    """Finite-difference Jacobian of resid at x, where r0 = resid(x).
+
+    Central differences, one-sided in a coordinate where a central step
+    would leave [lo, hi].  None when any residual evaluation fails.
+    """
+    J = np.empty((r0.size, x.size))
+    for j in range(x.size):
+        h = math.sqrt(_EPS) * (1.0 + abs(x[j]))
+        up_ok = x[j] + h <= hi[j]
+        down_ok = x[j] - h >= lo[j]
+        up = x.copy()
+        if up_ok and down_ok:
+            down = x.copy()
+            up[j] += h
+            down[j] -= h
+            r_up, r_down = resid(up), resid(down)
+            if r_up is None or r_down is None:
+                return None
+            J[:, j] = (r_up - r_down) / (2.0 * h)
+        else:
+            step = h if up_ok else -h
+            up[j] += step
+            r_up = resid(up)
+            if r_up is None:
+                return None
+            J[:, j] = (r_up - r0) / step
+    return J
 
 
 def _heuristic_start(family, gini_emp):
@@ -261,26 +287,13 @@ class _LmOutcome(NamedTuple):
 
 def _run_lm(family, raw0, u, k_emp, config):
     transforms = _TRANSFORMS[family]
-    p = len(transforms)
+    unbounded = np.full(len(transforms), np.inf)
 
     def raw_of(t):
         return tuple(tr.to_raw(x) for tr, x in zip(transforms, t))
 
     def resid(t):
         return _residuals(family, raw_of(t), u, k_emp)
-
-    def jacobian(t, r0):
-        J = np.empty((r0.size, p))
-        for j in range(p):
-            h = math.sqrt(_EPS) * (1.0 + abs(t[j]))
-            tp, tm = t.copy(), t.copy()
-            tp[j] += h
-            tm[j] -= h
-            rp, rm = resid(tp), resid(tm)
-            if rp is None or rm is None:
-                return None
-            J[:, j] = (rp - rm) / (2.0 * h)
-        return J
 
     t = np.array([tr.to_t(x) for tr, x in zip(transforms, raw0)])
     r = resid(t)
@@ -296,7 +309,8 @@ def _run_lm(family, raw0, u, k_emp, config):
 
     for _ in range(config.max_iterations):
         iterations += 1
-        J = jacobian(t, r)
+        J = _fd_jacobian(resid, t, r, -unbounded, unbounded)
+        moved = False
         if J is None:
             break
         g = J.T @ r
@@ -326,6 +340,7 @@ def _run_lm(family, raw0, u, k_emp, config):
             lam *= 4.0
         if not accepted:
             break
+        moved = True
         if sse <= _SSE_FLOOR:
             break
         if np.linalg.norm(delta) <= config.step_tolerance * (1.0 + np.linalg.norm(t)):
@@ -333,7 +348,9 @@ def _run_lm(family, raw0, u, k_emp, config):
 
     gradient_ok = sse <= _SSE_FLOOR
     if not gradient_ok:
-        J = jacobian(t, r)
+        # J belongs to t unless the last iteration took a step
+        if moved:
+            J = _fd_jacobian(resid, t, r, -unbounded, unbounded)
         if J is not None:
             gradient_ok = bool(np.max(np.abs(J.T @ r)) <= config.gradient_tolerance)
 
@@ -349,38 +366,6 @@ def _near_boundary(family, raw):
         elif value >= tr.hi - 1e-9 * span or value <= tr.lo + 1e-9 * span:
             return True
     return False
-
-
-def _jacobian_original(family, raw, u):
-    # central differences in original coordinates, one-sided at a box edge
-    transforms = _TRANSFORMS[family]
-    base = _residuals(family, raw, u, np.zeros(u.size))
-    if base is None:
-        return None
-    J = np.empty((u.size, len(raw)))
-    for j, tr in enumerate(transforms):
-        h = math.sqrt(_EPS) * (1.0 + abs(raw[j]))
-        hi_ok = raw[j] + h <= tr.hi
-        lo_ok = raw[j] - h >= tr.lo
-        if hi_ok and lo_ok:
-            up = list(raw)
-            dn = list(raw)
-            up[j] += h
-            dn[j] -= h
-            r_up = _residuals(family, tuple(up), u, np.zeros(u.size))
-            r_dn = _residuals(family, tuple(dn), u, np.zeros(u.size))
-            if r_up is None or r_dn is None:
-                return None
-            J[:, j] = (r_up - r_dn) / (2.0 * h)
-        else:
-            step = h if hi_ok else -h
-            probe = list(raw)
-            probe[j] += step
-            r_probe = _residuals(family, tuple(probe), u, np.zeros(u.size))
-            if r_probe is None:
-                return None
-            J[:, j] = (r_probe - base) / step
-    return J
 
 
 def standard_errors(jacobian, sse, n, p, variance_divisor="n_minus_p"):
@@ -440,22 +425,18 @@ def caic(sse, n, p, count_variance_param=False):
     return k * (1.0 + math.log(n)) - 2.0 * log_likelihood
 
 
-def _residual_points(curve):
-    u = curve.u_values()[1:]
-    k = curve.k_values()[1:]
-    return u, k
-
-
-def fit_metrics(curve, model):
-    """MSE, maximum absolute error, and MAE of a model against the
-    polygon vertices (the fixed origin vertex excluded)."""
-    u, k_emp = _residual_points(curve)
-    r = evaluate(model, u) - k_emp
+def _metrics(r):
     return FitMetrics(
         mse=float(np.mean(r**2)),
         max_abs=float(np.max(np.abs(r))),
         mae=float(np.mean(np.abs(r))),
     )
+
+
+def fit_metrics(curve, model):
+    """MSE, maximum absolute error, and MAE of a model against the
+    polygon vertices (the fixed origin vertex excluded)."""
+    return _metrics(evaluate(model, curve.u_values()[1:]) - curve.k_values()[1:])
 
 
 def fit(curve, family, config=FitConfig()):
@@ -482,13 +463,15 @@ def fit(curve, family, config=FitConfig()):
         If every start fails to produce residuals.
     """
     family = Family(family)
-    u, k_emp = _residual_points(curve)
+    u_all, k_all = curve.u_values(), curve.k_values()
+    # residuals skip the fixed origin vertex
+    u, k_emp = u_all[1:], k_all[1:]
     p = len(PARAM_NAMES[family])
     if u.size < p + 1:
         raise ValueError(f"need at least {p + 1} residual points to fit "
                          f"{family.value!r}, got {u.size}")
 
-    gini_emp = _trapezoid_gini(u, k_emp)
+    gini_emp = min(max(_polygon_gini(u_all, k_all), 1e-6), 1.0 - 1e-6)
     starts = _multistart_points(family, gini_emp, config)
     if family in _NESTED_2PARAM and config.multistart_count > 1:
         starts[1:1] = _nested_warm_starts(family, curve, config)
@@ -505,8 +488,15 @@ def fit(curve, family, config=FitConfig()):
         raise RuntimeError(f"all fit starts failed for family {family.value!r}")
 
     model = _make_model(family, best.raw)
-    metrics = fit_metrics(curve, model)
-    J = _jacobian_original(family, best.raw, u)
+    k_fit = evaluate(model, u)
+    metrics = _metrics(k_fit - k_emp)
+    # standard errors in original coordinates, one-sided at a box edge
+    transforms = _TRANSFORMS[family]
+    zeros = np.zeros(u.size)
+    J = _fd_jacobian(lambda x: _residuals(family, tuple(map(float, x)), u, zeros),
+                     np.array(best.raw), k_fit,
+                     np.array([tr.lo for tr in transforms]),
+                     np.array([tr.hi for tr in transforms]))
     errors = None
     if J is not None:
         errors = standard_errors(J, best.sse, u.size, p,

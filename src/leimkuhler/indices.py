@@ -6,9 +6,11 @@ weights the area toward the most-cited sources,
 r(r+1)*integral((1-u)**(r-1) K(u)) - 1, and reduces to the Gini at
 r = 1.  The Pietra index is the maximum vertical distance max(K(u)-u).
 
-Closed forms are used where the curve family admits them (method tag
-"closed_form"); everything else falls back to adaptive quadrature or
-golden-section search.  The mixture families also support an
+All three share one dispatch: closed forms are used where the curve
+family admits them (method tag "closed_form"); other families, and
+closed forms that fail numerically at extreme parameters, take
+adaptive quadrature or golden-section search, and the tag names the
+route actually taken.  The mixture families also support an
 independent route that averages the base family's Gini over the mixing
 density, used as a cross-check oracle.
 """
@@ -19,6 +21,7 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
+import numpy as np
 from scipy.integrate import quad
 
 from . import specfun
@@ -98,6 +101,25 @@ def _range_check(value, lo, hi, tol, what):
     return min(max(value, lo), hi)
 
 
+def _dispatch(model, method, numeric_tag, closed_families, closed, numeric):
+    """Run the route that `method` selects and return (result, tag).
+
+    "auto" takes the closed form for `closed_families` and the numeric
+    route otherwise; a closed form that fails numerically (ArithmeticError
+    or ConvergenceError) falls back to the numeric route under "auto"
+    and raises when the closed form was requested explicitly.
+    """
+    if method not in ("auto", CLOSED_FORM, numeric_tag):
+        raise ValueError(f"unknown method {method!r}")
+    if method == CLOSED_FORM or (method == "auto" and model.family in closed_families):
+        try:
+            return closed(), CLOSED_FORM
+        except (ArithmeticError, ConvergenceError):
+            if method == CLOSED_FORM:
+                raise
+    return numeric(), numeric_tag
+
+
 def _gp_gini_closed(theta, kappa):
     lg = specfun.log_gamma
     term = 2.0 * math.exp(lg(kappa + 1.0) + lg(theta + 1.0) - lg(theta + kappa + 2.0))
@@ -160,20 +182,9 @@ def gini(model, tol=1e-10, method="auto"):
         (value, method) with value in [0, 1].
     """
     _check_tol(tol)
-    if method not in ("auto", CLOSED_FORM, QUADRATURE):
-        raise ValueError(f"unknown method {method!r}")
-    use_closed = method == CLOSED_FORM or (
-        method == "auto" and model.family in _GINI_CLOSED_FAMILIES
-    )
-    if use_closed:
-        try:
-            value, tag = _gini_closed(model), CLOSED_FORM
-        except (ArithmeticError, ConvergenceError):
-            if method == CLOSED_FORM:
-                raise
-            value, tag = _gini_quadrature(model, tol), QUADRATURE
-    else:
-        value, tag = _gini_quadrature(model, tol), QUADRATURE
+    value, tag = _dispatch(model, method, QUADRATURE, _GINI_CLOSED_FAMILIES,
+                           lambda: _gini_closed(model),
+                           lambda: _gini_quadrature(model, tol))
     return IndexValue(_range_check(value, 0.0, 1.0, tol, "gini"), tag)
 
 
@@ -224,20 +235,9 @@ def generalized_gini(model, r, tol=1e-10, method="auto"):
     _check_tol(tol)
     if not (r > 0) or not math.isfinite(r):
         raise ValueError(f"r must be positive and finite, got {r}")
-    if method not in ("auto", CLOSED_FORM, QUADRATURE):
-        raise ValueError(f"unknown method {method!r}")
-    use_closed = method == CLOSED_FORM or (
-        method == "auto" and model.family in _GEN_GINI_CLOSED_FAMILIES
-    )
-    if use_closed:
-        try:
-            value, tag = _generalized_gini_closed(model, r), CLOSED_FORM
-        except (ArithmeticError, ConvergenceError):
-            if method == CLOSED_FORM:
-                raise
-            value, tag = _generalized_gini_quadrature(model, r, tol), QUADRATURE
-    else:
-        value, tag = _generalized_gini_quadrature(model, r, tol), QUADRATURE
+    value, tag = _dispatch(model, method, QUADRATURE, _GEN_GINI_CLOSED_FAMILIES,
+                           lambda: _generalized_gini_closed(model, r),
+                           lambda: _generalized_gini_quadrature(model, r, tol))
     return IndexValue(_range_check(value, 0.0, r, tol, "generalized gini"), tag)
 
 
@@ -261,6 +261,20 @@ def _golden_section_max(f, tol):
     return f(u), u
 
 
+_PIETRA_CLOSED_FAMILIES = (Family.POWER, Family.PARETO)
+
+
+def _pietra_closed(model):
+    p = model.params
+    if model.family is Family.POWER:
+        complement = math.exp(-math.log1p(p.theta) / p.theta)
+        return p.theta * complement / (1.0 + p.theta), 1.0 - complement
+    if model.family is Family.PARETO:
+        argmax = math.exp(math.log1p(-p.theta) / p.theta)
+        return p.theta * argmax / (1.0 - p.theta), argmax
+    raise ValueError(f"no closed-form Pietra for family {model.family.value!r}")
+
+
 def pietra(model, tol=1e-10, method="auto"):
     """Pietra index: the maximum vertical gap between curve and diagonal.
 
@@ -280,26 +294,10 @@ def pietra(model, tol=1e-10, method="auto"):
         (value, argmax_u, method).
     """
     _check_tol(tol)
-    if method not in ("auto", CLOSED_FORM, SEARCH):
-        raise ValueError(f"unknown method {method!r}")
-    p = model.params
-    use_closed = method == CLOSED_FORM or (
-        method == "auto" and model.family in (Family.POWER, Family.PARETO)
-    )
-    if use_closed:
-        if model.family is Family.POWER:
-            complement = math.exp(-math.log1p(p.theta) / p.theta)
-            value = p.theta * complement / (1.0 + p.theta)
-            argmax = 1.0 - complement
-        elif model.family is Family.PARETO:
-            argmax = math.exp(math.log1p(-p.theta) / p.theta)
-            value = p.theta * argmax / (1.0 - p.theta)
-        else:
-            raise ValueError(f"no closed-form Pietra for family {model.family.value!r}")
-        tag = CLOSED_FORM
-    else:
-        value, argmax = _golden_section_max(lambda u: evaluate(model, u) - u, tol)
-        tag = SEARCH
+    (value, argmax), tag = _dispatch(
+        model, method, SEARCH, _PIETRA_CLOSED_FAMILIES,
+        lambda: _pietra_closed(model),
+        lambda: _golden_section_max(lambda u: evaluate(model, u) - u, tol))
     return PietraValue(_range_check(value, 0.0, 1.0, tol, "pietra"), argmax, tag)
 
 
@@ -377,13 +375,13 @@ def gini_via_mixture(model, tol=1e-8):
 def model_indices(model, r_values=DEFAULT_R_VALUES, tol=1e-10):
     """Full index report for a parametric curve model."""
     g = gini(model, tol=tol)
-    gen = tuple((float(r), generalized_gini(model, float(r), tol=tol).value)
-                for r in r_values)
+    gen = [(float(r), generalized_gini(model, float(r), tol=tol)) for r in r_values]
     p = pietra(model, tol=tol)
-    gen_tag = (CLOSED_FORM if model.family in _GEN_GINI_CLOSED_FAMILIES else QUADRATURE)
+    # closed_form only when every r took the closed form
+    gen_tag = (CLOSED_FORM if all(v.method == CLOSED_FORM for _, v in gen) else QUADRATURE)
     return IndexReport(
         gini=g.value,
-        generalized_gini=gen,
+        generalized_gini=tuple((r, v.value) for r, v in gen),
         pietra=p.value,
         pietra_argmax_u=p.argmax_u,
         method_tags={"gini": g.method, "generalized_gini": gen_tag, "pietra": p.method},
@@ -399,6 +397,12 @@ def _segment_weighted_integral(u0, k0, u1, k1, r):
     term1 = (a + b) * (t0**r - t1**r) / r
     term2 = b * (t0 ** (r + 1.0) - t1 ** (r + 1.0)) / (r + 1.0)
     return term1 - term2
+
+
+def _polygon_gini(u, k):
+    """Gini of the polygon through the vertices (u_i, k_i), u ascending
+    from 0 to 1; the trapezoid rule is exact on it."""
+    return 2.0 * float(np.trapezoid(k, u)) - 1.0
 
 
 def empirical_indices(curve, r_values=DEFAULT_R_VALUES):
@@ -421,34 +425,28 @@ def empirical_indices(curve, r_values=DEFAULT_R_VALUES):
     -------
     IndexReport
     """
-    points = curve.points
-    if len(points) < 2:
+    u, k = curve.u_values(), curve.k_values()
+    if u.size < 2:
         raise ValueError("empirical curve needs at least 2 points")
-    area = 0.0
-    for p0, p1 in zip(points, points[1:]):
-        area += (p1.u - p0.u) * (p0.k_value + p1.k_value) / 2.0
-    gini_value = 2.0 * area - 1.0
+    gini_value = _polygon_gini(u, k)
 
-    pietra_value, pietra_u = 0.0, 0.0
-    for p in points:
-        gap = p.k_value - p.u
-        if gap > pietra_value:
-            pietra_value, pietra_u = gap, p.u
+    # the first largest gap; the origin vertex has gap 0, so a polygon
+    # that never rises above the diagonal reports (0, 0)
+    gaps = k - u
+    top = int(np.argmax(gaps))
 
     gen = []
     for r in r_values:
         r = float(r)
         if not (r > 0) or not math.isfinite(r):
             raise ValueError(f"r must be positive and finite, got {r}")
-        total = 0.0
-        for p0, p1 in zip(points, points[1:]):
-            total += _segment_weighted_integral(p0.u, p0.k_value, p1.u, p1.k_value, r)
+        total = float(np.sum(_segment_weighted_integral(u[:-1], k[:-1], u[1:], k[1:], r)))
         gen.append((r, r * (r + 1.0) * total - 1.0))
 
     return IndexReport(
         gini=min(max(gini_value, 0.0), 1.0),
         generalized_gini=tuple(gen),
-        pietra=pietra_value,
-        pietra_argmax_u=pietra_u,
+        pietra=float(gaps[top]),
+        pietra_argmax_u=float(u[top]),
         method_tags={"gini": QUADRATURE, "generalized_gini": QUADRATURE, "pietra": SEARCH},
     )

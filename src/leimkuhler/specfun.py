@@ -17,6 +17,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 __all__ = [
     "SpecFunResult",
     "ConvergenceError",
@@ -292,20 +294,52 @@ def regularized_incomplete_beta(a, b, x):
 # confluent hypergeometric 1F1
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _kummer_series(a, b, z):
-    """Taylor series for 1F1(a; b; z); all terms positive when a, b, z > 0."""
-    term = 1.0
-    total = 1.0
-    total_abs = 1.0
-    for k in range(_MAX_ITER):
-        term *= (a + k) * z / ((b + k) * (k + 1.0))
-        total += term
-        total_abs += abs(term)
-        if math.isinf(total):
+    """Elementwise 1F1(a; b; z_i) for b > 0, with the Kummer transform
+    1F1(a; b; z) = exp(z) * 1F1(b - a; b; -z) applied where z < 0.
+
+    Each sign class runs the Taylor series until every term falls below
+    1e-17 of its partial sum.  Returns (values, abs error estimates);
+    an overflowed sum raises OverflowError rather than warning.
+    """
+    z = np.asarray(z, dtype=float)
+    value = np.empty_like(z)
+    err = np.empty_like(z)
+    neg = z < 0
+    for mask, sa, sign in ((~neg, a, 1.0), (neg, b - a, -1.0)):
+        if not mask.any():
+            continue
+        x = sign * z[mask]
+        term = np.ones_like(x)
+        total = np.ones_like(x)
+        # with sa >= 0 (and x >= 0) no term is negative: the sum is its
+        # own magnitude sum and needs no abs()
+        signed = sa < 0
+        total_abs = total.copy() if signed else None
+        for k in range(_MAX_ITER):
+            term = term * ((sa + k) / ((b + k) * (k + 1.0))) * x
+            total = total + term
+            if signed:
+                total_abs = total_abs + np.abs(term)
+                big = np.abs(term) > 1e-17 * np.abs(total)
+            else:
+                big = term > 1e-17 * total
+            # an overflowed sum compares False here and stops the loop
+            if k > 2 and not big.any():
+                break
+        else:
+            raise ConvergenceError("1F1 series did not converge")
+        if not np.isfinite(total).all():
             raise OverflowError("1F1 series overflowed")
-        if abs(term) < _EPS * abs(total) and k > 2:
-            return total, abs(term) + _EPS * total_abs
-    raise ConvergenceError("1F1 series did not converge", total, abs(term))
+        series_err = np.abs(term) + _EPS * (total_abs if signed else total)
+        if sign > 0:
+            value[mask], err[mask] = total, series_err
+        else:
+            scale = np.exp(-x)
+            value[mask] = scale * total
+            err[mask] = scale * series_err + _EPS * np.abs(value[mask])
+    return value, err
 
 
 def kummer_1f1(a, b, z):
@@ -335,14 +369,5 @@ def kummer_1f1(a, b, z):
         raise ValueError(f"kummer_1f1 requires b > 0, got b={b}")
     if not (math.isfinite(a) and math.isfinite(z)):
         raise ValueError("kummer_1f1 requires finite a and z")
-    if z == 0.0:
-        return SpecFunResult(1.0, 0.0, "series")
-    if z > 0:
-        value, err = _kummer_series(a, b, z)
-        return SpecFunResult(value, err, "series")
-    scale = math.exp(z)
-    total, err = _kummer_series(b - a, b, -z)
-    value = scale * total
-    if math.isinf(value):
-        raise OverflowError("1F1 overflowed after Kummer transform")
-    return SpecFunResult(value, scale * err + _EPS * abs(value), "transform")
+    value, err = _kummer_series(a, b, np.array([z], dtype=float))
+    return SpecFunResult(float(value[0]), float(err[0]), "series" if z >= 0 else "transform")

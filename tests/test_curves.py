@@ -3,6 +3,7 @@
 import math
 import random
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -331,12 +332,13 @@ class TestGenericConstructions:
 
 
 class TestVectorKummer:
-    def test_matches_scalar_routine(self):
+    def test_array_route_matches_mpmath(self):
         zs = np.array([-40.0, -7.3, -0.5, 0.0, 0.4, 3.0, 25.0])
         for a, b in [(3.0, 5.0), (0.8, 2.0), (1.5, 1.5)]:
-            vec = curves._hyp1f1_vec(a, b, zs)
+            vec, _ = specfun._kummer_series(a, b, zs)
             for z, got in zip(zs, vec):
-                ref = specfun.kummer_1f1(a, b, float(z)).value
+                with mpmath.workdps(30):
+                    ref = float(mpmath.hyp1f1(a, b, float(z)))
                 assert got == pytest.approx(ref, rel=1e-12)
 
 

@@ -12,6 +12,7 @@ from leimkuhler.indices import (
     QUADRATURE,
     SEARCH,
     IndexReport,
+    _segment_weighted_integral,
     empirical_indices,
     generalized_gini,
     gini,
@@ -225,6 +226,15 @@ class TestModelIndices:
         assert report.method_tags["gini"] == CLOSED_FORM
         assert report.method_tags["pietra"] == SEARCH
 
+    def test_generalized_gini_tag_follows_route_taken(self):
+        # the pg kernel underflows here, so every r falls back to quadrature
+        model = pg(500.0, 500.0)
+        assert all(generalized_gini(model, r).method == QUADRATURE for r in (0.5, 1.0, 2.0))
+        report = model_indices(model, r_values=(0.5, 1.0, 2.0))
+        assert report.method_tags["gini"] == QUADRATURE
+        assert report.method_tags["generalized_gini"] == QUADRATURE
+        assert model_indices(pg(0.701, 0.102)).method_tags["generalized_gini"] == CLOSED_FORM
+
     def test_invariant_enforced(self):
         with pytest.raises(ValueError, match="disagrees"):
             IndexReport(gini=0.5, generalized_gini=((1.0, 0.6),), pietra=0.3,
@@ -258,6 +268,30 @@ class TestEmpiricalIndices:
             report = empirical_indices(empirical_curve(CitationDataset(tuple(counts))),
                                        r_values=(1.0,))
             assert abs(report.generalized_gini[0][1] - report.gini) <= 1e-9
+
+    def test_matches_vertex_loop_reference(self):
+        # per-vertex loops as the reference; only the summation order
+        # differs, so sums agree to a few ulps per vertex
+        rng = random.Random(112)
+        for _ in range(20):
+            counts = [rng.randint(0, 1000) for _ in range(rng.randint(1, 2000))]
+            counts[0] += 1
+            curve = empirical_curve(CitationDataset(tuple(counts)))
+            report = empirical_indices(curve, r_values=(0.3, 1.0, 2.5))
+            points = curve.points
+            area = 0.0
+            for p0, p1 in zip(points, points[1:]):
+                area += (p1.u - p0.u) * (p0.k_value + p1.k_value) / 2.0
+            assert report.gini == pytest.approx(min(max(2.0 * area - 1.0, 0.0), 1.0), abs=1e-12)
+            best, best_u = 0.0, 0.0
+            for p in points:
+                if p.k_value - p.u > best:
+                    best, best_u = p.k_value - p.u, p.u
+            assert (report.pietra, report.pietra_argmax_u) == (best, best_u)
+            for r, value in report.generalized_gini:
+                total = sum(_segment_weighted_integral(p0.u, p0.k_value, p1.u, p1.k_value, r)
+                            for p0, p1 in zip(points, points[1:]))
+                assert value == pytest.approx(r * (r + 1.0) * total - 1.0, abs=1e-12)
 
     def test_even_counts_give_zero(self):
         report = empirical_indices(empirical_curve(CitationDataset((1, 1, 1, 1))))

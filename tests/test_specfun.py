@@ -206,6 +206,12 @@ class TestKummer1F1:
         ref = float(mpmath.hyp1f1(14.0, 25.1, -34.7))
         assert res.value == pytest.approx(ref, rel=1e-10)
 
+    def test_overflow_raises(self):
+        # both values grow like e^800, past the double range
+        for a, b, z in ((1.0, 2.0, 800.0), (-2.5, 1.0, 800.0)):
+            with pytest.raises(OverflowError):
+                specfun.kummer_1f1(a, b, z)
+
     def test_domain_errors(self):
         with pytest.raises(ValueError):
             specfun.kummer_1f1(1.0, -2.0, 1.0)
