@@ -1,8 +1,9 @@
 """Fit every curve family to the bundled dataset and rank the fits.
 
 Fitting minimizes the sum of squared gaps between the empirical
-polygon and the model curve at the observed source fractions, via a
-damped least-squares iteration with multistart.  Models are ranked
+polygon and the model curve at the observed source fractions, via
+scipy's trust-region reflective least squares inside the parameter
+box, restarted from several points.  Models are ranked
 by CAIC, which penalizes parameters more strongly than plain AIC, so
 a mixture family only wins when the extra flexibility pays for
 itself.  The script prints the ranked table and writes the full JSON

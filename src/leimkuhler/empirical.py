@@ -14,12 +14,11 @@ import csv
 import io
 import math
 from dataclasses import dataclass
-from itertools import accumulate
 from pathlib import Path
 
 import numpy as np
 
-from .curves import CurvePoint, Family
+from .curves import Family
 
 __all__ = [
     "DataError",
@@ -76,25 +75,50 @@ class CitationDataset:
         return sum(self.counts_desc)
 
 
-@dataclass(frozen=True)
-class EmpiricalCurve:
-    """Polygon through (i/n, s_i/s_n), i = 0..n."""
+_POINT = np.dtype([("u", float), ("k_value", float)])
 
-    points: tuple
+
+@dataclass(frozen=True, eq=False)
+class EmpiricalCurve:
+    """Polygon through (i/n, s_i/s_n), i = 0..n.
+
+    points is a read-only numpy record array with fields u and k_value,
+    the attribute names of CurvePoint; a sequence of CurvePoint objects
+    passed to the constructor is converted once.  Two curves are equal
+    when their source_n and all their vertices are equal.
+    """
+
+    points: np.recarray
     source_n: int
 
+    def __post_init__(self):
+        points = self.points
+        if not (isinstance(points, np.recarray) and points.dtype == _POINT):
+            points = np.rec.fromrecords([(p.u, p.k_value) for p in points], dtype=_POINT)
+        points = points.view()
+        points.flags.writeable = False
+        object.__setattr__(self, "points", points)
+
+    def __eq__(self, other):
+        if not isinstance(other, EmpiricalCurve):
+            return NotImplemented
+        return self.source_n == other.source_n and np.array_equal(self.points, other.points)
+
+    def __hash__(self):
+        return hash((self.source_n, self.points.tobytes()))
+
     def u_values(self):
-        return np.array([p.u for p in self.points])
+        return self.points.u.copy()
 
     def k_values(self):
-        return np.array([p.k_value for p in self.points])
+        return self.points.k_value.copy()
 
     def interpolate(self, u):
         """Piecewise-linear K at arbitrary u in [0, 1]; exact at knots."""
         arr = np.asarray(u, dtype=float)
-        if np.any(arr < 0.0) or np.any(arr > 1.0):
+        if not np.all((arr >= 0.0) & (arr <= 1.0)):
             raise ValueError("u must lie in [0, 1]")
-        out = np.interp(arr, self.u_values(), self.k_values())
+        out = np.interp(arr, self.points.u, self.points.k_value)
         return float(out) if np.ndim(u) == 0 else out
 
 
@@ -216,10 +240,14 @@ def empirical_curve(dataset):
     if total <= 0:
         raise DataError("dataset total is zero; the empirical curve is undefined")
     n = dataset.n
-    points = [CurvePoint(0.0, 0.0)]
-    for i, s in enumerate(accumulate(dataset.counts_desc), start=1):
-        points.append(CurvePoint(i / n, s / total))
-    return EmpiricalCurve(tuple(points), source_n=n)
+    # int64 sums convert to float exactly below 2**53, so s / total rounds
+    # as it does for Python ints; larger totals keep Python ints
+    counts = np.array(dataset.counts_desc, dtype=np.int64 if total < 2**53 else object)
+    points = np.recarray(n + 1, dtype=_POINT)
+    points.u = np.arange(n + 1) / n
+    points.k_value[0] = 0.0
+    points.k_value[1:] = np.cumsum(counts) / total
+    return EmpiricalCurve(points, source_n=n)
 
 
 def dispersion_index(variance, mean):

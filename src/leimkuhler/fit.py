@@ -2,12 +2,13 @@
 
 The objective is the sum of squared vertical gaps between the
 empirical polygon vertices (i/n, s_i/s_n), i = 1..n, and the
-parametric curve.  Minimization runs a damped least-squares iteration
-in unconstrained coordinates: positive parameters are optimized on a
-log scale, interval-bounded parameters through a logit, and the pagb
-shift directly.  Each fit is restarted from a deterministic seeded
-Latin-hypercube of initial points plus a method-of-moments start, and
-the best final objective wins.
+parametric curve.  Each start runs scipy's trust-region reflective
+method (Branch, Coleman & Li 1999) inside the parameter box, with a
+forward-difference Jacobian: scale parameters (theta, alpha, beta) are
+fitted on a log scale, the Pareto theta, kappa and the pagb shift as
+raw values between their bounds.  Each fit is restarted from a
+deterministic seeded Latin-hypercube of initial points plus a
+method-of-moments start, and the best final objective wins.
 
 Model comparison uses the consistent Akaike criterion computed from
 the Gaussian profile likelihood of the residuals, CAIC =
@@ -21,7 +22,7 @@ from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
-from scipy.stats import qmc
+from scipy.optimize import least_squares
 
 from .curves import PARAM_NAMES, CurveModel, Family, ParamVector, evaluate
 from .indices import _polygon_gini
@@ -40,7 +41,6 @@ __all__ = [
 ]
 
 _EPS = float(np.finfo(float).eps)
-_LAMBDA_MAX = 1e12
 _SSE_FLOOR = 1e-30
 
 
@@ -48,11 +48,19 @@ _SSE_FLOOR = 1e-30
 class FitConfig:
     """Knobs for the least-squares iteration and multistart.
 
+    max_iterations sets the evaluation budget of each start: the
+    trust-region method may try max_iterations * (p + 1) points for p
+    parameters (scipy's max_nfev, which leaves out the residual
+    evaluations spent on its forward-difference Jacobians).
+    step_tolerance is its xtol: a start stops when a step is shorter
+    than step_tolerance times the norm of the fitted coordinates.
+
     gradient_tolerance is the convergence verification threshold: a
-    result is flagged converged only when the final gradient infinity
-    norm is at or below it.  The iteration itself always runs to
-    numerical exhaustion, so tightening this value never changes the
-    estimate, only the flag.
+    result is flagged converged only when the infinity norm of the
+    gradient J^T r at the optimum, from a central-difference Jacobian in
+    parameter coordinates, is at or below it.  The iteration itself
+    runs to numerical exhaustion, so tightening this value never
+    changes the estimate, only the flag.
     """
 
     max_iterations: int = 200
@@ -87,7 +95,8 @@ class FitResult:
     when the Jacobian at the optimum is rank deficient.  converged is
     False when the gradient criterion was not met or the optimum sits
     on a parameter-box boundary.  objective_history records the SSE of
-    the accepted iterates of the winning start and never increases.
+    the start point and of each accepted step of the winning start and
+    never increases; iterations counts the accepted steps.
     """
 
     model: CurveModel
@@ -109,50 +118,19 @@ class ModelComparison(NamedTuple):
     failures: tuple
 
 
-# parameter transforms: positive parameters on a log scale with box
-# caps, interval parameters through a scaled logit, shift directly
-class _Log(NamedTuple):
+class _Bound(NamedTuple):
     lo: float
     hi: float
-
-    def to_raw(self, t):
-        return min(max(math.exp(min(t, 700.0)), self.lo), self.hi)
-
-    def to_t(self, raw):
-        return math.log(min(max(raw, self.lo), self.hi))
+    log: bool  # fitted as log(value) rather than the value itself
 
 
-class _Logit(NamedTuple):
-    lo: float
-    hi: float
+_THETA = _Bound(1e-8, 1e6, True)
+_PARETO_THETA = _Bound(1e-12, 1.0 - 1e-9, False)
+_KAPPA = _Bound(1e-12, 1.0, False)
+_MIX = _Bound(1e-8, 1e4, True)
+_SHIFT = _Bound(-200.0, 100.0, False)
 
-    def to_raw(self, t):
-        x = 1.0 / (1.0 + math.exp(-t)) if t > -700.0 else 0.0
-        return min(max(x, self.lo), self.hi)
-
-    def to_t(self, raw):
-        x = min(max(raw, max(self.lo, 1e-15)), min(self.hi, 1.0 - 1e-16))
-        return math.log(x / (1.0 - x))
-
-
-class _Linear(NamedTuple):
-    lo: float
-    hi: float
-
-    def to_raw(self, t):
-        return min(max(t, self.lo), self.hi)
-
-    def to_t(self, raw):
-        return min(max(raw, self.lo), self.hi)
-
-
-_THETA = _Log(1e-8, 1e6)
-_PARETO_THETA = _Logit(1e-12, 1.0 - 1e-9)
-_KAPPA = _Logit(1e-12, 1.0)
-_MIX = _Log(1e-8, 1e4)
-_SHIFT = _Linear(-200.0, 100.0)
-
-_TRANSFORMS = {
+_BOUNDS = {
     Family.POWER: (_THETA,),
     Family.GP: (_THETA, _KAPPA),
     Family.PARETO: (_PARETO_THETA,),
@@ -244,13 +222,23 @@ def _heuristic_start(family, gini_emp):
     raise ValueError(f"unsupported family {family!r}")
 
 
+def _latin_hypercube(d, n, seed):
+    """n seeded Latin-hypercube points in (0, 1]^d: the same draws as
+    scipy.stats.qmc.LatinHypercube(d, seed=seed).random(n)."""
+    rng = np.random.default_rng(seed)
+    jitter = rng.uniform(size=(n, d))
+    perms = np.tile(np.arange(1, n + 1), (d, 1))
+    for row in perms:
+        rng.shuffle(row)
+    return (perms.T - jitter) / n
+
+
 def _multistart_points(family, gini_emp, config):
     starts = [_heuristic_start(family, gini_emp)]
     extra = config.multistart_count - 1
     if extra > 0:
         box = _SAMPLING_BOX[family]
-        sampler = qmc.LatinHypercube(d=len(box), seed=config.seed)
-        for row in sampler.random(extra):
+        for row in _latin_hypercube(len(box), extra, config.seed):
             point = []
             for frac, (kind, lo, hi) in zip(row, box):
                 if kind == "log":
@@ -277,93 +265,73 @@ def _nested_warm_starts(family, curve, config):
     return [(kap, a, b) for kap in (0.35, 0.65, 0.9, 0.999)]
 
 
-class _LmOutcome(NamedTuple):
-    raw: tuple
-    sse: float
-    history: tuple
-    iterations: int
-    gradient_ok: bool
+class _DifferencingFailed(Exception):
+    """Residuals failed at a point where trf takes its Jacobian."""
 
 
-def _run_lm(family, raw0, u, k_emp, config):
-    transforms = _TRANSFORMS[family]
-    unbounded = np.full(len(transforms), np.inf)
+def _run_start(family, raw0, u, k_emp, config):
+    """Bounded trust-region reflective least squares from raw0.
+
+    Returns (raw, history), history being the SSE of the start point and
+    of each accepted step, or None when the start point has no residuals.
+    A failed residual at a trial point rejects the step; one while
+    differencing ends the run at its last accepted iterate.
+    """
+    bounds = _BOUNDS[family]
+    is_log = np.array([b.log for b in bounds])
+    lo, hi = np.array([b.lo for b in bounds]), np.array([b.hi for b in bounds])
+
+    def to_t(raw):
+        return np.array([math.log(x) if b.log else x for b, x in zip(bounds, raw)])
 
     def raw_of(t):
-        return tuple(tr.to_raw(x) for tr, x in zip(transforms, t))
+        return tuple(map(float, np.clip(np.where(is_log, np.exp(t), t), lo, hi)))
+
+    accepted = []  # (t, sse) of the start point and of each accepted step
+    differencing = True  # the start point's Jacobian comes first
 
     def resid(t):
-        return _residuals(family, raw_of(t), u, k_emp)
-
-    t = np.array([tr.to_t(x) for tr, x in zip(transforms, raw0)])
-    r = resid(t)
-    if r is None:
-        return None
-    sse = float(r @ r)
-    history = [sse]
-    lam = 1e-3
-    iterations = 0
-    # iterate past the verification threshold so the estimate does not
-    # depend on how loose the convergence flag is
-    g_stop = min(config.gradient_tolerance, 1e-12)
-
-    for _ in range(config.max_iterations):
-        iterations += 1
-        J = _fd_jacobian(resid, t, r, -unbounded, unbounded)
-        moved = False
-        if J is None:
-            break
-        g = J.T @ r
-        if np.max(np.abs(g)) <= g_stop:
-            break
-        A = J.T @ J
-        diag = np.clip(np.diag(A).copy(), 1e-12, None)
-        accepted = False
-        delta = None
-        while lam <= _LAMBDA_MAX:
-            try:
-                delta = np.linalg.solve(A + lam * np.diag(diag), -g)
-            except np.linalg.LinAlgError:
-                lam *= 4.0
-                continue
-            r_new = resid(t + delta)
-            if r_new is not None:
-                sse_new = float(r_new @ r_new)
-                if sse_new < sse:
-                    t = t + delta
-                    r = r_new
-                    sse = sse_new
-                    history.append(sse)
-                    lam = max(lam / 3.0, 1e-12)
-                    accepted = True
-                    break
-            lam *= 4.0
+        nonlocal differencing
+        r = _residuals(family, raw_of(t), u, k_emp)
+        if r is None:
+            if differencing:
+                raise _DifferencingFailed
+            # a non-finite trial makes trf reject the step and shrink its radius
+            return np.full(u.size, np.nan)
         if not accepted:
-            break
-        moved = True
-        if sse <= _SSE_FLOOR:
-            break
-        if np.linalg.norm(delta) <= config.step_tolerance * (1.0 + np.linalg.norm(t)):
-            break
+            accepted.append((t.copy(), float(r @ r)))
+        elif r @ r < accepted[-1][1]:
+            # trf accepts a trial exactly when it lowers the cost, then
+            # differences around it until the iteration ends
+            differencing = True
+        return r
 
-    gradient_ok = sse <= _SSE_FLOOR
-    if not gradient_ok:
-        # J belongs to t unless the last iteration took a step
-        if moved:
-            J = _fd_jacobian(resid, t, r, -unbounded, unbounded)
-        if J is not None:
-            gradient_ok = bool(np.max(np.abs(J.T @ r)) <= config.gradient_tolerance)
+    def end_iteration(intermediate_result):
+        # scipy passes the full iterate only to an argument of this name
+        nonlocal differencing
+        differencing = False
+        sse = float(2.0 * intermediate_result.cost)
+        if sse < accepted[-1][1]:
+            accepted.append((intermediate_result.x.copy(), sse))
 
-    return _LmOutcome(raw_of(t), sse, tuple(history), iterations, gradient_ok)
+    t0 = to_t(np.clip(raw0, lo, hi))
+    try:
+        least_squares(resid, t0, bounds=(to_t(lo), to_t(hi)), method="trf", jac="2-point",
+                      xtol=config.step_tolerance, ftol=1e-15, gtol=1e-15,
+                      max_nfev=config.max_iterations * (t0.size + 1), callback=end_iteration)
+    except _DifferencingFailed:
+        if not accepted:
+            return None
+    return raw_of(accepted[-1][0]), tuple(sse for _, sse in accepted)
 
 
 def _near_boundary(family, raw):
-    for tr, value in zip(_TRANSFORMS[family], raw):
-        span = tr.hi - tr.lo
-        if isinstance(tr, _Log):
-            if value >= tr.hi * (1.0 - 1e-9) or value <= tr.lo * (1.0 + 1e-9):
+    for b, value in zip(_BOUNDS[family], raw):
+        span = b.hi - b.lo
+        if b.log:
+            if value >= b.hi * (1.0 - 1e-9) or value <= b.lo * (1.0 + 1e-9):
                 return True
-        elif value >= tr.hi - 1e-9 * span or value <= tr.lo + 1e-9 * span:
+        elif value >= b.hi - 1e-9 * span or value <= b.lo + 1e-9 * span:
             return True
     return False
 
@@ -475,44 +443,47 @@ def fit(curve, family, config=FitConfig()):
     starts = _multistart_points(family, gini_emp, config)
     if family in _NESTED_2PARAM and config.multistart_count > 1:
         starts[1:1] = _nested_warm_starts(family, curve, config)
-    best = None
+    best = None  # (raw, history) of the lowest final SSE
     for start in starts:
-        outcome = _run_lm(family, start, u, k_emp, config)
+        outcome = _run_start(family, start, u, k_emp, config)
         if outcome is None:
             continue
-        if best is None or outcome.sse < best.sse:
+        if best is None or outcome[1][-1] < best[1][-1]:
             best = outcome
-        if best.sse <= 1e-15:
+        if best[1][-1] <= 1e-15:
             break
     if best is None:
         raise RuntimeError(f"all fit starts failed for family {family.value!r}")
 
-    model = _make_model(family, best.raw)
+    raw, history = best
+    sse = history[-1]
+    model = _make_model(family, raw)
     k_fit = evaluate(model, u)
-    metrics = _metrics(k_fit - k_emp)
-    # standard errors in original coordinates, one-sided at a box edge
-    transforms = _TRANSFORMS[family]
+    r = k_fit - k_emp
+    metrics = _metrics(r)
+    # one central-difference Jacobian in parameter coordinates, one-sided
+    # at a box edge, gives the standard errors and the convergence flag
+    bounds = _BOUNDS[family]
     zeros = np.zeros(u.size)
     J = _fd_jacobian(lambda x: _residuals(family, tuple(map(float, x)), u, zeros),
-                     np.array(best.raw), k_fit,
-                     np.array([tr.lo for tr in transforms]),
-                     np.array([tr.hi for tr in transforms]))
+                     np.array(raw), k_fit,
+                     np.array([b.lo for b in bounds]), np.array([b.hi for b in bounds]))
     errors = None
+    gradient_ok = sse <= _SSE_FLOOR
     if J is not None:
-        errors = standard_errors(J, best.sse, u.size, p,
-                                 variance_divisor=config.variance_divisor)
-    converged = best.gradient_ok and not _near_boundary(family, best.raw)
+        errors = standard_errors(J, sse, u.size, p, variance_divisor=config.variance_divisor)
+        gradient_ok = gradient_ok or bool(np.max(np.abs(J.T @ r)) <= config.gradient_tolerance)
     return FitResult(
         model=model,
         std_errors=errors,
-        sse=best.sse,
+        sse=sse,
         mse=metrics.mse,
         max_abs=metrics.max_abs,
         mae=metrics.mae,
-        caic=caic(best.sse, u.size, p, config.caic_counts_variance),
-        converged=converged,
-        iterations=best.iterations,
-        objective_history=best.history,
+        caic=caic(sse, u.size, p, config.caic_counts_variance),
+        converged=gradient_ok and not _near_boundary(family, raw),
+        iterations=len(history) - 1,
+        objective_history=history,
     )
 
 

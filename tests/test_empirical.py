@@ -163,6 +163,8 @@ class TestEmpiricalCurve:
         curve = empirical_curve(CitationDataset((4, 3, 2, 1)))
         with pytest.raises(ValueError):
             curve.interpolate(1.5)
+        with pytest.raises(ValueError):
+            curve.interpolate(float("nan"))
 
 
 class TestDescriptiveStats:

@@ -1,9 +1,11 @@
 """Tests for least-squares fitting and model comparison."""
 
+import importlib
 import math
 
 import numpy as np
 import pytest
+from scipy.stats import qmc
 
 from leimkuhler.curves import (
     CurvePoint,
@@ -27,9 +29,11 @@ from leimkuhler.fit import (
     fit,
     fit_metrics,
     standard_errors,
+    _latin_hypercube,
 )
 
 FAST = FitConfig(multistart_count=4, seed=11)
+fit_module = importlib.import_module("leimkuhler.fit")
 
 
 def model_polygon(model, n):
@@ -38,6 +42,15 @@ def model_polygon(model, n):
     k = evaluate(model, u)
     points = tuple(CurvePoint(float(a), float(b)) for a, b in zip(u, k))
     return EmpiricalCurve(points=points, source_n=n)
+
+
+class TestLatinHypercube:
+    def test_matches_scipy_qmc_draw_for_draw(self):
+        for d in (1, 2, 3):
+            for n in range(1, 16):
+                for seed in (0, 1, 7, 11, 2024):
+                    expected = qmc.LatinHypercube(d=d, seed=seed).random(n)
+                    assert np.array_equal(_latin_hypercube(d, n, seed), expected), (d, n, seed)
 
 
 class TestFitConfig:
@@ -103,6 +116,22 @@ class TestExactRecovery:
             assert all(a >= b for a, b in zip(history, history[1:]))
             assert history[-1] == pytest.approx(result.sse, abs=0.0)
 
+    def test_residual_failures_stop_at_last_accepted_point(self, monkeypatch):
+        # residuals fail beyond theta = 1.5: trial steps there are
+        # rejected, and a Jacobian step across it ends the start
+        residuals = fit_module._residuals
+
+        def walled(family, raw, u, k_emp):
+            return None if raw[0] > 1.5 else residuals(family, raw, u, k_emp)
+
+        monkeypatch.setattr(fit_module, "_residuals", walled)
+        result = fit(model_polygon(power(2.0), 257), "power", FAST)
+        assert 1.49 < result.model.params.theta <= 1.5
+        history = result.objective_history
+        assert all(a > b for a, b in zip(history, history[1:]))
+        assert all(type(value) is float for value in history)
+        assert history[-1] == result.sse
+
     def test_power_spec_grid(self):
         curve = model_polygon(power(2.0), 500)
         result = fit(curve, Family.POWER, FAST)
@@ -147,6 +176,17 @@ class TestNesting:
         result_power = fit(curve, "power", FAST)
         result_gp = fit(curve, "gp", FAST)
         assert result_power.sse >= result_gp.sse - 1e-10
+
+    def test_single_start_reaches_unit_kappa(self):
+        # no warm start from the nested fit with one start, so the search
+        # itself has to carry kappa to its upper bound
+        curve = empirical_curve(sample_synthetic("power", n=300, seed=2, theta=3.0))
+        single = FitConfig(multistart_count=1)
+        for family, nested in (("gpg", "pg"), ("gpig", "pig")):
+            result = fit(curve, family, single)
+            reference = fit(curve, nested, single)
+            assert abs(result.sse - reference.sse) <= 1e-10 * reference.sse, family
+            assert result.model.params.kappa == pytest.approx(1.0, abs=1e-12), family
 
 
 class TestConvergedFlag:
