@@ -6,9 +6,13 @@ parametric curve.  Each start runs scipy's trust-region reflective
 method (Branch, Coleman & Li 1999) inside the parameter box, with a
 forward-difference Jacobian: scale parameters (theta, alpha, beta) are
 fitted on a log scale, the Pareto theta, kappa and the pagb shift as
-raw values between their bounds.  Each fit is restarted from a
-deterministic seeded Latin-hypercube of initial points plus a
-method-of-moments start, and the best final objective wins.
+raw values between their bounds, and trf scales every coordinate by
+its Jacobian column.  Each fit is restarted from a deterministic
+seeded Latin-hypercube of initial points plus a method-of-moments
+start; the best final objective wins.  One Gauss-Newton step on a
+central-difference Jacobian, with the coordinates that end within
+1e-2 of a bound put on that bound, finishes the search if it does not
+raise the SSE.
 
 Model comparison uses the consistent Akaike criterion computed from
 the Gaussian profile likelihood of the residuals, CAIC =
@@ -96,7 +100,8 @@ class FitResult:
     False when the gradient criterion was not met or the optimum sits
     on a parameter-box boundary.  objective_history records the SSE of
     the start point and of each accepted step of the winning start and
-    never increases; iterations counts the accepted steps.
+    never increases; iterations counts the accepted steps, the final
+    Gauss-Newton step included when it lowers the SSE.
     """
 
     model: CurveModel
@@ -165,61 +170,46 @@ def _residuals(family, raw, u, k_emp):
             k = evaluate(model, u)
         except (ConvergenceError, OverflowError, ArithmeticError):
             return None
-    if not np.all(np.isfinite(k)):
-        return None
-    return k - k_emp
+    return k - k_emp if np.all(np.isfinite(k)) else None
 
 
-def _fd_jacobian(resid, x, r0, lo, hi):
+def _fd_jacobian(resid, x, r0, lo, hi, central=True):
     """Finite-difference Jacobian of resid at x, where r0 = resid(x).
 
-    Central differences, one-sided in a coordinate where a central step
-    would leave [lo, hi].  None when any residual evaluation fails.
+    Central differences (forward ones if not central), one-sided in a
+    coordinate where a step would leave [lo, hi].  None when any
+    residual evaluation fails.
     """
     J = np.empty((r0.size, x.size))
     for j in range(x.size):
         h = math.sqrt(_EPS) * (1.0 + abs(x[j]))
         up_ok = x[j] + h <= hi[j]
-        down_ok = x[j] - h >= lo[j]
-        up = x.copy()
-        if up_ok and down_ok:
-            down = x.copy()
-            up[j] += h
-            down[j] -= h
-            r_up, r_down = resid(up), resid(down)
-            if r_up is None or r_down is None:
-                return None
-            J[:, j] = (r_up - r_down) / (2.0 * h)
-        else:
-            step = h if up_ok else -h
-            up[j] += step
-            r_up = resid(up)
-            if r_up is None:
-                return None
-            J[:, j] = (r_up - r0) / step
+        two_sided = central and up_ok and x[j] - h >= lo[j]
+        step = h if up_ok else -h
+        up, down = x.copy(), x.copy()
+        up[j] += step
+        down[j] -= h
+        r_up = resid(up)
+        r_down = resid(down) if two_sided else r0
+        if r_up is None or r_down is None:
+            return None
+        J[:, j] = (r_up - r_down) / (2.0 * h if two_sided else step)
     return J
 
 
 def _heuristic_start(family, gini_emp):
     # method-of-moments power exponent, embedded into each family
     theta0 = min(max(2.0 * gini_emp / (1.0 - gini_emp), 0.05), 1e4)
-    if family is Family.POWER:
-        return (theta0,)
-    if family is Family.GP:
-        return (theta0, 0.95)
-    if family is Family.PARETO:
-        return (min(max(2.0 * gini_emp / (1.0 + gini_emp), 0.02), 0.98),)
-    if family is Family.PG:
-        return (1.0, 1.0 / theta0)
-    if family is Family.PIG:
-        return (theta0, 1.0)
-    if family is Family.GPG:
-        return (0.7, 1.0, 1.0 / theta0)
-    if family is Family.GPIG:
-        return (0.7, theta0, 1.0)
-    if family is Family.PAGB:
-        return (1.0, 1.0, 0.0)
-    raise ValueError(f"unsupported family {family!r}")
+    return {
+        Family.POWER: (theta0,),
+        Family.GP: (theta0, 0.95),
+        Family.PARETO: (min(max(2.0 * gini_emp / (1.0 + gini_emp), 0.02), 0.98),),
+        Family.PG: (1.0, 1.0 / theta0),
+        Family.PIG: (theta0, 1.0),
+        Family.GPG: (0.7, 1.0, 1.0 / theta0),
+        Family.GPIG: (0.7, theta0, 1.0),
+        Family.PAGB: (1.0, 1.0, 0.0),
+    }[family]
 
 
 def _latin_hypercube(d, n, seed):
@@ -235,17 +225,11 @@ def _latin_hypercube(d, n, seed):
 
 def _multistart_points(family, gini_emp, config):
     starts = [_heuristic_start(family, gini_emp)]
-    extra = config.multistart_count - 1
-    if extra > 0:
-        box = _SAMPLING_BOX[family]
-        for row in _latin_hypercube(len(box), extra, config.seed):
-            point = []
-            for frac, (kind, lo, hi) in zip(row, box):
-                if kind == "log":
-                    point.append(math.exp(math.log(lo) + frac * (math.log(hi) - math.log(lo))))
-                else:
-                    point.append(lo + frac * (hi - lo))
-            starts.append(tuple(point))
+    box = _SAMPLING_BOX[family]
+    for row in _latin_hypercube(len(box), config.multistart_count - 1, config.seed):
+        starts.append(tuple(
+            math.exp(math.log(lo) + f * (math.log(hi) - math.log(lo))) if kind == "log"
+            else lo + f * (hi - lo) for f, (kind, lo, hi) in zip(row, box)))
     return starts
 
 
@@ -265,8 +249,8 @@ def _nested_warm_starts(family, curve, config):
     return [(kap, a, b) for kap in (0.35, 0.65, 0.9, 0.999)]
 
 
-class _DifferencingFailed(Exception):
-    """Residuals failed at a point where trf takes its Jacobian."""
+class _StartFailed(Exception):
+    """Residuals failed at the start point or while differencing."""
 
 
 def _run_start(family, raw0, u, k_emp, config):
@@ -278,62 +262,70 @@ def _run_start(family, raw0, u, k_emp, config):
     differencing ends the run at its last accepted iterate.
     """
     bounds = _BOUNDS[family]
-    is_log = np.array([b.log for b in bounds])
-    lo, hi = np.array([b.lo for b in bounds]), np.array([b.hi for b in bounds])
+    lo, hi, is_log = np.array(bounds).T
 
     def to_t(raw):
         return np.array([math.log(x) if b.log else x for b, x in zip(bounds, raw)])
 
     def raw_of(t):
-        return tuple(map(float, np.clip(np.where(is_log, np.exp(t), t), lo, hi)))
+        return tuple(map(float, np.clip(np.where(is_log > 0, np.exp(t), t), lo, hi)))
 
+    t_lo, t_hi = to_t(lo), to_t(hi)
     accepted = []  # (t, sse) of the start point and of each accepted step
-    differencing = True  # the start point's Jacobian comes first
+    last = [None, None]  # t and residuals (None if failed) of the latest call
 
     def resid(t):
-        nonlocal differencing
         r = _residuals(family, raw_of(t), u, k_emp)
-        if r is None:
-            if differencing:
-                raise _DifferencingFailed
-            # a non-finite trial makes trf reject the step and shrink its radius
-            return np.full(u.size, np.nan)
-        if not accepted:
-            accepted.append((t.copy(), float(r @ r)))
-        elif r @ r < accepted[-1][1]:
-            # trf accepts a trial exactly when it lowers the cost, then
-            # differences around it until the iteration ends
-            differencing = True
-        return r
+        last[:] = t.copy(), r
+        if r is None and not accepted:
+            raise _StartFailed
+        # a non-finite trial makes trf reject the step and shrink its radius
+        return np.full(u.size, np.nan) if r is None else r
 
-    def end_iteration(intermediate_result):
-        # scipy passes the full iterate only to an argument of this name
-        nonlocal differencing
-        differencing = False
-        sse = float(2.0 * intermediate_result.cost)
-        if sse < accepted[-1][1]:
-            accepted.append((intermediate_result.x.copy(), sse))
+    def jac(t):
+        # trf calls this at the start point and at each accepted step,
+        # right after evaluating the residuals there
+        t_last, r = last
+        if r is None or not np.array_equal(t, t_last):
+            raise _StartFailed  # not reached while trf keeps that order
+        accepted.append((t.copy(), float(r @ r)))
+        J = _fd_jacobian(lambda x: _residuals(family, raw_of(x), u, k_emp),
+                         t, r, t_lo, t_hi, central=False)
+        if J is None:
+            raise _StartFailed
+        return J
 
     t0 = to_t(np.clip(raw0, lo, hi))
     try:
-        least_squares(resid, t0, bounds=(to_t(lo), to_t(hi)), method="trf", jac="2-point",
+        least_squares(resid, t0, jac=jac, bounds=(t_lo, t_hi), method="trf", x_scale="jac",
                       xtol=config.step_tolerance, ftol=1e-15, gtol=1e-15,
-                      max_nfev=config.max_iterations * (t0.size + 1), callback=end_iteration)
-    except _DifferencingFailed:
+                      max_nfev=config.max_iterations * (t0.size + 1))
+    except _StartFailed:
         if not accepted:
             return None
     return raw_of(accepted[-1][0]), tuple(sse for _, sse in accepted)
 
 
-def _near_boundary(family, raw):
-    for b, value in zip(_BOUNDS[family], raw):
-        span = b.hi - b.lo
-        if b.log:
-            if value >= b.hi * (1.0 - 1e-9) or value <= b.lo * (1.0 + 1e-9):
-                return True
-        elif value >= b.hi - 1e-9 * span or value <= b.lo + 1e-9 * span:
-            return True
-    return False
+def _gap(bound, value, edge):
+    # distance to a bound, relative in value on a log scale, else to the span
+    return abs(math.log(value / edge)) if bound.log else abs(value - edge) / (bound.hi - bound.lo)
+
+
+def _finishing_step(family, raw, J, r):
+    """Gauss-Newton step on the central-difference Jacobian J at raw, with
+    coordinates within 1e-2 of a bound held on it.  trf differences forward,
+    which biases its gradient by more than the SSE, flat to rounding near
+    the optimum, can show, and it nears an active bound only geometrically."""
+    target, fixed = raw.copy(), np.zeros(raw.size, dtype=bool)
+    for j, b in enumerate(_BOUNDS[family]):
+        for edge in (b.lo, b.hi):
+            if _gap(b, raw[j], edge) <= 1e-2:
+                target[j], fixed[j] = edge, True
+    if not fixed.all():
+        # the free coordinates solve the residuals linearized at raw
+        r_fixed = r + J @ (target - raw)
+        target[~fixed] += np.linalg.lstsq(J[:, ~fixed], -r_fixed, rcond=None)[0]
+    return target
 
 
 def standard_errors(jacobian, sse, n, p, variance_divisor="n_minus_p"):
@@ -446,33 +438,39 @@ def fit(curve, family, config=FitConfig()):
     best = None  # (raw, history) of the lowest final SSE
     for start in starts:
         outcome = _run_start(family, start, u, k_emp, config)
-        if outcome is None:
-            continue
-        if best is None or outcome[1][-1] < best[1][-1]:
+        if outcome is not None and (best is None or outcome[1][-1] < best[1][-1]):
             best = outcome
-        if best[1][-1] <= 1e-15:
+        if best is not None and best[1][-1] <= 1e-15:
             break
     if best is None:
         raise RuntimeError(f"all fit starts failed for family {family.value!r}")
 
     raw, history = best
-    sse = history[-1]
-    model = _make_model(family, raw)
-    k_fit = evaluate(model, u)
-    r = k_fit - k_emp
-    metrics = _metrics(r)
-    # one central-difference Jacobian in parameter coordinates, one-sided
-    # at a box edge, gives the standard errors and the convergence flag
-    bounds = _BOUNDS[family]
     zeros = np.zeros(u.size)
-    J = _fd_jacobian(lambda x: _residuals(family, tuple(map(float, x)), u, zeros),
-                     np.array(raw), k_fit,
-                     np.array([b.lo for b in bounds]), np.array([b.hi for b in bounds]))
-    errors = None
-    gradient_ok = sse <= _SSE_FLOOR
-    if J is not None:
-        errors = standard_errors(J, sse, u.size, p, variance_divisor=config.variance_divisor)
-        gradient_ok = gradient_ok or bool(np.max(np.abs(J.T @ r)) <= config.gradient_tolerance)
+    lo, hi, _ = np.array(_BOUNDS[family]).T
+    for finishing in (True, False):
+        sse = history[-1]
+        model = _make_model(family, raw)
+        k_fit = evaluate(model, u)
+        r = k_fit - k_emp
+        # one central-difference Jacobian in parameter coordinates, one-sided
+        # at a box edge, gives the standard errors and the convergence flag
+        J = _fd_jacobian(lambda x: _residuals(family, tuple(map(float, x)), u, zeros),
+                         np.array(raw), k_fit, lo, hi)
+        if J is None or not finishing:
+            break
+        trial = tuple(map(float, np.clip(_finishing_step(family, np.array(raw), J, r), lo, hi)))
+        r_trial = _residuals(family, trial, u, k_emp)
+        if r_trial is None or float(r_trial @ r_trial) > sse:
+            break
+        raw = trial
+        if float(r_trial @ r_trial) < sse:
+            history += (float(r_trial @ r_trial),)
+    gradient_ok = sse <= _SSE_FLOOR or (
+        J is not None and bool(np.max(np.abs(J.T @ r)) <= config.gradient_tolerance))
+    metrics = _metrics(r)
+    errors = None if J is None else standard_errors(
+        J, sse, u.size, p, variance_divisor=config.variance_divisor)
     return FitResult(
         model=model,
         std_errors=errors,
@@ -481,7 +479,8 @@ def fit(curve, family, config=FitConfig()):
         max_abs=metrics.max_abs,
         mae=metrics.mae,
         caic=caic(sse, u.size, p, config.caic_counts_variance),
-        converged=gradient_ok and not _near_boundary(family, raw),
+        converged=gradient_ok and all(_gap(b, value, edge) > 1e-9 for b, value in
+                                      zip(_BOUNDS[family], raw) for edge in (b.lo, b.hi)),
         iterations=len(history) - 1,
         objective_history=history,
     )

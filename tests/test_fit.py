@@ -2,6 +2,7 @@
 
 import importlib
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,7 +21,13 @@ from leimkuhler.curves import (
     pig,
     power,
 )
-from leimkuhler.empirical import EmpiricalCurve, empirical_curve, sample_synthetic
+from leimkuhler.empirical import (
+    CitationDataset,
+    EmpiricalCurve,
+    empirical_curve,
+    ingest,
+    sample_synthetic,
+)
 from leimkuhler.fit import (
     FitConfig,
     FitMetrics,
@@ -33,6 +40,7 @@ from leimkuhler.fit import (
 )
 
 FAST = FitConfig(multistart_count=4, seed=11)
+BUNDLED = Path(__file__).resolve().parents[1] / "demos" / "data" / "citations_synthetic.txt"
 fit_module = importlib.import_module("leimkuhler.fit")
 
 
@@ -132,6 +140,26 @@ class TestExactRecovery:
         assert all(type(value) is float for value in history)
         assert history[-1] == result.sse
 
+    def test_failed_first_trial_is_rejected_not_final(self, monkeypatch):
+        # one start at theta = 0.5 with residuals failing beyond 0.6: the
+        # first trust-region step toward theta = 2 crosses the wall, and
+        # the start must shrink its step and carry on up to the wall
+        residuals = fit_module._residuals
+        visited = []
+
+        def walled(family, raw, u, k_emp):
+            visited.append(raw[0])
+            return None if raw[0] > 0.6 else residuals(family, raw, u, k_emp)
+
+        monkeypatch.setattr(fit_module, "_residuals", walled)
+        monkeypatch.setattr(fit_module, "_heuristic_start", lambda family, gini: (0.5,))
+        result = fit(model_polygon(power(2.0), 257), "power", FitConfig(multistart_count=1))
+        assert visited[0] == 0.5 and visited[2] > 0.6  # start, its Jacobian, first trial
+        assert 0.59 < result.model.params.theta <= 0.6
+        history = result.objective_history
+        assert len(history) > 2
+        assert all(a > b for a, b in zip(history, history[1:]))
+
     def test_power_spec_grid(self):
         curve = model_polygon(power(2.0), 500)
         result = fit(curve, Family.POWER, FAST)
@@ -204,6 +232,32 @@ class TestConvergedFlag:
         result = fit(empirical_curve(dataset), "pg", FAST)
         assert result.model.params.alpha == pytest.approx(1e4)
         assert not result.converged
+
+    def test_edge_optimum_reaches_the_box_corner(self):
+        # the pagb SSE on (7,3,2,1) keeps falling along a flat valley toward
+        # the alpha/shift corner; the fit follows it there and is flagged
+        curve = empirical_curve(CitationDataset((7, 3, 2, 1)))
+        result = fit(curve, "pagb", FAST)
+        assert result.model.params.alpha == pytest.approx(1e4, rel=1e-9)
+        assert result.model.params.shift == pytest.approx(-200.0, abs=1e-4)
+        assert not result.converged
+
+    def test_stop_short_of_a_bound_is_moved_onto_it(self):
+        # trf stops about 0.01 short of the shift bound here, where the
+        # corner has the lower SSE
+        curve = empirical_curve(sample_synthetic("power", n=500, seed=9, theta=1.5))
+        result = fit(curve, "pagb", FAST)
+        assert result.model.params.alpha == 1e4
+        assert result.model.params.shift == -200.0
+        assert not result.converged
+        assert result.objective_history[-1] == result.sse
+
+    def test_flag_survives_forward_difference_bias(self):
+        # with four starts trf ends 1e-9 short of the Pareto optimum on the
+        # bundled data: the SSE is flat to rounding there, the gradient 1.8e-6
+        curve = empirical_curve(ingest(BUNDLED))
+        result = fit(curve, "pareto", FitConfig(multistart_count=4, seed=0))
+        assert result.converged
 
     def test_insufficient_points_rejected(self):
         curve = model_polygon(gpg(0.5, 1.0, 1.0), 3)
