@@ -21,7 +21,6 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy.integrate import quad
 
 from . import specfun
 from .specfun import ConvergenceError
@@ -325,6 +324,8 @@ def leimkuhler_from_quantile(quantile, mean, u, tol=1e-10):
     -------
     float
     """
+    from scipy.integrate import quad
+
     if not (mean > 0) or not math.isfinite(mean):
         raise ValueError(f"mean must be positive and finite, got {mean}")
     if not (0.0 <= u <= 1.0):
@@ -388,6 +389,8 @@ def mixture_curve_numeric(base_family, mixing_density, support, u, tol=1e-9, kap
     -------
     float
     """
+    from scipy.integrate import quad
+
     if not (0.0 <= u <= 1.0):
         raise ValueError(f"u must lie in [0, 1], got {u}")
     lo, hi = support

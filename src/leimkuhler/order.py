@@ -4,11 +4,13 @@ Two curves over the same unit interval are ordered when one lies on
 or above the other everywhere; the higher curve describes the more
 concentrated population.  leimkuhler_compare classifies a pair of
 models as ordered, equal within tolerance, or crossing, and locates
-each crossing by bisection.  check_proposition verifies the known
-monotonicity of the mixture families in their mixing parameters: for
-the gamma mixture the curve rises pointwise in the shape parameter
-and falls in the rate parameter, for the inverse-Gaussian mixture it
-rises in both, and raising the generalized exponent lowers it.
+each crossing by refining its bracket on grids of interior points,
+each grid evaluated in one call per model.  check_proposition
+verifies the known monotonicity of the mixture families in their
+mixing parameters: for the gamma mixture the curve rises pointwise in
+the shape parameter and falls in the rate parameter, for the
+inverse-Gaussian mixture it rises in both, and raising the
+generalized exponent lowers it.
 """
 
 from __future__ import annotations
@@ -31,6 +33,8 @@ __all__ = [
 ]
 
 _MIN_GRID = 16
+# interior points per round of crossing refinement
+_REFINE_POINTS = 64
 # float slack for pointwise inequalities that hold with certainty in
 # exact arithmetic
 _INEQ_SLACK = 1e-12
@@ -48,7 +52,7 @@ class DominanceResult:
     """Outcome of comparing two curves.
 
     max_gap is the largest absolute vertical gap seen on the grid.
-    crossing_points holds the bisected u locations of sign changes and
+    crossing_points holds the refined u locations of sign changes and
     is nonempty exactly when relation is crossing.
     """
 
@@ -81,22 +85,19 @@ def _curve_gap(a, b, u):
     return evaluate(a, u) - evaluate(b, u)
 
 
-def _gap_at(a, b, u):
-    return float(_curve_gap(a, b, np.array([u]))[0])
-
-
-def _bisect_crossing(a, b, lo, hi, sign_lo, tol):
-    # sign change of K_a - K_b is bracketed in (lo, hi); narrow the
-    # bracket to width tol
+def _refine_crossing(a, b, lo, hi, sign_lo, tol):
+    # sign change of K_a - K_b is bracketed in (lo, hi); each round
+    # evaluates _REFINE_POINTS interior points in one call per model and
+    # keeps the cell of the first sign change, until the bracket is
+    # within tol
     while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        gap = _gap_at(a, b, mid)
-        if gap == 0.0:
-            return mid
-        if (gap > 0.0) == (sign_lo > 0):
-            lo = mid
-        else:
-            hi = mid
+        u = np.linspace(lo, hi, _REFINE_POINTS + 2)
+        gap = _curve_gap(a, b, u[1:-1])
+        changed = (gap == 0.0) | ((gap > 0.0) != (sign_lo > 0))
+        first = int(np.argmax(changed)) if changed.any() else gap.size
+        if first < gap.size and gap[first] == 0.0:
+            return float(u[first + 1])
+        lo, hi = float(u[first]), float(u[first + 1])
     return 0.5 * (lo + hi)
 
 
@@ -110,7 +111,7 @@ def leimkuhler_compare(a, b, grid_size=257, tol=1e-9):
         Number of evaluation points spanning [0, 1]; at least 16.
     tol : float
         Dead band on curve differences: gaps within tol count as
-        equality.  Crossing locations are also bisected to this
+        equality.  Crossing locations are also refined to this
         u-precision.
 
     Returns
@@ -147,18 +148,15 @@ def leimkuhler_compare(a, b, grid_size=257, tol=1e-9):
     if not above.any():
         return DominanceResult(Relation.SECOND_DOMINATES, max_gap, ())
 
-    crossings = []
-    last_sign = 0
-    last_u = 0.0
-    for ui, gi in zip(u, gap):
-        if abs(gi) <= tol:
-            continue
-        sign = 1 if gi > 0.0 else -1
-        if last_sign != 0 and sign != last_sign:
-            crossings.append(_bisect_crossing(a, b, last_u, float(ui), last_sign, tol))
-        last_sign = sign
-        last_u = float(ui)
-    return DominanceResult(Relation.CROSSING, max_gap, tuple(crossings))
+    # successive grid points outside the dead band with opposite signs
+    # bracket a crossing
+    outside = np.flatnonzero(~(np.abs(gap) <= tol))
+    positive = gap[outside] > 0.0
+    crossings = tuple(
+        _refine_crossing(a, b, float(u[outside[i]]), float(u[outside[i + 1]]),
+                         1 if positive[i] else -1, tol)
+        for i in np.flatnonzero(positive[1:] != positive[:-1]))
+    return DominanceResult(Relation.CROSSING, max_gap, crossings)
 
 
 # each case: required parameter names, model builder, varied name,

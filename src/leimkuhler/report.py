@@ -19,6 +19,7 @@ import csv
 import io
 import json
 import math
+import os
 from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
 
@@ -63,15 +64,39 @@ class AnalysisReport:
             raise ValueError("ranking must be a permutation of the fitted families")
 
 
+def _timestamp(created_at):
+    # the report time as an ISO 8601 UTC string, to the second
+    if created_at is None:
+        epoch = os.environ.get("SOURCE_DATE_EPOCH")
+        if epoch is None:
+            created_at = datetime.now(timezone.utc)
+        else:
+            try:
+                created_at = datetime.fromtimestamp(int(epoch), timezone.utc)
+            except (ValueError, OverflowError, OSError):
+                raise ValueError(f"SOURCE_DATE_EPOCH must be an integer count of "
+                                 f"seconds, got {epoch!r}") from None
+    elif created_at.tzinfo is None:
+        raise ValueError("created_at must be a timezone-aware datetime")
+    return created_at.astimezone(timezone.utc).isoformat(timespec="seconds")
+
+
 def build_report(dataset, families, config=FitConfig(), r_values=DEFAULT_R_VALUES,
-                 index_tol=1e-9):
+                 index_tol=1e-9, created_at=None):
     """Run the full analysis pipeline over a dataset.
 
     Fits every requested family, computes empirical and per-model
     indices, and assembles the ranked report.  Families whose fit
     fails are recorded under metadata["failures"] and left out of the
     ranking.
+
+    metadata["created_at"] comes from `created_at`, a timezone-aware
+    datetime, when given; otherwise from the SOURCE_DATE_EPOCH
+    environment variable (seconds since the Unix epoch) when set, so
+    that equal inputs give byte-identical JSON; otherwise from the
+    clock.
     """
+    timestamp = _timestamp(created_at)
     stats = descriptive_stats(dataset)
     curve = empirical_curve(dataset)
     empirical = empirical_indices(curve, r_values=r_values)
@@ -83,7 +108,7 @@ def build_report(dataset, families, config=FitConfig(), r_values=DEFAULT_R_VALUE
     ranking = tuple(result.model.family.value for result in comparison.results)
     metadata = {
         "tool_version": __version__,
-        "created_at": datetime.now(timezone.utc).isoformat(timespec="seconds"),
+        "created_at": timestamp,
         "dataset_label": dataset.label,
         "config": dict(sorted(asdict(config).items())),
         "r_values": [float(r) for r in r_values],

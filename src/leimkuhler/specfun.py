@@ -294,6 +294,10 @@ def regularized_incomplete_beta(a, b, x):
 # confluent hypergeometric 1F1
 
 
+# a scaled sum is multiplied by exp(-_RESCALE) whenever it passes exp(_RESCALE)
+_RESCALE = 400.0
+
+
 @np.errstate(over="ignore", invalid="ignore")
 def _kummer_series(a, b, z):
     """Elementwise 1F1(a; b; z_i) for b > 0, with the Kummer transform
@@ -301,7 +305,9 @@ def _kummer_series(a, b, z):
 
     Each sign class runs the Taylor series until every term falls below
     1e-17 of its partial sum.  Returns (values, abs error estimates);
-    an overflowed sum raises OverflowError rather than warning.
+    an overflowed sum raises OverflowError rather than warning, except
+    for the transformed class (z below about -709), which is summed
+    again in scaled form by _kummer_scaled_transform.
     """
     z = np.asarray(z, dtype=float)
     value = np.empty_like(z)
@@ -331,7 +337,10 @@ def _kummer_series(a, b, z):
         else:
             raise ConvergenceError("1F1 series did not converge")
         if not np.isfinite(total).all():
-            raise OverflowError("1F1 series overflowed")
+            if sign > 0:
+                raise OverflowError("1F1 series overflowed")
+            value[mask], err[mask] = _kummer_scaled_transform(sa, b, x)
+            continue
         series_err = np.abs(term) + _EPS * (total_abs if signed else total)
         if sign > 0:
             value[mask], err[mask] = total, series_err
@@ -340,6 +349,40 @@ def _kummer_series(a, b, z):
             value[mask] = scale * total
             err[mask] = scale * series_err + _EPS * np.abs(value[mask])
     return value, err
+
+
+def _kummer_scaled_transform(sa, b, x):
+    """exp(-x) * 1F1(sa; b; x) for large x, where the sum alone
+    overflows.
+
+    The Taylor series runs as in _kummer_series, but the partial sum
+    and the current term are multiplied by exp(-_RESCALE) whenever the
+    sum passes exp(_RESCALE), and each element counts its rescalings m.
+    The result is the scaled sum times exp(m * _RESCALE - x), whose
+    exponent is exact in floating point.
+    """
+    shrink = math.exp(-_RESCALE)
+    term = np.ones_like(x)
+    total = np.ones_like(x)
+    total_abs = np.ones_like(x)
+    rescales = np.zeros_like(x)
+    for k in range(_MAX_ITER):
+        term = term * ((sa + k) / ((b + k) * (k + 1.0))) * x
+        total = total + term
+        total_abs = total_abs + np.abs(term)
+        big = total_abs > math.exp(_RESCALE)
+        if big.any():
+            term[big] *= shrink
+            total[big] *= shrink
+            total_abs[big] *= shrink
+            rescales[big] += 1.0
+        if k > 2 and not (np.abs(term) > 1e-17 * np.abs(total)).any():
+            break
+    else:
+        raise ConvergenceError("1F1 series did not converge")
+    scale = np.exp(rescales * _RESCALE - x)
+    value = scale * total
+    return value, scale * (np.abs(term) + _EPS * total_abs) + _EPS * np.abs(value)
 
 
 def kummer_1f1(a, b, z):

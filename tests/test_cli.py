@@ -7,6 +7,10 @@ failure.
 
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -122,6 +126,23 @@ class TestFit:
         assert rc == 0
         assert "theta=" in capsys.readouterr().out
         assert json_path.exists()
+
+    def test_json_bytes_reproducible_under_source_date_epoch(self, power_file, tmp_path,
+                                                              monkeypatch):
+        monkeypatch.setenv("SOURCE_DATE_EPOCH", "1700000000")
+        blobs = []
+        for name in ("first.json", "second.json"):
+            path = tmp_path / name
+            assert main(["fit", power_file, "--model", "power", "--multistart", "2",
+                         "--json", str(path)]) == 0
+            blobs.append(path.read_bytes())
+        assert blobs[0] == blobs[1]
+        assert json.loads(blobs[0])["metadata"]["created_at"] == "2023-11-14T22:13:20+00:00"
+
+    def test_bad_source_date_epoch_exit_2(self, power_file, monkeypatch, capsys):
+        monkeypatch.setenv("SOURCE_DATE_EPOCH", "yesterday")
+        assert main(["fit", power_file, "--model", "power", "--json", "-"]) == 2
+        assert "SOURCE_DATE_EPOCH" in capsys.readouterr().err
 
     def test_all_families_ranked(self, power_file, tmp_path):
         json_path = str(tmp_path / "report.json")
@@ -409,3 +430,16 @@ class TestParser:
 
     def test_unknown_subcommand(self):
         assert main(["frobnicate"]) == 1
+
+
+def test_import_leaves_scipy_integrate_unloaded():
+    # scipy.integrate serves only the numeric test oracles, which import
+    # it when called; the package and the command must not pay for it
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+    code = ("import sys, leimkuhler, leimkuhler.cli; "
+            "assert 'scipy.integrate' not in sys.modules, 'scipy.integrate imported'")
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr

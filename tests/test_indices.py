@@ -3,15 +3,20 @@
 import math
 import random
 
+import mpmath
+import numpy as np
 import pytest
+from scipy.integrate import quad
 
-from leimkuhler.curves import Family, gp, gpg, gpig, pagb, pareto, pg, pig, power
+from leimkuhler import indices
+from leimkuhler.curves import Family, evaluate, gp, gpg, gpig, pagb, pareto, pg, pig, power
 from leimkuhler.empirical import CitationDataset, empirical_curve
 from leimkuhler.indices import (
     CLOSED_FORM,
     QUADRATURE,
     SEARCH,
     IndexReport,
+    _de_integrate,
     _segment_weighted_integral,
     empirical_indices,
     generalized_gini,
@@ -129,7 +134,7 @@ class TestGeneralizedGini:
         for family in (Family.POWER, Family.PARETO, Family.PG):
             for _ in range(10):
                 model = draw_model(rng, family)
-                for r in (0.5, 1.0, 2.0, 3.7):
+                for r in (0.05, 0.5, 1.0, 2.0, 3.7):
                     closed = generalized_gini(model, r, method="closed_form").value
                     quadrature = generalized_gini(model, r, method="quadrature").value
                     assert closed == pytest.approx(quadrature, abs=1e-8), (
@@ -190,6 +195,84 @@ class TestPietra:
         coarse = pietra(pig(9.305, 2.227), tol=1e-3)
         fine = pietra(pig(9.305, 2.227), tol=1e-12)
         assert abs(coarse.argmax_u - fine.argmax_u) <= 2e-3
+
+
+def _quad_generalized_gini(model, r):
+    # independent reference by QUADPACK, which takes the algebraic
+    # weight (1-u)**(r-1) as t**(r-1) in t = 1 - u
+    value, _ = quad(lambda t: evaluate(model, 1.0 - t), 0.0, 1.0, weight="alg",
+                    wvar=(r - 1.0, 0.0), epsabs=1e-12, epsrel=1e-12, limit=200)
+    return r * (r + 1.0) * value - 1.0
+
+
+class TestTanhSinhQuadrature:
+    def test_integrates_endpoint_singularities(self):
+        # integrals of 1/sqrt(1-u), log(u) and 1/sqrt(u), each singular
+        # at one end; the first needs the complement c, as 1 - u has no
+        # digits left near u = 1
+        value, err = _de_integrate(lambda u, c: c**-0.5, 1e-12)
+        assert value == pytest.approx(2.0, abs=1e-12) and err < 1e-12
+        value, _ = _de_integrate(lambda u, c: np.log(u), 1e-12)
+        assert value == pytest.approx(-1.0, abs=1e-12)
+        value, _ = _de_integrate(lambda u, c: u**-0.5, 1e-12)
+        assert value == pytest.approx(2.0, abs=1e-12)
+
+    def test_non_finite_integrand_has_infinite_error(self):
+        _, err = _de_integrate(lambda u, c: np.full_like(u, np.nan), 1e-10)
+        assert err == math.inf
+
+    def test_matches_adaptive_quadrature_oracle(self):
+        rng = random.Random(4404)
+        models = [draw_model(rng, family)
+                  for family in (Family.GP, Family.PIG, Family.GPG, Family.GPIG, Family.PAGB)
+                  for _ in range(3)]
+        # pagb at the fit's lowest shift, and at the box corner where the
+        # bundled pagb fit ends
+        models += [pagb(2.0, 3.0, -200.0), pagb(1e4, 6692.0, -200.0)]
+        for model in models:
+            for r in (0.5, 1.0, 2.0):
+                got = (gini(model, method="quadrature").value if r == 1.0
+                       else generalized_gini(model, r, method="quadrature").value)
+                expected = _quad_generalized_gini(model, r)
+                assert got == pytest.approx(expected, abs=1e-10), (model, r)
+
+    def test_steep_layer_near_zero(self):
+        # pg(500, 0.05) rises to 0.63 by u = 1e-4; the pg closed forms
+        # overflow here, so every index takes the numeric route
+        model = pg(500.0, 0.05)
+        report = model_indices(model, r_values=(0.5, 1.0, 2.0))
+        assert report.method_tags["gini"] == QUADRATURE
+        g1 = dict(report.generalized_gini)[1.0]
+        assert abs(g1 - report.gini) <= 1e-9
+
+        alpha, beta = mpmath.mpf(500), mpmath.mpf("0.05")
+
+        def k(u):
+            log_tail = mpmath.log1p(-u)
+            return -mpmath.expm1(log_tail - alpha * mpmath.log1p(-log_tail / beta))
+
+        breaks = [0, mpmath.mpf("1e-5"), mpmath.mpf("1e-4"), mpmath.mpf("1e-3"), 1]
+        with mpmath.workdps(30):
+            for r, value in report.generalized_gini:
+                reference = r * (r + 1) * mpmath.quad(lambda u: (1 - u) ** (r - 1) * k(u),
+                                                      breaks) - 1
+                assert abs(value - float(reference)) <= 1e-10, r
+
+    def test_each_round_is_one_vector_call(self, monkeypatch):
+        sizes = []
+
+        def counted(model, u):
+            sizes.append(np.size(u))
+            return evaluate(model, u)
+
+        monkeypatch.setattr(indices, "evaluate", counted)
+        model = pagb(2.0, 3.0, -5.0)
+        for call in (lambda: gini(model), lambda: generalized_gini(model, 0.5),
+                     lambda: pietra(model)):
+            sizes.clear()
+            call()
+            assert 3 <= len(sizes) <= 9
+            assert min(sizes) >= 8
 
 
 class TestMixtureGini:

@@ -97,6 +97,35 @@ class TestLeimkuhlerCompare:
                           - evaluate(pareto(0.9), np.array([point + 1e-6]))[0])
             assert left * right < 0
 
+    def test_crossing_points_match_brentq(self):
+        # every crossing is refined to within tol/2 of the root, so it
+        # agrees with an independent brentq root of the gap on the same
+        # grid bracket
+        rng = random.Random(6060)
+        families = list(Family)
+        tol, grid = 1e-9, np.linspace(0.0, 1.0, 257)
+        checked = with_pagb = 0
+        for i in range(40):
+            a = draw_model(rng, Family.PAGB if i % 2 == 0 else rng.choice(families))
+            b = draw_model(rng, rng.choice(families))
+            result = leimkuhler_compare(a, b, tol=tol)
+            if result.relation is not Relation.CROSSING:
+                continue
+            gap = lambda v: float(evaluate(a, v) - evaluate(b, v))
+            roots, last_u, last_sign = [], None, 0
+            for u, g in zip(grid, evaluate(a, grid) - evaluate(b, grid)):
+                if abs(g) <= tol:
+                    continue
+                if last_sign and (g > 0) != (last_sign > 0):
+                    roots.append(brentq(gap, last_u, float(u), xtol=1e-14))
+                last_u, last_sign = float(u), g
+            assert len(roots) == len(result.crossing_points), (a, b)
+            for got, root in zip(result.crossing_points, roots):
+                assert got == pytest.approx(root, abs=2e-10), (a, b)
+            checked += 1
+            with_pagb += Family.PAGB in (a.family, b.family)
+        assert checked >= 10 and with_pagb >= 5, (checked, with_pagb)
+
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
             leimkuhler_compare(power(1.0), power(2.0), grid_size=8)

@@ -4,6 +4,7 @@ import csv
 import io
 import json
 import math
+from datetime import datetime, timedelta, timezone
 
 import pytest
 
@@ -292,6 +293,23 @@ class TestBuildReport:
         assert metadata["r_values"] == [0.5, 1.0, 2.0]
         assert "created_at" in metadata
         assert metadata["failures"] == []
+
+    def test_created_at_argument_and_source_date_epoch(self, monkeypatch):
+        dataset = sample_synthetic("power", n=300, seed=2, theta=1.5)
+        stamp = datetime(2026, 3, 1, 12, 30, 5, tzinfo=timezone(timedelta(hours=2)))
+        report = build_report(dataset, ["power"], FAST, created_at=stamp)
+        assert report.metadata["created_at"] == "2026-03-01T10:30:05+00:00"
+        with pytest.raises(ValueError, match="timezone"):
+            build_report(dataset, ["power"], FAST, created_at=datetime(2026, 3, 1))
+
+        monkeypatch.setenv("SOURCE_DATE_EPOCH", "86400")
+        first = render_json(build_report(dataset, ["power"], FAST))
+        second = render_json(build_report(dataset, ["power"], FAST))
+        assert first == second
+        assert json.loads(first)["metadata"]["created_at"] == "1970-01-02T00:00:00+00:00"
+        monkeypatch.setenv("SOURCE_DATE_EPOCH", "1.5e9")
+        with pytest.raises(ValueError, match="SOURCE_DATE_EPOCH"):
+            build_report(dataset, ["power"], FAST)
 
     def test_failed_family_recorded_not_fatal(self):
         dataset = CitationDataset((3, 2, 1))

@@ -206,6 +206,17 @@ class TestKummer1F1:
         ref = float(mpmath.hyp1f1(14.0, 25.1, -34.7))
         assert res.value == pytest.approx(ref, rel=1e-10)
 
+    def test_far_negative_argument_sums_in_scaled_form(self):
+        # the Kummer-transformed sum 1F1(b - a; b; -z) passes the double
+        # range below z = -709 although 1F1 itself is small there
+        for a, b in ((1.0, 2.0), (0.5, 3.5), (14.0, 25.1), (3.0, 7.0), (-2.5, 1.0)):
+            for z in (-710.0, -800.0, -5000.0):
+                res = specfun.kummer_1f1(a, b, z)
+                ref = float(mpmath.hyp1f1(a, b, z))
+                assert res.value == pytest.approx(ref, rel=1e-12), (a, b, z)
+                assert res.method == "transform"
+        assert specfun.kummer_1f1(1.0, 2.0, -800.0).value == pytest.approx(1.0 / 800.0, rel=1e-12)
+
     def test_overflow_raises(self):
         # both values grow like e^800, past the double range
         for a, b, z in ((1.0, 2.0, 800.0), (-2.5, 1.0, 800.0)):
