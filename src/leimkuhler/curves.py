@@ -254,7 +254,7 @@ def _eval_pagb(u, p):
     # numerator and denominator 1F1(beta; alpha+beta; .) in one series call
     z = np.append(p.shift + np.log(u), p.shift)
     values, _ = specfun._kummer_series(p.beta, p.alpha + p.beta, z)
-    return values[:-1] / values[-1]
+    return (values[:-1] / values[-1]).reshape(u.shape)
 
 
 _EVAL = {
@@ -282,18 +282,34 @@ def evaluate(model, u):
     -------
     float or ndarray
         K(u), with K(0) = 0 and K(1) = 1 exactly.
+
+    Notes
+    -----
+    The family's formula runs on the whole array.  When u holds an
+    endpoint, the endpoints are first replaced by a copy of one interior
+    point and afterwards given their value of K, 0 or 1.  A repeated
+    point changes no other value: the formulas are elementwise, and
+    pagb's series stops at the same term.
     """
     arr = np.asarray(u, dtype=float)
     scalar = arr.ndim == 0
     arr = np.atleast_1d(arr)
-    if np.any(~np.isfinite(arr)) or np.any(arr < 0.0) or np.any(arr > 1.0):
+    if arr.size == 0:
+        return arr.copy()
+    lo, hi = arr.min(), arr.max()
+    # NaN fails both comparisons
+    if not (lo >= 0.0 and hi <= 1.0):
         raise ValueError("u must lie in [0, 1]")
-    out = np.empty_like(arr)
-    interior = (arr > 0.0) & (arr < 1.0)
-    out[arr == 0.0] = 0.0
-    out[arr == 1.0] = 1.0
-    if interior.any():
-        out[interior] = _EVAL[model.family](arr[interior], model.params)
+    kernel = _EVAL[model.family]
+    if lo > 0.0 and hi < 1.0:
+        out = kernel(arr, model.params)
+    else:
+        interior = (arr > 0.0) & (arr < 1.0)
+        # K(1) = 1 and K(0) = 0, for u = -0.0 as well
+        out = (arr == 1.0).astype(float)
+        if interior.any():
+            filled = np.where(interior, arr, arr.flat[interior.argmax()])
+            out = np.where(interior, kernel(filled, model.params), out)
     return float(out[0]) if scalar else out
 
 

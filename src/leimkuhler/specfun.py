@@ -303,11 +303,27 @@ def _kummer_series(a, b, z):
     """Elementwise 1F1(a; b; z_i) for b > 0, with the Kummer transform
     1F1(a; b; z) = exp(z) * 1F1(b - a; b; -z) applied where z < 0.
 
-    Each sign class runs the Taylor series until every term falls below
-    1e-17 of its partial sum.  Returns (values, abs error estimates);
-    an overflowed sum raises OverflowError rather than warning, except
-    for the transformed class (z below about -709), which is summed
-    again in scaled form by _kummer_scaled_transform.
+    Each sign class, with series parameter sa (a, or b - a) and
+    x = |z| >= 0, runs the Taylor series to the first term index k > 2
+    at which every element's term is at most 1e-17 of its partial sum.
+    That index comes from a witness element summed alone in Python
+    floats, which round like numpy's float64; the arrays then run the
+    same recurrence up to it in place, with no test per term.  With
+    sa >= 0 no term is negative and term_k / sum_k grows with x, so the
+    element with the largest x stops last and is the witness.  With
+    sa < 0 the terms alternate and no element is sure to stop last.
+    For either class one test over all elements at the witness's stop
+    finds any element still running; the largest of those becomes the
+    next witness and the sum goes on from there, so the stop index is
+    always the one a test of every term would give.
+
+    Returns (values, abs error estimates); the estimate adds the last
+    term and the rounding that accumulates over the n terms summed,
+    n * eps times the sum of term magnitudes.  An overflowed sum passes
+    the stop test (inf > inf is False) and raises OverflowError rather
+    than warning, except for the transformed class (z below about
+    -709), which is summed again in scaled form by
+    _kummer_scaled_transform.
     """
     z = np.asarray(z, dtype=float)
     value = np.empty_like(z)
@@ -317,31 +333,13 @@ def _kummer_series(a, b, z):
         if not mask.any():
             continue
         x = sign * z[mask]
-        term = np.ones_like(x)
-        total = np.ones_like(x)
-        # with sa >= 0 (and x >= 0) no term is negative: the sum is its
-        # own magnitude sum and needs no abs()
-        signed = sa < 0
-        total_abs = total.copy() if signed else None
-        for k in range(_MAX_ITER):
-            term = term * ((sa + k) / ((b + k) * (k + 1.0))) * x
-            total = total + term
-            if signed:
-                total_abs = total_abs + np.abs(term)
-                big = np.abs(term) > 1e-17 * np.abs(total)
-            else:
-                big = term > 1e-17 * total
-            # an overflowed sum compares False here and stops the loop
-            if k > 2 and not big.any():
-                break
-        else:
-            raise ConvergenceError("1F1 series did not converge")
+        total, term, total_abs, n = _taylor_sum(sa, b, x)
         if not np.isfinite(total).all():
             if sign > 0:
                 raise OverflowError("1F1 series overflowed")
             value[mask], err[mask] = _kummer_scaled_transform(sa, b, x)
             continue
-        series_err = np.abs(term) + _EPS * (total_abs if signed else total)
+        series_err = np.abs(term) + (n * _EPS) * total_abs
         if sign > 0:
             value[mask], err[mask] = total, series_err
         else:
@@ -349,6 +347,42 @@ def _kummer_series(a, b, z):
             value[mask] = scale * total
             err[mask] = scale * series_err + _EPS * np.abs(value[mask])
     return value, err
+
+
+def _taylor_sum(sa, b, x):
+    """Taylor series of 1F1(sa; b; x_i), x_i >= 0, stopped by the witness
+    rule of _kummer_series.  Returns (sums, last terms, sums of term
+    magnitudes, terms summed)."""
+    term = np.ones_like(x)
+    total = np.ones_like(x)
+    signed = sa < 0
+    # without negative terms the sum is its own magnitude sum
+    total_abs = total.copy() if signed else total
+    k, w = 0, int(np.argmax(x))
+    while True:
+        stop = _witness_stop(sa, b, float(x[w]), float(term[w]), float(total[w]), k)
+        for j in range(k, stop + 1):
+            term *= (sa + j) / ((b + j) * (j + 1.0))
+            term *= x
+            total += term
+            if signed:
+                total_abs += np.abs(term)
+        k = stop + 1
+        running = np.abs(term) > 1e-17 * np.abs(total)
+        if not running.any():
+            return total, term, total_abs, k
+        w = int(np.flatnonzero(running)[np.argmax(x[running])])
+
+
+def _witness_stop(sa, b, x, term, total, k):
+    """First index from k on, and past 2, at which the scalar series at x,
+    carried into index k as (term, total), meets the stop test."""
+    for k in range(k, _MAX_ITER):
+        term = term * ((sa + k) / ((b + k) * (k + 1.0))) * x
+        total = total + term
+        if k > 2 and not abs(term) > 1e-17 * abs(total):
+            return k
+    raise ConvergenceError("1F1 series did not converge")
 
 
 def _kummer_scaled_transform(sa, b, x):
@@ -382,7 +416,7 @@ def _kummer_scaled_transform(sa, b, x):
         raise ConvergenceError("1F1 series did not converge")
     scale = np.exp(rescales * _RESCALE - x)
     value = scale * total
-    return value, scale * (np.abs(term) + _EPS * total_abs) + _EPS * np.abs(value)
+    return value, scale * (np.abs(term) + ((k + 1) * _EPS) * total_abs) + _EPS * np.abs(value)
 
 
 def kummer_1f1(a, b, z):

@@ -114,6 +114,19 @@ class TestCurveModel:
             CurvePoint(-0.1, 0.0)
 
 
+def masked_evaluate(model, u):
+    """evaluate through a boolean gather and scatter of the interior points,
+    the reference that the whole-array evaluation must match bit for bit."""
+    arr = np.asarray(u, dtype=float)
+    out = np.empty_like(arr)
+    interior = (arr > 0.0) & (arr < 1.0)
+    out[arr == 0.0] = 0.0
+    out[arr == 1.0] = 1.0
+    if interior.any():
+        out[interior] = curves._EVAL[model.family](arr[interior], model.params)
+    return out
+
+
 class TestEvaluate:
     def test_endpoints_exact(self):
         for model in ALL_FAMILY_EXAMPLES:
@@ -211,6 +224,35 @@ class TestEvaluate:
             evaluate(model, 1.1)
         with pytest.raises(ValueError, match="must lie in"):
             evaluate(model, np.array([0.5, math.nan]))
+        for bad in (math.nan, math.inf, -math.inf, -1e-300, 1.0 + 2.0**-52):
+            with pytest.raises(ValueError, match="must lie in"):
+                evaluate(model, bad)
+            with pytest.raises(ValueError, match="must lie in"):
+                evaluate(model, np.array([0.0, 0.5, bad, 1.0]))
+
+    def test_matches_masked_reference_bit_for_bit(self):
+        rng = np.random.default_rng(5)
+        inner = np.concatenate((rng.random(40), [1e-300, 1e-30, 1.0 - 2.0**-53]))
+        arrays = [
+            inner,
+            np.concatenate(([0.0], inner)),
+            np.concatenate((inner[:20], [1.0, -0.0, 0.0], inner[20:])),
+            np.concatenate((inner, [1.0])),
+            np.linspace(0.0, 1.0, 257),
+            np.array([0.0, 1.0, 1.0, -0.0, 0.0]),
+            np.array([]),
+            np.linspace(0.0, 1.0, 12).reshape(3, 4),
+        ]
+        models = ALL_FAMILY_EXAMPLES + [pagb(1e4, 6692.0, -200.0), pagb(0.5, 1.5, 4.0)]
+        for model in models:
+            for u in arrays:
+                got, ref = evaluate(model, u), masked_evaluate(model, u)
+                assert got.dtype == ref.dtype and got.shape == ref.shape
+                assert got.tobytes() == ref.tobytes(), (model, u)
+            for u in (0.0, -0.0, 1.0, 0.3):
+                got = evaluate(model, u)
+                assert type(got) is float
+                assert np.array(got).tobytes() == masked_evaluate(model, u).tobytes()
 
 
 class TestMixtureIdentities:

@@ -8,11 +8,16 @@ against mpmath at high precision.
 
 import math
 import random
+from pathlib import Path
 
 import mpmath
+import numpy as np
 import pytest
 
 from leimkuhler import specfun
+from leimkuhler.empirical import empirical_curve, ingest
+
+BUNDLED = Path(__file__).resolve().parents[1] / "demos" / "data" / "citations_synthetic.txt"
 
 
 mpmath.mp.dps = 40
@@ -228,6 +233,104 @@ class TestKummer1F1:
             specfun.kummer_1f1(1.0, -2.0, 1.0)
         with pytest.raises(ValueError):
             specfun.kummer_1f1(1.0, 2.0, math.inf)
+
+    def test_error_estimate_covers_accumulated_rounding(self):
+        # thousands of terms: the rounding they carry, not the last term,
+        # sets the error, and the estimate must cover it without
+        # overstating it wildly
+        for a, b in ((0.2, 0.3), (7.3, 2.1)):
+            for z in (-709.5, -5000.0, -12000.0):
+                res = specfun.kummer_1f1(a, b, z)
+                error = abs(float(mpmath.mpf(res.value) - mpmath.hyp1f1(a, b, z)))
+                assert error <= res.abs_error_estimate <= 1e3 * error, (a, b, z)
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def per_term_series(a, b, z):
+    """_kummer_series with the stop test applied to every element after
+    every term: the reference its witness stop rule must reproduce."""
+    z = np.asarray(z, dtype=float)
+    value = np.empty_like(z)
+    err = np.empty_like(z)
+    neg = z < 0
+    for mask, sa, sign in ((~neg, a, 1.0), (neg, b - a, -1.0)):
+        if not mask.any():
+            continue
+        x = sign * z[mask]
+        term = np.ones_like(x)
+        total = np.ones_like(x)
+        total_abs = np.ones_like(x)
+        for k in range(specfun._MAX_ITER):
+            term = term * ((sa + k) / ((b + k) * (k + 1.0))) * x
+            total = total + term
+            total_abs = total_abs + np.abs(term)
+            if k > 2 and not (np.abs(term) > 1e-17 * np.abs(total)).any():
+                break
+        else:
+            raise specfun.ConvergenceError("1F1 series did not converge")
+        if not np.isfinite(total).all():
+            if sign > 0:
+                raise OverflowError("1F1 series overflowed")
+            value[mask], err[mask] = specfun._kummer_scaled_transform(sa, b, x)
+            continue
+        series_err = np.abs(term) + ((k + 1) * specfun._EPS) * total_abs
+        if sign > 0:
+            value[mask], err[mask] = total, series_err
+        else:
+            scale = np.exp(-x)
+            value[mask] = scale * total
+            err[mask] = scale * series_err + specfun._EPS * np.abs(value[mask])
+    return value, err
+
+
+def pagb_arguments(u, alpha, beta, shift):
+    """(a, b, z) of pagb's numerator and denominator series."""
+    return beta, alpha + beta, np.append(shift + np.log(u), shift)
+
+
+class TestKummerSeriesStopRule:
+    def assert_matches_reference(self, a, b, z):
+        value, err = specfun._kummer_series(a, b, z)
+        ref_value, ref_err = per_term_series(a, b, z)
+        assert np.array_equal(value, ref_value), (a, b)
+        assert np.array_equal(err, ref_err), (a, b)
+
+    def test_pagb_on_the_bundled_polygon(self):
+        u = empirical_curve(ingest(BUNDLED)).u_values()[1:]
+        for params in ((1e4, 6692.0, -200.0), (2.0, 3.0, -5.0)):
+            self.assert_matches_reference(*pagb_arguments(u, *params))
+
+    def test_seeded_pagb_draws_with_both_signs_of_z(self):
+        rng = np.random.default_rng(71)
+        for _ in range(12):
+            u = np.concatenate((rng.random(300), 10.0 ** rng.uniform(-30, -1, 20)))
+            alpha, beta = rng.uniform(0.2, 50.0, 2)
+            shift = rng.uniform(0.5, 40.0)
+            a, b, z = pagb_arguments(u, alpha, beta, shift)
+            assert (z > 0).any() and (z < 0).any()
+            self.assert_matches_reference(a, b, z)
+
+    def test_single_elements_and_zero(self):
+        for a, b, z in ((2.5, 3.5, [-4.0]), (1.0, 2.0, [1.0]), (4.2, 1.7, [0.0]),
+                        (3.0, 5.0, [-1.0, 0.0, 0.5, 7.0])):
+            self.assert_matches_reference(a, b, np.array(z))
+
+    def test_alternating_terms_where_the_largest_argument_stops_first(self):
+        # 1F1(-2.3; 1; x) vanishes near x = 2.9677: that element's relative
+        # test needs more terms than the one at the larger x
+        root = 2.9677394649658573
+        for a, b, z in ((3.3, 1.0, [-root, -root - 0.3, -2.0]),
+                        (-2.3, 1.0, [root, root + 0.3, 2.0])):
+            self.assert_matches_reference(a, b, np.array(z))
+
+    def test_overflow_and_scaled_transform_paths(self):
+        for z in ([800.0, 1.0], [1.0, 800.0]):
+            with pytest.raises(OverflowError):
+                specfun._kummer_series(1.0, 2.0, np.array(z))
+            with pytest.raises(OverflowError):
+                per_term_series(1.0, 2.0, np.array(z))
+        for a, b in ((1.0, 2.0), (0.2, 0.3), (7.3, 2.1)):
+            self.assert_matches_reference(a, b, np.array([-3.0, -800.0, -5000.0, 2.0]))
 
 
 class TestLogGamma:
