@@ -96,9 +96,10 @@ class FitResult:
     """Outcome of one family fit.
 
     std_errors is a tuple of per-parameter standard errors, or None
-    when the Jacobian at the optimum is rank deficient.  converged is
-    False when the gradient criterion was not met or the optimum sits
-    on a parameter-box boundary.  objective_history records the SSE of
+    when the Jacobian at the optimum is rank deficient or the optimum
+    sits on a parameter-box boundary.  converged is False when the
+    gradient criterion was not met or the optimum sits on a
+    parameter-box boundary.  objective_history records the SSE of
     the start point and of each accepted step of the winning start and
     never increases; iterations counts the accepted steps, the final
     Gauss-Newton step included when it lowers the SSE.
@@ -469,7 +470,11 @@ def fit(curve, family, config=FitConfig()):
     gradient_ok = sse <= _SSE_FLOOR or (
         J is not None and bool(np.max(np.abs(J.T @ r)) <= config.gradient_tolerance))
     metrics = _metrics(r)
-    errors = None if J is None else standard_errors(
+    inside = all(_gap(b, value, edge) > 1e-9 for b, value in
+                 zip(_BOUNDS[family], raw) for edge in (b.lo, b.hi))
+    # at a box edge the optimum is constrained and the linearized
+    # covariance describes no sampling spread
+    errors = None if J is None or not inside else standard_errors(
         J, sse, u.size, p, variance_divisor=config.variance_divisor)
     return FitResult(
         model=model,
@@ -479,8 +484,7 @@ def fit(curve, family, config=FitConfig()):
         max_abs=metrics.max_abs,
         mae=metrics.mae,
         caic=caic(sse, u.size, p, config.caic_counts_variance),
-        converged=gradient_ok and all(_gap(b, value, edge) > 1e-9 for b, value in
-                                      zip(_BOUNDS[family], raw) for edge in (b.lo, b.hi)),
+        converged=gradient_ok and inside,
         iterations=len(history) - 1,
         objective_history=history,
     )

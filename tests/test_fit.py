@@ -242,6 +242,14 @@ class TestConvergedFlag:
         assert result.model.params.shift == pytest.approx(-200.0, abs=1e-4)
         assert not result.converged
 
+    def test_edge_optimum_has_no_standard_errors(self):
+        # gp ends on the theta floor and the kappa cap, pagb on the
+        # alpha/shift corner: a constrained optimum has no sampling spread
+        for counts, family in (((5, 5, 5, 5), "gp"), ((7, 3, 2, 1), "pagb")):
+            result = fit(empirical_curve(CitationDataset(counts)), family, FAST)
+            assert not result.converged
+            assert result.std_errors is None, family
+
     def test_stop_short_of_a_bound_is_moved_onto_it(self):
         # trf stops about 0.01 short of the shift bound here, where the
         # corner has the lower SSE
