@@ -22,6 +22,16 @@ DATA = Path(__file__).resolve().parent / "data" / "citations_synthetic.txt"
 OUTPUT = Path(__file__).resolve().parent / "output"
 
 
+def flag_reason(result):
+    """Why a fit is flagged as not converged."""
+    if result.nested_limit is not None:
+        # the mixing law has collapsed to a point mass
+        return f"nested limit: {result.nested_limit.value}"
+    if result.std_errors is None:
+        return "parameter at a bound"
+    return "gradient above tolerance"
+
+
 def main():
     dataset = ingest(DATA)
     families = tuple(f.value for f in Family)
@@ -36,11 +46,14 @@ def main():
     print(f"best by CAIC: {best.model.family.value} with "
           f"gini {best_indices.gini:.4f} vs empirical "
           f"{report.empirical_indices.gini:.4f}")
-    flagged = [r.model.family.value for r, _ in report.per_model if not r.converged]
+    flagged = [r for r, _ in report.per_model if not r.converged]
     if flagged:
-        print(f"flagged as not converged (parameters at a bound): {', '.join(flagged)}")
-        print("such fits stay in the ranking but their estimates sit on the")
-        print("edge of the allowed parameter box, so read them skeptically.")
+        print("flagged as not converged:")
+        for result in flagged:
+            print(f"  {result.model.family.value}: {flag_reason(result)}")
+        print("such fits stay in the ranking; one on the edge of the parameter box")
+        print("or at the simpler family a mixture reduces to has no standard errors,")
+        print("so read its estimates skeptically.")
 
     OUTPUT.mkdir(exist_ok=True)
     json_path = OUTPUT / "analysis_report.json"

@@ -5,6 +5,11 @@ The digest covers, bit for bit:
 - each family's fit to the bundled data set with the default FitConfig
   (parameters, SSE, standard errors, converged flag, iterations and
   objective history);
+- the same for each family's fit with FitConfig(multistart_count=4) to
+  the sets on which the mixtures reach the families they nest: the
+  bundled data, the counts (7, 3, 2, 1), power samples of 2000 (seed 1,
+  theta 3) and 500 (seed 3, theta 1.5) and pg samples of 2000 (seeds 2
+  and 5, alpha 0.7, beta 0.1);
 - model_indices and a 4097-point evaluate on [0, 1] of each of the 15
   pinned models of the benchmark's model sweep.
 
@@ -14,7 +19,7 @@ it is.  Run from the repository root:
 
     PYTHONPATH=src python3 scripts/answers_digest.py
 
-It takes about as long as fitting all eight families once.
+It takes about as long as fitting all eight families twice.
 """
 
 import hashlib
@@ -27,12 +32,24 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT))
 
 from leimkuhler.curves import Family, evaluate, make_model  # noqa: E402
-from leimkuhler.empirical import empirical_curve, ingest  # noqa: E402
-from leimkuhler.fit import fit  # noqa: E402
+from leimkuhler.empirical import (  # noqa: E402
+    CitationDataset,
+    empirical_curve,
+    ingest,
+    sample_synthetic,
+)
+from leimkuhler.fit import FitConfig, fit  # noqa: E402
 from leimkuhler.indices import model_indices  # noqa: E402
 from perfbench.workloads import BUNDLED, FIXED_MODELS  # noqa: E402
 
 GRID = np.linspace(0.0, 1.0, 4097)
+NESTED_SETS = (
+    ("(7, 3, 2, 1)", lambda: CitationDataset((7, 3, 2, 1))),
+    ("power-2000 seed 1", lambda: sample_synthetic("power", 2000, 1, theta=3.0)),
+    ("power-500 seed 3", lambda: sample_synthetic("power", 500, 3, theta=1.5)),
+    ("pg-2000 seed 2", lambda: sample_synthetic("pg", 2000, 2, alpha=0.7, beta=0.1)),
+    ("pg-2000 seed 5", lambda: sample_synthetic("pg", 2000, 5, alpha=0.7, beta=0.1)),
+)
 
 
 def _exact(value):
@@ -44,14 +61,22 @@ def _exact(value):
     return value
 
 
+def _fit_lines(curve, config, *label):
+    for family in Family:
+        result = fit(curve, family, config)
+        yield repr(_exact((*label, family.value, result.model.param_values(), result.sse,
+                           result.std_errors, result.converged, result.iterations,
+                           result.objective_history)))
+
+
 def answer_lines():
     """One line per answer."""
     curve = empirical_curve(ingest(ROOT / BUNDLED))
-    for family in Family:
-        result = fit(curve, family)
-        yield repr(_exact((family.value, result.model.param_values(), result.sse,
-                           result.std_errors, result.converged, result.iterations,
-                           result.objective_history)))
+    yield from _fit_lines(curve, FitConfig())
+    four = FitConfig(multistart_count=4)
+    yield from _fit_lines(curve, four, "bundled")
+    for label, dataset in NESTED_SETS:
+        yield from _fit_lines(empirical_curve(dataset()), four, label)
     for family, params in FIXED_MODELS:
         model = make_model(family, **params)
         report = model_indices(model)

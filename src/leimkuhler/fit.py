@@ -5,14 +5,26 @@ empirical polygon vertices (i/n, s_i/s_n), i = 1..n, and the
 parametric curve.  Each start runs scipy's trust-region reflective
 method (Branch, Coleman & Li 1999) inside the parameter box, with a
 forward-difference Jacobian: scale parameters (theta, alpha, beta) are
-fitted on a log scale, the Pareto theta, kappa and the pagb shift as
-raw values between their bounds, and trf scales every coordinate by
-its Jacobian column.  Each fit is restarted from a deterministic
-seeded Latin-hypercube of initial points plus a method-of-moments
-start; the best final objective wins.  One Gauss-Newton step on a
-central-difference Jacobian, with the coordinates that end within
-1e-2 of a bound put on that bound, finishes the search if it does not
-raise the SSE.
+fitted on a log scale, the Pareto theta and kappa as raw values
+between their bounds, and trf scales every coordinate by its Jacobian
+column.  pagb is searched in m = beta/(alpha+beta) in (0, 1),
+lam = 1/(alpha+beta) in [1e-14, 100] and the raw shift in [-200, 100].
+Each fit is restarted from a deterministic seeded Latin-hypercube of
+initial points plus a method-of-moments start; the best final
+objective wins.  One Gauss-Newton step on a central-difference
+Jacobian in alpha, beta and the other parameters, with the
+coordinates that end within 1e-2 of a bound put on that bound,
+finishes the search if it does not raise the SSE.
+
+The mixtures nest simpler families in the limit where the mixing law
+collapses to a point mass: pagb nests pareto as lam -> 0, pg and pig
+nest power as their alpha and beta grow with the mean fixed, and gpg
+and gpig nest gp the same way.  alpha and beta run up to 1e14 so that
+these limits lie inside the box, and with more than one start the
+fits of the nested families seed further starts there.  A fit whose
+mixing law has a squared coefficient of variation of at most 1e-12
+sits at its nested limit: FitResult.nested_limit names that family,
+and, as at any box edge, converged is False and std_errors is None.
 
 Model comparison uses the consistent Akaike criterion computed from
 the Gaussian profile likelihood of the residuals, CAIC =
@@ -97,12 +109,20 @@ class FitResult:
 
     std_errors is a tuple of per-parameter standard errors, or None
     when the Jacobian at the optimum is rank deficient or the optimum
-    sits on a parameter-box boundary.  converged is False when the
-    gradient criterion was not met or the optimum sits on a
-    parameter-box boundary.  objective_history records the SSE of
-    the start point and of each accepted step of the winning start and
-    never increases; iterations counts the accepted steps, the final
-    Gauss-Newton step included when it lowers the SSE.
+    sits on a parameter-box boundary or at a nested limit.  converged
+    is False when the gradient criterion was not met or the optimum
+    sits on a parameter-box boundary or at a nested limit.
+    objective_history records the SSE of the start point and of each
+    accepted step of the winning start and never increases; iterations
+    counts the accepted steps, the final Gauss-Newton step included
+    when it lowers the SSE.
+
+    nested_limit is derived from the fitted parameters alone: the
+    family a mixture has reduced to (pareto for pagb, power for pg and
+    pig, gp for gpg and gpig) when the squared coefficient of variation
+    of its mixing law is at most 1e-12, else None.  The model stays the
+    finite mixture the search ended at; at alpha, beta near 1e14 its
+    curve is within about 1e-12 of the nested family's.
     """
 
     model: CurveModel
@@ -115,6 +135,12 @@ class FitResult:
     converged: bool
     iterations: int
     objective_history: tuple
+
+    @property
+    def nested_limit(self):
+        """The Family this mixture fit has reduced to, or None."""
+        # derived from the model, so the JSON report needs no field for it
+        return _nested_limit(self.model)
 
 
 class ModelComparison(NamedTuple):
@@ -133,7 +159,7 @@ class _Bound(NamedTuple):
 _THETA = _Bound(1e-8, 1e6, True)
 _PARETO_THETA = _Bound(1e-12, 1.0 - 1e-9, False)
 _KAPPA = _Bound(1e-12, 1.0, False)
-_MIX = _Bound(1e-8, 1e4, True)
+_MIX = _Bound(1e-8, 1e14, True)
 _SHIFT = _Bound(-200.0, 100.0, False)
 
 _BOUNDS = {
@@ -146,6 +172,24 @@ _BOUNDS = {
     Family.GPIG: (_KAPPA, _MIX, _MIX),
     Family.PAGB: (_MIX, _MIX, _SHIFT),
 }
+
+# pagb is searched in the mean m = beta/(alpha+beta) and the spread
+# lam = 1/(alpha+beta) of its mixed exponent, and the shift: lam = 0 is
+# the pareto limit, a short trf step away on a linear scale.  The box maps
+# into the alpha, beta box of _MIX.
+_PAGB_SEARCH = (_Bound(1e-6, 1.0 - 1e-6, False), _Bound(1e-14, 100.0, False), _SHIFT)
+
+# nested pairs: the fits of the families on the right seed each mixture's
+# search, and the last of them is its limit as the mixing law collapses to
+# a point mass (gpg and gpig are pg and pig at kappa = 1)
+_NESTED = {
+    Family.PAGB: (Family.PARETO,),
+    Family.PG: (Family.POWER,),
+    Family.PIG: (Family.POWER,),
+    Family.GPG: (Family.PG, Family.GP),
+    Family.GPIG: (Family.PIG, Family.GP),
+}
+_LIMIT_CV2 = 1e-12
 
 # multistart sampling ranges; "log" ranges are sampled log-uniformly
 _SAMPLING_BOX = {
@@ -162,6 +206,42 @@ _SAMPLING_BOX = {
 
 def _make_model(family, raw):
     return CurveModel(family, ParamVector(**dict(zip(PARAM_NAMES[family], raw))))
+
+
+def _mixing_cv2(model):
+    """Squared coefficient of variation of a mixture's mixing law."""
+    p = model.params
+    if model.family in (Family.PG, Family.GPG):
+        return 1.0 / p.alpha  # gamma, shape alpha
+    if model.family in (Family.PIG, Family.GPIG):
+        return p.alpha / p.beta  # inverse Gaussian, mean alpha, shape beta
+    # beta(alpha, beta) before its tilt, which moves the mean by about the
+    # shift times the variance
+    return p.beta / (p.alpha * (p.alpha + p.beta + 1.0))
+
+
+def _nested_limit(model):
+    if model.family in _NESTED and _mixing_cv2(model) <= _LIMIT_CV2:
+        return _NESTED[model.family][-1]
+    return None
+
+
+def _search_bounds(family):
+    return _PAGB_SEARCH if family is Family.PAGB else _BOUNDS[family]
+
+
+def _search_values(family, raw):
+    # the searched quantities before any log: pagb's (m, lam, shift), else raw
+    if family is Family.PAGB:
+        alpha, beta, shift = raw
+        return (beta / (alpha + beta), 1.0 / (alpha + beta), shift)
+    return tuple(raw)
+
+
+def _inside(family, raw):
+    # more than 1e-9, by _gap, inside every edge of the search box
+    return all(b.lo < v < b.hi and _gap(b, v, b.lo) > 1e-9 and _gap(b, v, b.hi) > 1e-9
+               for b, v in zip(_search_bounds(family), _search_values(family, raw)))
 
 
 def _residuals(family, raw, u, k_emp):
@@ -234,20 +314,36 @@ def _multistart_points(family, gini_emp, config):
     return starts
 
 
-_NESTED_2PARAM = {Family.GPG: Family.PG, Family.GPIG: Family.PIG}
+def _point_mass(family, theta):
+    # mixing parameters at the _MIX cap of a law collapsed onto theta
+    if family in (Family.PG, Family.GPG):
+        scale = _MIX.hi / max(theta, 1.0)
+        return (theta * scale, scale)  # gamma with mean alpha/beta
+    return (theta, _MIX.hi)  # inverse Gaussian with mean alpha
 
 
-def _nested_warm_starts(family, curve, config):
-    # the generalized mixtures reduce to their 2-parameter nested
-    # family at the exponent bound, so that fit seeds the search
-    nested = _NESTED_2PARAM[family]
+def _nested_starts(family, curve, config):
+    """Starts at the fits of the families nested in family."""
     sub = replace(config, multistart_count=min(config.multistart_count, 6))
-    try:
-        warm = fit(curve, nested, sub)
-    except (ValueError, RuntimeError, ConvergenceError, OverflowError):
-        return []
-    a, b = warm.model.param_values()
-    return [(kap, a, b) for kap in (0.35, 0.65, 0.9, 0.999)]
+    starts = []
+    for nested in _NESTED[family]:
+        try:
+            params = fit(curve, nested, sub).model.param_values()
+        except (ValueError, RuntimeError, ConvergenceError, OverflowError):
+            continue
+        if nested is Family.PARETO:
+            # pagb on the lam floor, its mean exponent at 1 - theta
+            scale = 1.0 / _PAGB_SEARCH[1].lo
+            starts.append((params[0] * scale, (1.0 - params[0]) * scale, 0.0))
+        elif nested is Family.POWER:
+            starts.append(_point_mass(family, *params))
+        elif nested is Family.GP:
+            theta, kappa = params
+            starts.append((kappa, *_point_mass(family, theta)))
+        else:
+            # pg and pig are gpg and gpig on the kappa cap
+            starts += [(kappa, *params) for kappa in (0.35, 0.65, 0.9, 0.999)]
+    return starts
 
 
 class _StartFailed(Exception):
@@ -262,14 +358,19 @@ def _run_start(family, raw0, u, k_emp, config):
     A failed residual at a trial point rejects the step; one while
     differencing ends the run at its last accepted iterate.
     """
-    bounds = _BOUNDS[family]
+    bounds = _search_bounds(family)
     lo, hi, is_log = np.array(bounds).T
+    raw_lo, raw_hi, _ = np.array(_BOUNDS[family]).T
 
-    def to_t(raw):
-        return np.array([math.log(x) if b.log else x for b, x in zip(bounds, raw)])
+    def to_t(values):
+        return np.array([math.log(x) if b.log else x for b, x in zip(bounds, values)])
 
     def raw_of(t):
-        return tuple(map(float, np.clip(np.where(is_log > 0, np.exp(t), t), lo, hi)))
+        values = np.where(is_log > 0, np.exp(t), t)
+        if family is Family.PAGB:
+            m, lam, shift = values
+            values = ((1.0 - m) / lam, m / lam, shift)
+        return tuple(map(float, np.clip(values, raw_lo, raw_hi)))
 
     t_lo, t_hi = to_t(lo), to_t(hi)
     accepted = []  # (t, sse) of the start point and of each accepted step
@@ -296,7 +397,7 @@ def _run_start(family, raw0, u, k_emp, config):
             raise _StartFailed
         return J
 
-    t0 = to_t(np.clip(raw0, lo, hi))
+    t0 = np.clip(to_t(_search_values(family, np.clip(raw0, raw_lo, raw_hi))), t_lo, t_hi)
     try:
         least_squares(resid, t0, jac=jac, bounds=(t_lo, t_hi), method="trf", x_scale="jac",
                       xtol=config.step_tolerance, ftol=1e-15, gtol=1e-15,
@@ -414,7 +515,7 @@ def fit(curve, family, config=FitConfig()):
     FitResult
         Best result over all starts; converged is False if no start
         met the gradient criterion or the optimum hit a parameter
-        bound.
+        bound or a nested limit.
 
     Raises
     ------
@@ -434,8 +535,8 @@ def fit(curve, family, config=FitConfig()):
 
     gini_emp = min(max(_polygon_gini(u_all, k_all), 1e-6), 1.0 - 1e-6)
     starts = _multistart_points(family, gini_emp, config)
-    if family in _NESTED_2PARAM and config.multistart_count > 1:
-        starts[1:1] = _nested_warm_starts(family, curve, config)
+    if family in _NESTED and config.multistart_count > 1:
+        starts[1:1] = _nested_starts(family, curve, config)
     best = None  # (raw, history) of the lowest final SSE
     for start in starts:
         outcome = _run_start(family, start, u, k_emp, config)
@@ -454,6 +555,10 @@ def fit(curve, family, config=FitConfig()):
         model = _make_model(family, raw)
         k_fit = evaluate(model, u)
         r = k_fit - k_emp
+        if _nested_limit(model) is not None:
+            # no finishing step, and no standard errors or gradient to flag
+            J = None
+            break
         # one central-difference Jacobian in parameter coordinates, one-sided
         # at a box edge, gives the standard errors and the convergence flag
         J = _fd_jacobian(lambda x: _residuals(family, tuple(map(float, x)), u, zeros),
@@ -470,10 +575,9 @@ def fit(curve, family, config=FitConfig()):
     gradient_ok = sse <= _SSE_FLOOR or (
         J is not None and bool(np.max(np.abs(J.T @ r)) <= config.gradient_tolerance))
     metrics = _metrics(r)
-    inside = all(_gap(b, value, edge) > 1e-9 for b, value in
-                 zip(_BOUNDS[family], raw) for edge in (b.lo, b.hi))
-    # at a box edge the optimum is constrained and the linearized
-    # covariance describes no sampling spread
+    inside = _inside(family, raw) and _nested_limit(model) is None
+    # at a box edge or a nested limit the optimum is constrained and the
+    # linearized covariance describes no sampling spread
     errors = None if J is None or not inside else standard_errors(
         J, sse, u.size, p, variance_divisor=config.variance_divisor)
     return FitResult(

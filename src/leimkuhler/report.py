@@ -283,7 +283,8 @@ def render_table(report):
 
     One row per model carries the parameter estimates and the error
     metrics; the row beneath repeats the standard errors in
-    parentheses.  A short dataset header precedes the table.
+    parentheses, or names the nested limit a mixture fit has reached.
+    A short dataset header precedes the table.
     """
     stats = report.dataset_stats
     empirical = report.empirical_indices
@@ -303,10 +304,12 @@ def render_table(report):
         names = result.model.param_names()
         cells = [f"{name}={value:.6g}"
                  for name, value in zip(names, result.model.param_values())]
-        if result.std_errors is None:
-            errs = ["(unavailable)"] * len(names)
-        else:
+        if result.std_errors is not None:
             errs = [f"({se:.3g})" for se in result.std_errors]
+        elif result.nested_limit is not None:
+            errs = [f"(nested limit: {result.nested_limit.value})"]
+        else:
+            errs = ["(unavailable)"] * len(names)
         cells += [""] * (max_params - len(cells))
         errs += [""] * (max_params - len(errs))
         est_rows.append(cells)

@@ -6,6 +6,8 @@ import random
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from leimkuhler import curves, specfun
 from leimkuhler.curves import (
@@ -408,3 +410,31 @@ class TestValidateCurve:
     def test_rejects_tiny_grid(self):
         with pytest.raises(ValueError, match="grid_size"):
             validate_curve(power(1.0), grid_size=2)
+
+
+@settings(deadline=None)
+@given(st.sampled_from(list(Family)), st.integers(0, 2**32 - 1))
+def test_validate_curve_passes_random_draws(family, seed):
+    model = draw_model(random.Random(seed), family)
+    report = validate_curve(model)
+    assert report.is_valid, (model, report.violations[:3])
+
+
+@settings(deadline=None)
+@given(st.sampled_from([Family.PG, Family.PIG, Family.GPG, Family.GPIG, Family.PAGB]),
+       st.floats(12.0, 14.0), st.floats(0.05, 8.0), st.floats(0.05, 1.0),
+       st.floats(0.02, 0.98), st.floats(-200.0, 100.0))
+def test_validate_curve_passes_nested_limit_models(family, log_c, theta, kappa, m, shift):
+    # mixing laws of concentration c = 1/cv^2 in [1e12, 1e14] around the
+    # exponent theta (pagb: alpha + beta = c, mean exponent m), where the
+    # fit reports a nested limit
+    c = 10.0**log_c
+    model = {
+        Family.PG: pg(c, c / theta),
+        Family.PIG: pig(theta, c * theta),
+        Family.GPG: gpg(kappa, c, c / theta),
+        Family.GPIG: gpig(kappa, theta, c * theta),
+        Family.PAGB: pagb((1.0 - m) * c, m * c, shift),
+    }[family]
+    report = validate_curve(model)
+    assert report.is_valid, (model, report.violations[:3])

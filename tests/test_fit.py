@@ -2,6 +2,7 @@
 
 import importlib
 import math
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -225,38 +226,20 @@ class TestConvergedFlag:
         assert result.converged
         assert result.sse > 1e-3
 
-    def test_boundary_hit_flags_not_converged(self):
-        # gamma mixing degenerates to a point mass, pushing alpha to
-        # its box cap
-        dataset = sample_synthetic("pg", n=2000, seed=5, alpha=0.7, beta=0.1)
-        result = fit(empirical_curve(dataset), "pg", FAST)
-        assert result.model.params.alpha == pytest.approx(1e4)
-        assert not result.converged
-
-    def test_edge_optimum_reaches_the_box_corner(self):
-        # the pagb SSE on (7,3,2,1) keeps falling along a flat valley toward
-        # the alpha/shift corner; the fit follows it there and is flagged
-        curve = empirical_curve(CitationDataset((7, 3, 2, 1)))
-        result = fit(curve, "pagb", FAST)
-        assert result.model.params.alpha == pytest.approx(1e4, rel=1e-9)
-        assert result.model.params.shift == pytest.approx(-200.0, abs=1e-4)
-        assert not result.converged
-
     def test_edge_optimum_has_no_standard_errors(self):
-        # gp ends on the theta floor and the kappa cap, pagb on the
-        # alpha/shift corner: a constrained optimum has no sampling spread
-        for counts, family in (((5, 5, 5, 5), "gp"), ((7, 3, 2, 1), "pagb")):
-            result = fit(empirical_curve(CitationDataset(counts)), family, FAST)
-            assert not result.converged
-            assert result.std_errors is None, family
+        # gp ends on the theta floor and the kappa cap: a constrained
+        # optimum has no sampling spread
+        result = fit(empirical_curve(CitationDataset((5, 5, 5, 5))), "gp", FAST)
+        assert not result.converged
+        assert result.std_errors is None
 
     def test_stop_short_of_a_bound_is_moved_onto_it(self):
-        # trf stops about 0.01 short of the shift bound here, where the
-        # corner has the lower SSE
-        curve = empirical_curve(sample_synthetic("power", n=500, seed=9, theta=1.5))
-        result = fit(curve, "pagb", FAST)
-        assert result.model.params.alpha == 1e4
-        assert result.model.params.shift == -200.0
+        # trf stops a relative 1e-5 short of gp's theta floor and 3e-8 short
+        # of its kappa cap here; the corner has the lower SSE
+        curve = empirical_curve(CitationDataset((5, 5, 5, 5)))
+        result = fit(curve, "gp", FAST)
+        assert result.model.param_values() == (1e-8, 1.0)
+        assert result.nested_limit is None
         assert not result.converged
         assert result.objective_history[-1] == result.sse
 
@@ -276,6 +259,71 @@ class TestConvergedFlag:
         curve = model_polygon(power(2.0), 50)
         with pytest.raises(ValueError):
             fit(curve, "logistic", FAST)
+
+
+class TestNestedLimits:
+    """A mixture reduces to the family it nests as its mixing law
+    collapses to a point mass: its fit reaches that limit, no worse than
+    the nested fit, and is flagged there."""
+
+    def assert_at_limit(self, result, limit):
+        assert result.nested_limit is limit, result.model
+        assert not result.converged
+        assert result.std_errors is None
+        assert result.objective_history[-1] == result.sse
+
+    def test_pagb_reaches_pareto(self):
+        # on both sets an alpha, beta cap of 1e4 stops pagb on its
+        # alpha/shift corner, above pareto's SSE
+        for dataset in (CitationDataset((7, 3, 2, 1)),
+                        sample_synthetic("power", n=500, seed=9, theta=1.5)):
+            curve = empirical_curve(dataset)
+            result = fit(curve, "pagb", FAST)
+            assert result.sse <= fit(curve, "pareto", FAST).sse * (1.0 + 1e-12)
+            self.assert_at_limit(result, Family.PARETO)
+
+    def test_pg_and_pig_reach_power(self):
+        # an alpha, beta cap of 1e4 holds pg at alpha = 1e4 here
+        curve = empirical_curve(sample_synthetic("pg", n=2000, seed=5, alpha=0.7, beta=0.1))
+        reference = fit(curve, "power", FAST).sse
+        for family in ("pg", "pig"):
+            result = fit(curve, family, FAST)
+            assert result.sse <= reference * (1.0 + 1e-10), family
+            self.assert_at_limit(result, Family.POWER)
+
+    def test_gpg_and_gpig_reach_gp(self):
+        curve = empirical_curve(CitationDataset((7, 3, 2, 1)))
+        reference = fit(curve, "gp", FAST).sse
+        for family, nested in (("gpg", "pg"), ("gpig", "pig")):
+            result = fit(curve, family, FAST)
+            assert result.sse <= reference * (1.0 + 1e-10), family
+            assert result.sse <= fit(curve, nested, FAST).sse * (1.0 + 1e-10), family
+            self.assert_at_limit(result, Family.GP)
+
+    def test_limit_is_a_mixing_law_cv2_of_at_most_1e_minus_12(self):
+        base = fit(model_polygon(power(2.0), 50), "power", FAST)
+        cases = [
+            (pg(1e12, 3e11), Family.POWER),  # gamma: 1 / alpha
+            (pg(0.99e12, 3e11), None),
+            (gpg(0.5, 1e12, 5e11), Family.GP),
+            (pig(2.0, 2e12), Family.POWER),  # inverse Gaussian: alpha / beta
+            (pig(2.0, 1.99e12), None),
+            (gpig(0.5, 2.0, 2e12), Family.GP),
+            (pagb(5e11, 5e11, -3.0), Family.PARETO),  # beta: 1 / (2 alpha + 1) here
+            (pagb(4.9e11, 4.9e11, -3.0), None),
+            (pg(1.5, 2.0), None),
+            (pagb(2.0, 3.0, -5.0), None),
+            (power(2.0), None),
+            (gp(2.0, 0.5), None),
+            (pareto(0.6), None),
+        ]
+        for model, limit in cases:
+            assert replace(base, model=model).nested_limit is limit, model
+
+    def test_interior_fit_has_no_limit(self):
+        result = fit(model_polygon(pg(1.5, 2.0), 257), "pg", FAST)
+        assert result.nested_limit is None
+        assert result.converged and result.std_errors is not None
 
 
 class TestRawCoordinateAgreement:

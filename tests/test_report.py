@@ -4,11 +4,12 @@ import csv
 import io
 import json
 import math
+from dataclasses import replace
 from datetime import datetime, timedelta, timezone
 
 import pytest
 
-from leimkuhler.curves import power
+from leimkuhler.curves import pagb, power
 from leimkuhler.empirical import (
     CitationDataset,
     DescriptiveStats,
@@ -197,6 +198,17 @@ class TestRenderTable:
         report = make_report(per_model=((result, make_index_report()),),
                              ranking=("power",))
         assert "(unavailable)" in render_table(report)
+
+    def test_nested_limit_labelled(self):
+        result = replace(make_fit_result(std_errors=None), model=pagb(6e13, 4e13, -40.0),
+                         converged=False)
+        report = make_report(per_model=((result, make_index_report()),),
+                             ranking=("pagb",))
+        text = render_table(report)
+        assert text.count("(nested limit: pareto)") == 1
+        assert "(unavailable)" not in text
+        # the JSON keeps the parameters, from which the limit follows
+        assert render_table(parse_report(render_json(report))) == text
 
     def test_fixed_width_alignment(self):
         dataset = sample_synthetic("power", n=300, seed=4, theta=2.5)
