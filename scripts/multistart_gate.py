@@ -1,0 +1,143 @@
+"""Check that the multistart stop rule keeps the answers of the full run.
+
+`fit` stops its starts once 3 of at least 4 agree on the best SSE within
+1e-10 relative.  This script fits all eight families twice on each set
+below, once as `fit` runs and once with every start run, and compares:
+
+- the bundled data, (7, 3, 2, 1), (5, 5, 5, 5) and (1, 0, 0, 0) with the
+  default FitConfig;
+- 20 seeded sample_synthetic draws per generator (power, pareto, pg,
+  pig), parameters drawn from the draw's seed, with the default
+  FitConfig;
+- the benchmark's smoke input, every 20th line of the bundled data, with
+  FitConfig(multistart_count=2).
+
+It prints one line per set, the worst relative SSE excess of the early
+stop over the full run, and every fit whose converged flag, nested
+limit or failure differs.  It exits 1 when an SSE exceeds the full
+run's by more than 1e-10 relative or a flag differs.  Run from the
+repository root:
+
+    PYTHONPATH=src python3 scripts/multistart_gate.py [--draws N]
+
+It takes several minutes, most of it in the full runs.
+"""
+
+import argparse
+import importlib
+import math
+import sys
+import time
+from pathlib import Path
+from unittest import mock
+
+import numpy as np
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT))
+
+from leimkuhler.curves import Family  # noqa: E402
+from leimkuhler.empirical import (  # noqa: E402
+    CitationDataset,
+    empirical_curve,
+    ingest,
+    sample_synthetic,
+)
+from leimkuhler.fit import FitConfig  # noqa: E402
+from perfbench.workloads import BUNDLED, SMOKE_STRIDE  # noqa: E402
+
+fit_module = importlib.import_module("leimkuhler.fit")
+
+SSE_RTOL = 1e-10
+SAMPLE_N = 500
+# parameter ranges of the synthetic draws, sampled uniformly
+GENERATORS = {
+    "power": {"theta": (0.5, 5.0)},
+    "pareto": {"theta": (0.2, 0.9)},
+    "pg": {"alpha": (0.3, 3.0), "beta": (0.05, 2.0)},
+    "pig": {"alpha": (0.5, 15.0), "beta": (0.2, 10.0)},
+}
+
+
+def gate_sets(draws):
+    """(label, counts, config) of every set the gate covers."""
+    yield "bundled", ingest(ROOT / BUNDLED), FitConfig()
+    for counts in ((7, 3, 2, 1), (5, 5, 5, 5), (1, 0, 0, 0)):
+        yield str(counts), CitationDataset(counts), FitConfig()
+    for generator, ranges in GENERATORS.items():
+        for seed in range(draws):
+            rng = np.random.default_rng(seed)
+            params = {name: float(rng.uniform(lo, hi)) for name, (lo, hi) in ranges.items()}
+            label = f"{generator} seed {seed} " + " ".join(
+                f"{name}={value:.3g}" for name, value in params.items())
+            yield label, sample_synthetic(generator, SAMPLE_N, seed, **params), FitConfig()
+    # as the benchmark writes it: every SMOKE_STRIDE-th line of the file
+    lines = (ROOT / BUNDLED).read_text(encoding="utf-8").split()
+    smoke = CitationDataset(tuple(map(int, lines[::SMOKE_STRIDE])))
+    yield "bundled smoke", smoke, FitConfig(multistart_count=2)
+
+
+def fit_all(curve, config):
+    """family -> FitResult, or the failure's type and message."""
+    results = {}
+    for family in Family:
+        try:
+            results[family] = fit_module.fit(curve, family, config)
+        except (ValueError, RuntimeError, ArithmeticError) as exc:
+            results[family] = f"{type(exc).__name__}: {exc}"
+    return results
+
+
+def excess(early, full):
+    """Relative SSE excess of the early stop over the full run."""
+    if full.sse > 0:
+        return early.sse / full.sse - 1.0
+    return 0.0 if early.sse == 0 else math.inf
+
+
+def main():
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("--draws", type=int, default=20,
+                        help="seeded draws per generator (default 20)")
+    args = parser.parse_args()
+
+    worst = (-math.inf, None)
+    mismatches = []
+    fits = 0
+    for label, dataset, config in gate_sets(args.draws):
+        curve = empirical_curve(dataset)
+        start = time.perf_counter()
+        early = fit_all(curve, config)
+        early_s = time.perf_counter() - start
+        with mock.patch.object(fit_module, "_starts_agree", lambda *args: False):
+            start = time.perf_counter()
+            full = fit_all(curve, config)
+            full_s = time.perf_counter() - start
+        set_worst = -math.inf
+        for family in Family:
+            a, b = early[family], full[family]
+            fits += 1
+            if isinstance(a, str) or isinstance(b, str):
+                if a != b:
+                    mismatches.append(f"{label} {family.value}: {a!r} vs full {b!r}")
+                continue
+            value = excess(a, b)
+            set_worst = max(set_worst, value)
+            worst = max(worst, (value, f"{label} {family.value}"), key=lambda w: w[0])
+            flags = (a.converged, a.nested_limit), (b.converged, b.nested_limit)
+            if flags[0] != flags[1]:
+                mismatches.append(f"{label} {family.value}: converged, nested_limit "
+                                  f"{flags[0]} vs full {flags[1]}")
+        print(f"{label}: worst excess {set_worst:+.2e}, {early_s:.2f} s vs full {full_s:.2f} s",
+              flush=True)
+
+    print(f"{fits} fits; worst relative SSE excess {worst[0]:+.3e} ({worst[1]})")
+    for line in mismatches:
+        print("flag mismatch:", line)
+    breach = worst[0] > SSE_RTOL or mismatches
+    print("FAIL" if breach else "PASS")
+    return 1 if breach else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

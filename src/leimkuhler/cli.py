@@ -346,7 +346,10 @@ def _add_fit_arguments(parser):
     parser.add_argument("--max-iterations", dest="max_iterations", type=int)
     parser.add_argument("--gradient-tolerance", dest="gradient_tolerance", type=float)
     parser.add_argument("--step-tolerance", dest="step_tolerance", type=float)
-    parser.add_argument("--multistart", dest="multistart", type=int)
+    parser.add_argument("--multistart", dest="multistart", type=int,
+                        help="most starts per fit (default 16); a fit stops once "
+                             "3 of at least 4 starts agree on the best minimum: "
+                             "SSE within 1e-10 relative, end point within 1e-6")
     parser.add_argument("--seed", dest="seed", type=int)
     parser.add_argument("--variance-divisor", dest="variance_divisor",
                         choices=("n", "n_minus_p"))

@@ -11,10 +11,16 @@ column.  pagb is searched in m = beta/(alpha+beta) in (0, 1),
 lam = 1/(alpha+beta) in [1e-14, 100] and the raw shift in [-200, 100].
 Each fit is restarted from a deterministic seeded Latin-hypercube of
 initial points plus a method-of-moments start; the best final
-objective wins.  One Gauss-Newton step on a central-difference
-Jacobian in alpha, beta and the other parameters, with the
-coordinates that end within 1e-2 of a bound put on that bound,
-finishes the search if it does not raise the SSE.
+objective wins.  The starts run in turn and stop early once one
+reaches an SSE of 1e-15, or once at least 4 have produced residuals,
+the nested starts below have all run, and 3 end on the best one's
+minimum: within 1e-10 relative of its SSE and within 1e-6 of its end
+point in every search coordinate, or at a nested limit with it.  So
+FitConfig.multistart_count is an upper bound on the sampled starts.
+One Gauss-Newton step on a central-difference Jacobian in alpha, beta
+and the other parameters, with the coordinates that end within 1e-2 of
+a bound put on that bound, finishes the search if it does not raise
+the SSE.
 
 The mixtures nest simpler families in the limit where the mixing law
 collapses to a point mass: pagb nests pareto as lam -> 0, pg and pig
@@ -77,6 +83,13 @@ class FitConfig:
     parameter coordinates, is at or below it.  The iteration itself
     runs to numerical exhaustion, so tightening this value never
     changes the estimate, only the flag.
+
+    multistart_count is an upper bound on the number of starts: the
+    multistart stops once at least 4 starts have produced residuals and
+    3 of them end within 1e-10 relative of the best SSE so far and
+    within 1e-6 of the best end point (see fit).  With more than one
+    start, a mixture adds 1 to 5 starts at the fits of the families it
+    nests, and these all run before the multistart may stop.
     """
 
     max_iterations: int = 200
@@ -190,6 +203,13 @@ _NESTED = {
     Family.GPIG: (Family.PIG, Family.GP),
 }
 _LIMIT_CV2 = 1e-12
+
+# the multistart stops once its starts keep landing on one minimum (after
+# Boender & Rinnooy Kan 1987): see _starts_agree
+_AGREE_MIN_STARTS = 4
+_AGREE_COUNT = 3
+_AGREE_RTOL = 1e-10
+_AGREE_SPREAD = 1e-6
 
 # multistart sampling ranges; "log" ranges are sampled log-uniformly
 _SAMPLING_BOX = {
@@ -344,6 +364,36 @@ def _nested_starts(family, curve, config):
             # pg and pig are gpg and gpig on the kappa cap
             starts += [(kappa, *params) for kappa in (0.35, 0.65, 0.9, 0.999)]
     return starts
+
+
+def _starts_agree(family, outcomes):
+    """The multistart stop rule.
+
+    outcomes holds the (raw, history) of each start that produced
+    residuals.  The rule holds once there are at least _AGREE_MIN_STARTS
+    of them and _AGREE_COUNT end on the best one's minimum: their SSE
+    within _AGREE_RTOL relative of the best, and their end point within
+    _AGREE_SPREAD of the best one's in every search coordinate (by
+    _gap), or, where the best sits at a nested limit and the mixing
+    parameters are not identified, at that limit too.  The spread keeps
+    starts strung along a flat valley towards a box edge, which end at
+    nearly one SSE far apart, from counting as one minimum.
+    """
+    if len(outcomes) < _AGREE_MIN_STARTS:
+        return False
+    best_raw, best_history = min(outcomes, key=lambda outcome: outcome[1][-1])
+    cut = best_history[-1] * (1.0 + _AGREE_RTOL)
+    at_limit = _nested_limit(_make_model(family, best_raw)) is not None
+    best_point = _search_values(family, best_raw)
+
+    def on_best_minimum(raw):
+        if at_limit:
+            return _nested_limit(_make_model(family, raw)) is not None
+        return all(_gap(b, x, y) <= _AGREE_SPREAD for b, x, y in
+                   zip(_search_bounds(family), _search_values(family, raw), best_point))
+
+    return sum(history[-1] <= cut and on_best_minimum(raw)
+               for raw, history in outcomes) >= _AGREE_COUNT
 
 
 class _StartFailed(Exception):
@@ -513,9 +563,13 @@ def fit(curve, family, config=FitConfig()):
     Returns
     -------
     FitResult
-        Best result over all starts; converged is False if no start
-        met the gradient criterion or the optimum hit a parameter
-        bound or a nested limit.
+        Best result over the starts run; converged is False if the
+        best start did not meet the gradient criterion or the optimum
+        hit a parameter bound or a nested limit.  The starts stop once
+        at least 4 have produced residuals, those at the nested fits
+        have all run, and 3 of them end within 1e-10 relative of the
+        best SSE so far and within 1e-6 of the best end point, so
+        config.multistart_count bounds the number of sampled starts.
 
     Raises
     ------
@@ -535,19 +589,24 @@ def fit(curve, family, config=FitConfig()):
 
     gini_emp = min(max(_polygon_gini(u_all, k_all), 1e-6), 1.0 - 1e-6)
     starts = _multistart_points(family, gini_emp, config)
+    nested = []
     if family in _NESTED and config.multistart_count > 1:
-        starts[1:1] = _nested_starts(family, curve, config)
-    best = None  # (raw, history) of the lowest final SSE
-    for start in starts:
+        nested = _nested_starts(family, curve, config)
+        starts[1:1] = nested
+    outcomes = []  # (raw, history) of each start that produced residuals
+    for i, start in enumerate(starts):
         outcome = _run_start(family, start, u, k_emp, config)
-        if outcome is not None and (best is None or outcome[1][-1] < best[1][-1]):
-            best = outcome
-        if best is not None and best[1][-1] <= 1e-15:
+        if outcome is None:
+            continue
+        outcomes.append(outcome)
+        # the nested starts all run: starts seeded by one nested fit can
+        # agree on a basin that another nested fit's start improves on
+        if outcome[1][-1] <= 1e-15 or i >= len(nested) and _starts_agree(family, outcomes):
             break
-    if best is None:
+    if not outcomes:
         raise RuntimeError(f"all fit starts failed for family {family.value!r}")
 
-    raw, history = best
+    raw, history = min(outcomes, key=lambda outcome: outcome[1][-1])
     zeros = np.zeros(u.size)
     lo, hi, _ = np.array(_BOUNDS[family]).T
     for finishing in (True, False):

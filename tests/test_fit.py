@@ -39,6 +39,7 @@ from leimkuhler.fit import (
     standard_errors,
     _latin_hypercube,
 )
+from leimkuhler.indices import empirical_indices
 
 FAST = FitConfig(multistart_count=4, seed=11)
 BUNDLED = Path(__file__).resolve().parents[1] / "demos" / "data" / "citations_synthetic.txt"
@@ -324,6 +325,120 @@ class TestNestedLimits:
         result = fit(model_polygon(pg(1.5, 2.0), 257), "pg", FAST)
         assert result.nested_limit is None
         assert result.converged and result.std_errors is not None
+
+
+EARLY_STOP_SETS = {
+    "bundled": lambda: ingest(BUNDLED),
+    "(7, 3, 2, 1)": lambda: CitationDataset((7, 3, 2, 1)),
+    "(5, 5, 5, 5)": lambda: CitationDataset((5, 5, 5, 5)),
+    "(1, 0, 0, 0)": lambda: CitationDataset((1, 0, 0, 0)),
+    "power-500 seed 3": lambda: sample_synthetic("power", n=500, seed=3, theta=1.5),
+}
+
+
+def without_early_stop(monkeypatch):
+    """Run every start, as fit did before the multistart stop rule."""
+    monkeypatch.setattr(fit_module, "_starts_agree", lambda *args: False)
+
+
+class TestEarlyStop:
+    """The multistart stops once 3 of at least 4 starts agree on the best
+    SSE within 1e-10 relative, and keeps the answers of the full run."""
+
+    def test_rule(self):
+        def agree(family, *ends):
+            # (sse, raw) of each start that produced residuals
+            return fit_module._starts_agree(family, [(raw, (sse,)) for sse, raw in ends])
+
+        same = (1.0, (2.0,))
+        assert not agree(Family.POWER, same, same, same)  # fewer than 4 starts
+        assert agree(Family.POWER, (2.0, (2.0,)), same, same, (1.0, (2.0 * (1 + 9e-7),)))
+        assert agree(Family.POWER, (1.0 + 1e-11, (2.0,)), (3.0, (1.0,)), same,
+                     (1.0 + 9e-11, (2.0,)))
+        assert not agree(Family.POWER, same, (1.0 + 2e-10, (2.0,)), same, (5.0, (1.0,)))
+        assert not agree(Family.POWER, *[(sse, (2.0,)) for sse in (1.0, 2.0, 3.0, 4.0, 5.0)])
+        # one SSE, but end points strung along a flat valley
+        assert not agree(Family.PIG, *[(1.0, (alpha, 1.7)) for alpha in (1e11, 3e11, 1e12, 1e13)])
+        # the mixing parameters are not identified at a nested limit
+        limit = [(1.0, (alpha, alpha / 3.0)) for alpha in (1e13, 5e13, 1e14)]
+        assert agree(Family.PG, (2.0, (1.0, 1.0)), *limit)
+        assert not agree(Family.PG, *limit[:2], (1.0, (1.0, 1.0)), (2.0, (1.0, 1.0)))
+
+    @pytest.mark.parametrize("label", list(EARLY_STOP_SETS))
+    def test_keeps_the_full_run_answers(self, label, monkeypatch):
+        curve = empirical_curve(EARLY_STOP_SETS[label]())
+        early = {family: fit(curve, family) for family in Family}
+        without_early_stop(monkeypatch)
+        for family, result in early.items():
+            full = fit(curve, family)
+            assert result.sse <= full.sse * (1.0 + 1e-10), family
+            assert result.converged == full.converged, family
+            assert result.nested_limit is full.nested_limit, family
+
+    def test_fires_on_bundled_pagb(self, monkeypatch):
+        families = []
+        run_start = fit_module._run_start
+
+        def counting(family, *args):
+            families.append(family)
+            return run_start(family, *args)
+
+        monkeypatch.setattr(fit_module, "_run_start", counting)
+        fit(empirical_curve(ingest(BUNDLED)), "pagb")
+        assert families.count(Family.PAGB) <= 4
+
+    def test_nested_starts_all_run(self):
+        # on every 20th bundled count with 2 starts, the heuristic start and
+        # three of the four starts seeded by the pig fit agree on a basin;
+        # the start seeded by the gp fit, the fifth, reaches gp at a lower SSE
+        lines = BUNDLED.read_text(encoding="utf-8").split()
+        curve = empirical_curve(CitationDataset(tuple(map(int, lines[::20]))))
+        config = FitConfig(multistart_count=2)
+        result = fit(curve, "gpig", config)
+        assert result.sse <= fit(curve, "gp", config).sse * (1.0 + 1e-10)
+        assert result.nested_limit is Family.GP
+
+    def test_four_starts_are_the_full_run(self, monkeypatch):
+        # the rule can fire only after the fourth start, the last one here
+        curve = empirical_curve(sample_synthetic("pg", n=20000, seed=1, alpha=0.7, beta=0.1))
+        config = FitConfig(multistart_count=4)
+        early = fit(curve, "power", config)
+        without_early_stop(monkeypatch)
+        assert fit(curve, "power", config) == early
+
+
+class TestDegenerateDatasets:
+    """Pinned behaviour on datasets at the edges of the input domain."""
+
+    def test_single_source(self):
+        curve = empirical_curve(CitationDataset((7,)))
+        report = empirical_indices(curve)
+        assert report.gini == 0.0 and report.pietra == 0.0
+        assert report.pietra_argmax_u == 0.0
+        assert all(value == 0.0 for _, value in report.generalized_gini)
+        with pytest.raises(ValueError, match="residual points.*got 1"):
+            fit(curve, "power")
+
+    def test_counts_above_2_to_the_53(self):
+        dataset = CitationDataset((2**70, 1))
+        assert dataset.total == 2**70 + 1
+        curve = empirical_curve(dataset)
+        assert empirical_indices(curve).gini == 0.5
+        result = fit(curve, "power")
+        assert result.converged and result.sse < 1e-15
+
+    # the flags as they stand, not as they should be: whether a fit whose
+    # SSE is at rounding level should read converged is still open
+    @pytest.mark.parametrize("counts, converged", [
+        ((5, 5, 5, 5), {"pg"}),
+        ((1, 0, 0, 0), {"power", "pg", "pig", "gpg", "gpig"}),
+    ])
+    def test_flags_on_flat_and_single_spike_data(self, counts, converged):
+        curve = empirical_curve(CitationDataset(counts))
+        for family in Family:
+            result = fit(curve, family, FitConfig())
+            assert result.converged == (family.value in converged), family
+            assert result.nested_limit is None, family
 
 
 class TestRawCoordinateAgreement:

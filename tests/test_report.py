@@ -8,6 +8,8 @@ from dataclasses import replace
 from datetime import datetime, timedelta, timezone
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from leimkuhler.curves import pagb, power
 from leimkuhler.empirical import (
@@ -155,6 +157,22 @@ class TestRoundTrip:
         report = build_report(dataset, ["power", "pareto"], FAST)
         blob = render_json(report)
         assert render_json(parse_report(blob)) == blob
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.sampled_from([10, 1000, 2**62, 2**70]).flatmap(
+        lambda top: st.lists(st.integers(0, top), min_size=2, max_size=30)
+    ).filter(lambda counts: sum(counts) > 0))
+    def test_random_small_datasets_round_trip(self, counts):
+        report = build_report(CitationDataset(tuple(counts)), ("power",),
+                              FitConfig(multistart_count=1),
+                              created_at=datetime(2026, 1, 1, tzinfo=timezone.utc))
+        blob = render_json(report)
+        parsed = parse_report(blob)
+        assert render_json(parsed) == blob
+        # floats carry 12 significant digits; the integer fields are exact
+        stats = parsed.dataset_stats
+        assert (stats.n, stats.total, stats.min, stats.max) == (
+            len(counts), sum(counts), min(counts), max(counts))
 
     def test_schema_mismatch_rejected(self):
         document = json.loads(render_json(make_report()))
