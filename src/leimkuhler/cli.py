@@ -4,10 +4,13 @@ Subcommands: stats, fit, indices, simulate, export-plot.  Exit codes
 follow one contract everywhere: 0 success, 1 usage error, 2 I/O or
 data error, 3 numerical failure.
 
-A key=value config file (documented in the README) supplies defaults
-for the fitting and output options; its path comes from --config or
-the LEIMKUHLER_CONFIG environment variable, and explicit flags win
-over file values.
+argparse checks the flags.  A key=value config file (documented in the
+README), named by --config or the LEIMKUHLER_CONFIG environment
+variable, supplies defaults: each key is the argparse destination of
+its flag, and main fills every flag the user left unset from the file.
+fit builds its FitConfig from the flags named after FitConfig's fields.
+The file is checked line by line when it is read; FitConfig and
+export-plot check the ranges of the values they use.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import fields
 from pathlib import Path
 
 from .curves import Family, make_model
@@ -35,12 +38,13 @@ from .report import (
     render_json,
     render_table,
 )
-__all__ = ["CliConfig", "UsageError", "main"]
+
+__all__ = ["UsageError", "main"]
 
 ENV_CONFIG = "LEIMKUHLER_CONFIG"
 FAMILY_TAGS = tuple(f.value for f in Family)
+_FORMATS = ("lines", "csv")
 
-_SIMULATE_FAMILIES = ("power", "pareto", "pg", "pig")
 _REQUIRED_SIM_PARAMS = {
     "power": ("theta",),
     "pareto": ("theta",),
@@ -51,24 +55,6 @@ _REQUIRED_SIM_PARAMS = {
 
 class UsageError(Exception):
     """Bad flags or flag combinations; maps to exit code 1."""
-
-
-@dataclass(frozen=True)
-class CliConfig:
-    """Validated, fully resolved options for one invocation."""
-
-    fit: FitConfig
-    families: tuple = ()
-    r_values: tuple = DEFAULT_R_VALUES
-    resolution: int = 257
-
-    def __post_init__(self):
-        for tag in self.families:
-            if tag not in FAMILY_TAGS:
-                raise UsageError(f"unknown family {tag!r}; "
-                                 f"choose from {', '.join(FAMILY_TAGS)}")
-        if self.resolution < 2:
-            raise UsageError(f"resolution must be at least 2, got {self.resolution}")
 
 
 def _parse_bool(text):
@@ -93,6 +79,12 @@ def _parse_r_list(text):
     return values
 
 
+def _parse_format(text):
+    if text not in _FORMATS:
+        raise ValueError(f"format must be 'lines' or 'csv', got {text!r}")
+    return text
+
+
 _CONFIG_PARSERS = {
     "max_iterations": int,
     "gradient_tolerance": float,
@@ -102,7 +94,7 @@ _CONFIG_PARSERS = {
     "variance_divisor": str,
     "caic_counts_variance": _parse_bool,
     "r_values": _parse_r_list,
-    "format": str,
+    "format": _parse_format,
     "resolution": int,
 }
 
@@ -125,59 +117,27 @@ def _load_config_file(path):
             raise UsageError(f"{path}:{lineno}: unknown config key {key!r}")
         try:
             values[key] = _CONFIG_PARSERS[key](value.strip())
-        except (ValueError, TypeError) as exc:
+        except (ValueError, TypeError, UsageError) as exc:
             raise UsageError(f"{path}:{lineno}: bad value for {key}: {exc}") from exc
     return values
 
 
-def _pick(flag_value, file_config, key, fallback):
-    if flag_value is not None:
-        return flag_value
-    if key in file_config:
-        return file_config[key]
-    return fallback
-
-
-def _fit_config(args, file_config):
-    defaults = FitConfig()
+def _fit_config(args):
+    given = {field.name: getattr(args, field.name) for field in fields(FitConfig)
+             if getattr(args, field.name) is not None}
     try:
-        return FitConfig(
-            max_iterations=_pick(args.max_iterations, file_config,
-                                 "max_iterations", defaults.max_iterations),
-            gradient_tolerance=_pick(args.gradient_tolerance, file_config,
-                                     "gradient_tolerance", defaults.gradient_tolerance),
-            step_tolerance=_pick(args.step_tolerance, file_config,
-                                 "step_tolerance", defaults.step_tolerance),
-            multistart_count=_pick(args.multistart, file_config,
-                                   "multistart_count", defaults.multistart_count),
-            seed=_pick(args.seed, file_config, "seed", defaults.seed),
-            variance_divisor=_pick(args.variance_divisor, file_config,
-                                   "variance_divisor", defaults.variance_divisor),
-            caic_counts_variance=_pick(
-                args.caic_count_variance, file_config,
-                "caic_counts_variance", defaults.caic_counts_variance),
-        )
+        return FitConfig(**given)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
 
 
-def _resolved_r_values(args, file_config):
-    if args.r is not None:
-        return _parse_r_list(args.r)
-    return tuple(file_config.get("r_values", DEFAULT_R_VALUES))
-
-
-def _open_dataset(args, file_config):
-    input_format = _pick(getattr(args, "format", None), file_config,
-                         "format", "lines")
-    column = getattr(args, "column", None)
-    if input_format == "csv" and not column:
+def _open_dataset(args):
+    input_format = args.format or "lines"
+    if input_format == "csv" and not args.column:
         raise UsageError("csv format requires --column")
-    if input_format not in ("lines", "csv"):
-        raise UsageError(f"format must be 'lines' or 'csv', got {input_format!r}")
     if args.input == "-":
-        return ingest(sys.stdin, format=input_format, column=column, label="stdin")
-    return ingest(args.input, format=input_format, column=column)
+        return ingest(sys.stdin, format=input_format, column=args.column, label="stdin")
+    return ingest(args.input, format=input_format, column=args.column)
 
 
 def _write_bytes(path, blob):
@@ -200,8 +160,8 @@ def _print_index_report(report):
           f"({tags.get('pietra', '')})")
 
 
-def cmd_stats(args, file_config):
-    dataset = _open_dataset(args, file_config)
+def cmd_stats(args):
+    dataset = _open_dataset(args)
     stats = descriptive_stats(dataset, ddof=args.ddof)
     print(f"n={stats.n}")
     print(f"total={stats.total}")
@@ -213,20 +173,12 @@ def cmd_stats(args, file_config):
     return 0
 
 
-def cmd_fit(args, file_config):
-    if args.model is not None and args.all:
-        raise UsageError("--model and --all are mutually exclusive")
-    if args.model is None and not args.all:
-        raise UsageError("one of --model or --all is required")
+def cmd_fit(args):
     families = FAMILY_TAGS if args.all else (args.model,)
-    config = CliConfig(
-        fit=_fit_config(args, file_config),
-        families=tuple(families),
-        r_values=_resolved_r_values(args, file_config),
-    )
-    dataset = _open_dataset(args, file_config)
-    report = build_report(dataset, config.families, config.fit,
-                          r_values=config.r_values)
+    config = _fit_config(args)
+    dataset = _open_dataset(args)
+    report = build_report(dataset, families, config,
+                          r_values=args.r_values or DEFAULT_R_VALUES)
     if args.json is not None:
         _write_bytes(args.json, render_json(report))
     if args.table or args.json is None:
@@ -255,40 +207,35 @@ def _parse_params(text):
     return params
 
 
-def cmd_indices(args, file_config):
+def cmd_indices(args):
     has_dataset = args.input is not None
     has_model = args.model is not None
     if has_dataset == has_model:
         raise UsageError("give exactly one of a dataset input or "
                          "--model with --params")
-    r_values = _resolved_r_values(args, file_config)
+    r_values = args.r_values or DEFAULT_R_VALUES
     if has_model:
         if args.params is None:
             raise UsageError("--model requires --params")
-        if args.model not in FAMILY_TAGS:
-            raise UsageError(f"unknown family {args.model!r}; "
-                             f"choose from {', '.join(FAMILY_TAGS)}")
         try:
             model = make_model(Family(args.model), **_parse_params(args.params))
         except (ValueError, TypeError) as exc:
             raise UsageError(f"bad --params: {exc}") from exc
         report = model_indices(model, r_values=r_values, tol=args.tol)
     else:
-        dataset = _open_dataset(args, file_config)
+        dataset = _open_dataset(args)
         report = empirical_indices(empirical_curve(dataset), r_values=r_values)
     _print_index_report(report)
     return 0
 
 
-def cmd_simulate(args, file_config):
-    if args.family not in _SIMULATE_FAMILIES:
-        raise UsageError(f"unknown family {args.family!r}; "
-                         f"choose from {', '.join(_SIMULATE_FAMILIES)}")
+def cmd_simulate(args):
     given = {
         "theta": args.theta,
         "sigma": args.sigma,
         "alpha": args.alpha,
         "beta": args.beta,
+        "scale": args.scale,
     }
     missing = [name for name in _REQUIRED_SIM_PARAMS[args.family]
                if given[name] is None]
@@ -296,24 +243,20 @@ def cmd_simulate(args, file_config):
         raise UsageError(f"family {args.family!r} requires "
                          f"{' '.join('--' + name for name in missing)}")
     kwargs = {name: value for name, value in given.items() if value is not None}
-    if args.scale is not None:
-        kwargs["scale"] = args.scale
     try:
         dataset = sample_synthetic(args.family, n=args.n, seed=args.seed, **kwargs)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
     text = "\n".join(str(count) for count in dataset.counts_desc) + "\n"
-    if args.out == "-":
-        sys.stdout.write(text)
-    else:
-        Path(args.out).write_text(text, encoding="utf-8")
+    _write_bytes(args.out, text.encode("utf-8"))
     return 0
 
 
-def cmd_export_plot(args, file_config):
-    resolution = _pick(args.resolution, file_config, "resolution", 257)
-    config = CliConfig(fit=FitConfig(), resolution=resolution)
-    dataset = _open_dataset(args, file_config)
+def cmd_export_plot(args):
+    resolution = 257 if args.resolution is None else args.resolution
+    if resolution < 2:
+        raise UsageError(f"resolution must be at least 2, got {resolution}")
+    dataset = _open_dataset(args)
     curve = empirical_curve(dataset)
     models = []
     if args.models_from is not None:
@@ -323,7 +266,7 @@ def cmd_export_plot(args, file_config):
             raise DataError(f"cannot read {args.models_from}: {exc}") from exc
         report = parse_report(blob)
         models = [result.model for result, _ in report.per_model]
-    blob = export_plot_data(curve, models, config.resolution)
+    blob = export_plot_data(curve, models, resolution)
     _write_bytes(args.out, blob)
     return 0
 
@@ -336,7 +279,7 @@ class _Parser(argparse.ArgumentParser):
 
 def _add_input_arguments(parser):
     parser.add_argument("input", help="dataset path, or - for stdin")
-    parser.add_argument("--format", choices=("lines", "csv"), default=None,
+    parser.add_argument("--format", choices=_FORMATS, default=None,
                         help="input format (default lines)")
     parser.add_argument("--column", default=None,
                         help="column name for csv input")
@@ -346,14 +289,14 @@ def _add_fit_arguments(parser):
     parser.add_argument("--max-iterations", dest="max_iterations", type=int)
     parser.add_argument("--gradient-tolerance", dest="gradient_tolerance", type=float)
     parser.add_argument("--step-tolerance", dest="step_tolerance", type=float)
-    parser.add_argument("--multistart", dest="multistart", type=int,
+    parser.add_argument("--multistart", dest="multistart_count", type=int,
                         help="most starts per fit (default 16); a fit stops once "
                              "3 of at least 4 starts agree on the best minimum: "
                              "SSE within 1e-10 relative, end point within 1e-6")
     parser.add_argument("--seed", dest="seed", type=int)
     parser.add_argument("--variance-divisor", dest="variance_divisor",
                         choices=("n", "n_minus_p"))
-    parser.add_argument("--caic-count-variance", dest="caic_count_variance",
+    parser.add_argument("--caic-count-variance", dest="caic_counts_variance",
                         action="store_const", const=True, default=None,
                         help="count the residual variance as a parameter in CAIC")
 
@@ -364,7 +307,8 @@ def build_parser():
                                  "Leimkuhler curves.")
     parser.add_argument("--config", default=None,
                         help=f"config file path (default ${ENV_CONFIG})")
-    commands = parser.add_subparsers(dest="command", parser_class=_Parser)
+    commands = parser.add_subparsers(dest="subcommand", required=True,
+                                     parser_class=_Parser)
 
     stats = commands.add_parser("stats", help="descriptive statistics")
     _add_input_arguments(stats)
@@ -374,15 +318,14 @@ def build_parser():
 
     fit_cmd = commands.add_parser("fit", help="fit curve families and rank them")
     _add_input_arguments(fit_cmd)
-    fit_cmd.add_argument("--model", default=None,
-                         help=f"one of {', '.join(FAMILY_TAGS)}")
-    fit_cmd.add_argument("--all", action="store_true",
-                         help="fit every family")
+    which = fit_cmd.add_mutually_exclusive_group(required=True)
+    which.add_argument("--model", choices=FAMILY_TAGS, help="fit this family")
+    which.add_argument("--all", action="store_true", help="fit every family")
     fit_cmd.add_argument("--json", default=None,
                          help="write the JSON report to this path (- for stdout)")
     fit_cmd.add_argument("--table", action="store_true",
                          help="print the text table even when --json is given")
-    fit_cmd.add_argument("--r", default=None,
+    fit_cmd.add_argument("--r", dest="r_values", type=_parse_r_list,
                          help="comma-separated generalized-Gini orders")
     _add_fit_arguments(fit_cmd)
     fit_cmd.set_defaults(handler=cmd_fit)
@@ -390,21 +333,20 @@ def build_parser():
     indices = commands.add_parser("indices", help="concentration indices")
     indices.add_argument("input", nargs="?", default=None,
                          help="dataset path, or - for stdin")
-    indices.add_argument("--format", choices=("lines", "csv"), default=None)
+    indices.add_argument("--format", choices=_FORMATS, default=None)
     indices.add_argument("--column", default=None)
-    indices.add_argument("--model", default=None,
+    indices.add_argument("--model", choices=FAMILY_TAGS,
                          help="parametric family instead of a dataset")
     indices.add_argument("--params", default=None,
                          help="comma-separated name=value pairs")
-    indices.add_argument("--r", default=None,
+    indices.add_argument("--r", dest="r_values", type=_parse_r_list,
                          help="comma-separated generalized-Gini orders")
     indices.add_argument("--tol", type=float, default=1e-10,
                          help="numeric tolerance for model indices")
     indices.set_defaults(handler=cmd_indices)
 
     simulate = commands.add_parser("simulate", help="generate a synthetic dataset")
-    simulate.add_argument("--family", required=True,
-                          help=f"one of {', '.join(_SIMULATE_FAMILIES)}")
+    simulate.add_argument("--family", required=True, choices=tuple(_REQUIRED_SIM_PARAMS))
     simulate.add_argument("--n", type=int, required=True)
     simulate.add_argument("--seed", type=int, default=0)
     simulate.add_argument("--out", required=True,
@@ -431,12 +373,12 @@ def main(argv=None):
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        if getattr(args, "handler", None) is None:
-            raise UsageError("a subcommand is required "
-                             "(stats, fit, indices, simulate, export-plot)")
         config_path = args.config or os.environ.get(ENV_CONFIG)
         file_config = _load_config_file(config_path) if config_path else {}
-        return args.handler(args, file_config)
+        for key, value in file_config.items():
+            if key in vars(args) and getattr(args, key) is None:
+                setattr(args, key, value)
+        return args.handler(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1

@@ -40,7 +40,7 @@ p(1 + log n) - 2 log l; lower is preferred.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -89,7 +89,8 @@ class FitConfig:
     3 of them end within 1e-10 relative of the best SSE so far and
     within 1e-6 of the best end point (see fit).  With more than one
     start, a mixture adds 1 to 5 starts at the fits of the families it
-    nests, and these all run before the multistart may stop.
+    nests, and these all run before the multistart may stop.  Those
+    nested fits run with this same config.
     """
 
     max_iterations: int = 200
@@ -344,11 +345,10 @@ def _point_mass(family, theta):
 
 def _nested_starts(family, curve, config):
     """Starts at the fits of the families nested in family."""
-    sub = replace(config, multistart_count=min(config.multistart_count, 6))
     starts = []
     for nested in _NESTED[family]:
         try:
-            params = fit(curve, nested, sub).model.param_values()
+            params = fit(curve, nested, config).model.param_values()
         except (ValueError, RuntimeError, ConvergenceError, OverflowError):
             continue
         if nested is Family.PARETO:

@@ -270,14 +270,6 @@ def parse_report(data):
     )
 
 
-def _format_metric(value, spec):
-    if math.isinf(value):
-        return "inf" if value > 0 else "-inf"
-    if math.isnan(value):
-        return "nan"
-    return format(value, spec)
-
-
 def render_table(report):
     """Fixed-width text table of the ranked fits.
 
@@ -338,12 +330,12 @@ def render_table(report):
     lines.append("-" * total_width)
     for (result, indices), cells, errs in zip(ordered, est_rows, err_rows):
         metrics = (
-            _format_metric(result.mse, ".3e"),
-            _format_metric(result.max_abs, ".3e"),
-            _format_metric(result.mae, ".3e"),
-            _format_metric(result.caic, ".2f"),
-            _format_metric(indices.gini, ".4f"),
-            _format_metric(indices.pietra, ".4f"),
+            format(result.mse, ".3e"),
+            format(result.max_abs, ".3e"),
+            format(result.mae, ".3e"),
+            format(result.caic, ".2f"),
+            format(indices.gini, ".4f"),
+            format(indices.pietra, ".4f"),
         )
         lines.append(format_row(result.model.family.value, cells, metrics))
         lines.append(format_row("", errs, ("",) * len(metric_headers)))

@@ -165,6 +165,10 @@ class TestFit:
     def test_model_flag_required(self, counts_file):
         assert main(["fit", counts_file]) == 1
 
+    def test_zero_multistart_usage_error(self, counts_file, capsys):
+        assert main(["fit", counts_file, "--model", "power", "--multistart", "0"]) == 1
+        assert "start counts" in capsys.readouterr().err
+
     def test_exit_3_when_no_fit_converges(self, tmp_path, capsys):
         path = str(tmp_path / "mixture.txt")
         assert main(["simulate", "--family", "pg", "--n", "400", "--seed", "5",
@@ -276,6 +280,17 @@ class TestSimulate:
         lines = capsys.readouterr().out.splitlines()
         assert len(lines) == 6
         assert all(line.isdigit() for line in lines)
+
+    def test_scale_changes_counts(self, capsys):
+        flags = ["simulate", "--family", "power", "--n", "20", "--seed", "4",
+                 "--theta", "2", "--out", "-"]
+        outputs = []
+        for extra in ([], ["--scale", "1000"], ["--scale", "10"]):
+            assert main(flags + extra) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
+        assert outputs[2] != outputs[0]
+        assert sum(map(int, outputs[2].split())) < sum(map(int, outputs[0].split()))
 
 
 class TestExportPlot:
@@ -419,6 +434,29 @@ class TestConfigFile:
         assert main(["--config", conf, "stats", counts_file]) == 1
         assert "key=value" in capsys.readouterr().err
 
+    def test_bad_format_rejected_when_read(self, counts_file, tmp_path, capsys):
+        conf = self.write_config(tmp_path, "seed=3\nformat=xml\n")
+        for argv in (["stats", counts_file],
+                     ["simulate", "--family", "power", "--n", "5", "--theta", "2",
+                      "--out", str(tmp_path / "sim.txt")]):
+            assert main(["--config", conf] + argv) == 1
+            err = capsys.readouterr().err
+            assert f"{conf}:2" in err
+            assert "xml" in err
+
+    def test_resolution_from_config(self, counts_file, tmp_path, capsys):
+        conf = self.write_config(tmp_path, "resolution=3\n")
+        assert main(["--config", conf, "export-plot", counts_file]) == 0
+        assert len(capsys.readouterr().out.splitlines()) == 4
+        conf = self.write_config(tmp_path, "resolution=1\n")
+        assert main(["--config", conf, "export-plot", counts_file]) == 1
+        assert "resolution" in capsys.readouterr().err
+
+    def test_zero_multistart_count_rejected(self, counts_file, tmp_path, capsys):
+        conf = self.write_config(tmp_path, "multistart_count=0\n")
+        assert main(["--config", conf, "fit", counts_file, "--model", "power"]) == 1
+        assert "start counts" in capsys.readouterr().err
+
 
 class TestParser:
     def test_no_subcommand(self, capsys):
@@ -430,6 +468,14 @@ class TestParser:
 
     def test_unknown_subcommand(self):
         assert main(["frobnicate"]) == 1
+
+    @pytest.mark.parametrize("subcommand",
+                             ["stats", "fit", "indices", "simulate", "export-plot"])
+    def test_subcommand_help_exits_0(self, subcommand, capsys):
+        with pytest.raises(SystemExit) as done:
+            main([subcommand, "--help"])
+        assert done.value.code == 0
+        assert capsys.readouterr().out.startswith(f"usage: leimkuhler {subcommand}")
 
 
 def test_import_leaves_scipy_integrate_unloaded():

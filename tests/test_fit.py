@@ -326,6 +326,19 @@ class TestNestedLimits:
         assert result.nested_limit is None
         assert result.converged and result.std_errors is not None
 
+    def test_nested_fits_take_the_callers_config(self, monkeypatch):
+        config = FitConfig(multistart_count=8, seed=3)
+        nested = []
+
+        def recording_fit(curve, family, config=FitConfig()):
+            nested.append((Family(family), config))
+            return fit(curve, family, config)
+
+        monkeypatch.setattr(fit_module, "fit", recording_fit)
+        fit(empirical_curve(CitationDataset((7, 3, 2, 1))), "gpg", config)
+        assert sorted(family.value for family, _ in nested) == ["gp", "pg", "power"]
+        assert all(seen == config for _, seen in nested)
+
 
 EARLY_STOP_SETS = {
     "bundled": lambda: ingest(BUNDLED),
