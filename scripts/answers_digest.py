@@ -19,9 +19,14 @@ it is.  Run from the repository root:
 
     PYTHONPATH=src python3 scripts/answers_digest.py
 
+With --lines it prints the answer lines themselves, one per line, in
+place of the digest, so that the outputs of two checkouts can be
+compared with diff to name the answers that moved.
+
 It takes about as long as fitting all eight families twice.
 """
 
+import argparse
 import hashlib
 import sys
 from pathlib import Path
@@ -87,6 +92,13 @@ def answer_lines():
 
 
 def main():
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--lines", action="store_true",
+                        help="print each answer line instead of the digest")
+    if parser.parse_args().lines:
+        for line in answer_lines():
+            print(line, flush=True)
+        return
     digest = hashlib.sha256()
     for line in answer_lines():
         digest.update(line.encode("ascii") + b"\n")

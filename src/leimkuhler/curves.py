@@ -205,56 +205,172 @@ def pagb(alpha, beta, shift):
 # evaluation
 
 
-def _psi_gamma(logub, alpha, beta):
-    # (beta / (beta - log(1-u)))**alpha, stable via log1p
-    return np.exp(-alpha * np.log1p(-logub / beta))
+_NO_ENDS = np.empty(0, dtype=np.intp)
 
 
-def _psi_invgauss(logub, alpha, beta):
+class _Points:
+    """Points u in [0, 1], checked once, as the kernels take them.
+
+    The kernels see the points inside (0, 1), as u, with log u and
+    log(1 - u) computed when first used.  At the others, the ends, K is
+    0 and 1 whatever the parameters: k_ends holds those values.  A
+    caller that evaluates many curves on one set of points, as a fit
+    does, builds this once.  Sorted points, as a polygon's, keep those
+    inside in one slice of the input, a view; others are gathered.
+    """
+
+    __slots__ = ("size", "u", "inside", "ends", "k_ends", "_log_u", "_log1m_u")
+
+    def __init__(self, u):
+        arr = np.asarray(u, dtype=float).ravel()
+        self.size = arr.size
+        self.inside, self.ends, self.k_ends = slice(None), _NO_ENDS, _NO_ENDS
+        if arr.size:
+            lo, hi = arr.min(), arr.max()
+            # NaN fails both comparisons
+            if not (lo >= 0.0 and hi <= 1.0):
+                raise ValueError("u must lie in [0, 1]")
+            if not (lo > 0.0 and hi < 1.0):
+                inside = (arr > 0.0) & (arr < 1.0)
+                self.ends = np.flatnonzero(~inside)
+                at = np.flatnonzero(inside)
+                if at.size and at[-1] - at[0] + 1 == at.size:
+                    inside = slice(at[0], at[-1] + 1)
+                self.inside = inside
+                # K(1) = 1 and K(0) = 0, for u = -0.0 as well
+                self.k_ends = (arr[self.ends] == 1.0).astype(float)
+        self.u = arr[self.inside]
+        self._log_u = self._log1m_u = None
+
+    @property
+    def log_u(self):
+        if self._log_u is None:
+            self._log_u = np.log(self.u)
+        return self._log_u
+
+    @property
+    def log1m_u(self):
+        if self._log1m_u is None:
+            self._log1m_u = np.log1p(-self.u)
+        return self._log1m_u
+
+    def join(self, inner, at_ends):
+        """Values at every point from those inside and those at the ends."""
+        if not self.ends.size:
+            return inner
+        out = np.empty(self.size)
+        out[self.inside] = inner
+        out[self.ends] = at_ends
+        return out
+
+
+def _psi_gamma(logub, alpha, beta, grad=False):
+    # (beta / (beta - log(1-u)))**alpha, stable via log1p; with grad also
+    # the derivatives of its log
+    q = np.log1p(-logub / beta)
+    mix = np.exp(-alpha * q)
+    return (mix, -q, (alpha / beta) * logub / (logub - beta)) if grad else mix
+
+
+def _psi_invgauss(logub, alpha, beta, grad=False):
     # (beta/alpha) * (1 - sqrt(1 - 2 alpha^2 log(1-u) / beta)),
     # written through m = -2 alpha^2 log(1-u)/beta >= 0 to avoid the
-    # sqrt(1+m)-1 cancellation at small m
+    # sqrt(1+m)-1 cancellation at small m; with grad also its derivatives
+    # psi/(alpha s) and (psi/beta) m/(2 s (1+s)), s = sqrt(1+m), those of
+    # the log of the mixed term exp(psi)
     m = -2.0 * alpha * alpha * logub / beta
-    return -(beta / alpha) * m / (1.0 + np.sqrt(1.0 + m))
+    s = np.sqrt(1.0 + m)
+    psi = -(beta / alpha) * m / (1.0 + s)
+    if not grad:
+        return psi
+    return psi, psi / (alpha * s), (psi / beta) * m / (2.0 * s * (1.0 + s))
 
 
-def _eval_power(u, p):
-    return -np.expm1((1.0 + p.theta) * np.log1p(-u))
+# Each kernel returns K, a new array, at the points inside (0, 1) of a
+# _Points, and with grad also the tuple of its derivatives with respect
+# to the family's parameters in PARAM_NAMES order; pagb's are with
+# respect to m = beta/(alpha+beta), lam = 1/(alpha+beta) and the shift,
+# the coordinates it is fitted in.
 
 
-def _eval_gp(u, p):
-    return 1.0 + np.expm1(p.kappa * np.log(u)) * np.exp(p.theta * np.log1p(-u))
+def _eval_power(points, p, grad=False):
+    logub = points.log1m_u
+    k = -np.expm1((1.0 + p.theta) * logub)
+    if not grad:
+        return k
+    d_theta = k - 1.0
+    d_theta *= logub  # in place: a fit may hold 10^6 points
+    return k, (d_theta,)
 
 
-def _eval_pareto(u, p):
-    return np.exp((1.0 - p.theta) * np.log(u))
+def _eval_gp(points, p, grad=False):
+    logu, logub = points.log_u, points.log1m_u
+    a = np.expm1(p.kappa * logu)
+    b = np.exp(p.theta * logub)
+    k = 1.0 + a * b
+    return (k, (a * b * logub, logu * (1.0 + a) * b)) if grad else k
 
 
-def _eval_pg(u, p):
-    logub = np.log1p(-u)
-    return -np.expm1(logub - p.alpha * np.log1p(-logub / p.beta))
+def _eval_pareto(points, p, grad=False):
+    logu = points.log_u
+    k = np.exp((1.0 - p.theta) * logu)
+    return (k, (-logu * k,)) if grad else k
 
 
-def _eval_pig(u, p):
-    logub = np.log1p(-u)
-    return -np.expm1(logub + _psi_invgauss(logub, p.alpha, p.beta))
+def _eval_pg(points, p, grad=False):
+    logub = points.log1m_u
+    k = -np.expm1(logub - p.alpha * np.log1p(-logub / p.beta))
+    if not grad:
+        return k
+    _, d_alpha, d_beta = _psi_gamma(logub, p.alpha, p.beta, grad)
+    # K - 1 is minus (1 - u) times the mixed term, dK per unit of its log
+    k_mix = k - 1.0
+    return k, (k_mix * d_alpha, k_mix * d_beta)
 
 
-def _eval_gpg(u, p):
-    logub = np.log1p(-u)
-    return 1.0 + np.expm1(p.kappa * np.log(u)) * _psi_gamma(logub, p.alpha, p.beta)
+def _eval_pig(points, p, grad=False):
+    logub = points.log1m_u
+    if not grad:
+        return -np.expm1(logub + _psi_invgauss(logub, p.alpha, p.beta))
+    psi, d_alpha, d_beta = _psi_invgauss(logub, p.alpha, p.beta, grad)
+    k = -np.expm1(logub + psi)
+    k_mix = k - 1.0
+    return k, (k_mix * d_alpha, k_mix * d_beta)
 
 
-def _eval_gpig(u, p):
-    logub = np.log1p(-u)
-    return 1.0 + np.expm1(p.kappa * np.log(u)) * np.exp(_psi_invgauss(logub, p.alpha, p.beta))
+def _eval_gpg(points, p, grad=False):
+    logu, logub = points.log_u, points.log1m_u
+    a = np.expm1(p.kappa * logu)
+    if not grad:
+        return 1.0 + a * _psi_gamma(logub, p.alpha, p.beta)
+    mix, d_alpha, d_beta = _psi_gamma(logub, p.alpha, p.beta, grad)
+    k_mix = a * mix  # K - 1, as for pg
+    return 1.0 + k_mix, (logu * (1.0 + a) * mix, k_mix * d_alpha, k_mix * d_beta)
 
 
-def _eval_pagb(u, p):
+def _eval_gpig(points, p, grad=False):
+    logu, logub = points.log_u, points.log1m_u
+    a = np.expm1(p.kappa * logu)
+    if not grad:
+        return 1.0 + a * np.exp(_psi_invgauss(logub, p.alpha, p.beta))
+    psi, d_alpha, d_beta = _psi_invgauss(logub, p.alpha, p.beta, grad)
+    mix = np.exp(psi)
+    k_mix = a * mix
+    return 1.0 + k_mix, (logu * (1.0 + a) * mix, k_mix * d_alpha, k_mix * d_beta)
+
+
+def _eval_pagb(points, p, grad=False):
     # numerator and denominator 1F1(beta; alpha+beta; .) in one series call
-    z = np.append(p.shift + np.log(u), p.shift)
-    values, _ = specfun._kummer_series(p.beta, p.alpha + p.beta, z)
-    return (values[:-1] / values[-1]).reshape(u.shape)
+    z = np.append(p.shift + points.log_u, p.shift)
+    if not grad:
+        values, _ = specfun._kummer_series(p.beta, p.alpha + p.beta, z)
+        return values[:-1] / values[-1]
+    values, _, deriv = specfun._kummer_series(p.beta, p.alpha + p.beta, z, grad)
+    k = values[:-1] / values[-1]
+    # rows dF/dz - m F, dF/dm and dF/dlam: z moves one for one with the
+    # shift, and the m F parts cancel from the ratio's derivative
+    d_k = deriv[:, :-1] / values[-1] - np.outer(deriv[:, -1] / values[-1], k)
+    return k, (d_k[1], d_k[2], d_k[0])
 
 
 _EVAL = {
@@ -269,48 +385,44 @@ _EVAL = {
 }
 
 
-def evaluate(model, u):
+def evaluate(model, u, grad=False):
     """Evaluate K(u) for a curve model.
 
     Parameters
     ----------
     model : CurveModel
-    u : float or array_like
-        Points in [0, 1].
+    u : float, array_like or _Points
+        Points in [0, 1].  A _Points checks them, and computes their
+        logs, once for many calls.
+    grad : bool
+        Also give the derivatives of K with respect to the family's
+        parameters, in PARAM_NAMES order; pagb's are with respect to
+        m = beta/(alpha+beta), lam = 1/(alpha+beta) and the shift.
 
     Returns
     -------
     float or ndarray
-        K(u), with K(0) = 0 and K(1) = 1 exactly.
+        K(u), with K(0) = 0 and K(1) = 1 exactly.  With grad, the tuple
+        of K and its derivative columns, 1-d arrays at the points inside
+        (0, 1) alone, in their order: at 0 and 1 K is fixed.
 
     Notes
     -----
-    The family's formula runs on the whole array.  When u holds an
-    endpoint, the endpoints are first replaced by a copy of one interior
-    point and afterwards given their value of K, 0 or 1.  A repeated
-    point changes no other value: the formulas are elementwise, and
-    pagb's series stops at the same term.
+    The family's formula runs on the points inside (0, 1); the ends
+    are then given their value of K, 0 or 1.  The formulas are
+    elementwise, and pagb's series stops at the same term for any set
+    of points with the same values.
     """
-    arr = np.asarray(u, dtype=float)
-    scalar = arr.ndim == 0
-    arr = np.atleast_1d(arr)
-    if arr.size == 0:
-        return arr.copy()
-    lo, hi = arr.min(), arr.max()
-    # NaN fails both comparisons
-    if not (lo >= 0.0 and hi <= 1.0):
-        raise ValueError("u must lie in [0, 1]")
+    points = u if isinstance(u, _Points) else _Points(u)
     kernel = _EVAL[model.family]
-    if lo > 0.0 and hi < 1.0:
-        out = kernel(arr, model.params)
-    else:
-        interior = (arr > 0.0) & (arr < 1.0)
-        # K(1) = 1 and K(0) = 0, for u = -0.0 as well
-        out = (arr == 1.0).astype(float)
-        if interior.any():
-            filled = np.where(interior, arr, arr.flat[interior.argmax()])
-            out = np.where(interior, kernel(filled, model.params), out)
-    return float(out[0]) if scalar else out
+    if grad:
+        return kernel(points, model.params, grad=True)
+    inner = kernel(points, model.params) if points.u.size else np.empty(0)
+    out = points.join(inner, points.k_ends)
+    if u is points:
+        return out
+    shape = np.shape(u)
+    return float(out[0]) if shape == () else out.reshape(shape)
 
 
 # ---------------------------------------------------------------------------

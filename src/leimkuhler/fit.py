@@ -3,12 +3,16 @@
 The objective is the sum of squared vertical gaps between the
 empirical polygon vertices (i/n, s_i/s_n), i = 1..n, and the
 parametric curve.  Each start runs scipy's trust-region reflective
-method (Branch, Coleman & Li 1999) inside the parameter box, with a
-forward-difference Jacobian: scale parameters (theta, alpha, beta) are
-fitted on a log scale, the Pareto theta and kappa as raw values
-between their bounds, and trf scales every coordinate by its Jacobian
-column.  pagb is searched in m = beta/(alpha+beta) in (0, 1),
-lam = 1/(alpha+beta) in [1e-14, 100] and the raw shift in [-200, 100].
+method (Branch, Coleman & Li 1999) inside the parameter box, with the
+analytic Jacobian (Moré 1978 on supplying J): curves.evaluate with
+grad gives K and its derivatives from one pass over the points.  Scale
+parameters (theta, alpha, beta) are fitted on a log scale, the Pareto
+theta and kappa as raw values between their bounds, and trf scales
+every coordinate by its Jacobian column.  pagb is searched in
+m = beta/(alpha+beta) in (0, 1), lam = 1/(alpha+beta) in [1e-14, 100]
+and the raw shift in [-200, 100].  The residual points are checked,
+and their logs computed, once per fit; at u = 1 (and u = 0) K is
+fixed, so those residuals stay out of the search.
 Each fit is restarted from a deterministic seeded Latin-hypercube of
 initial points plus a method-of-moments start; the best final
 objective wins.  The starts run in turn and stop early once one
@@ -17,10 +21,12 @@ the nested starts below have all run, and 3 end on the best one's
 minimum: within 1e-10 relative of its SSE and within 1e-6 of its end
 point in every search coordinate, or at a nested limit with it.  So
 FitConfig.multistart_count is an upper bound on the sampled starts.
-One Gauss-Newton step on a central-difference Jacobian in alpha, beta
-and the other parameters, with the coordinates that end within 1e-2 of
-a bound put on that bound, finishes the search if it does not raise
-the SSE.
+One Gauss-Newton step on the same Jacobian in alpha, beta and the
+other parameters, with the coordinates that end within 1e-2 of a bound
+put on that bound, finishes the search unless it raises the SSE by
+more than the rounding of the curve values accounts for.  Near the
+optimum two SSEs differ by less than their rounding, so the change is
+summed term by term, as sum (r' - r)(r' + r).
 
 The mixtures nest simpler families in the limit where the mixing law
 collapses to a point mass: pagb nests pareto as lam -> 0, pg and pig
@@ -44,9 +50,8 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.optimize import least_squares
 
-from .curves import PARAM_NAMES, CurveModel, Family, ParamVector, evaluate
+from .curves import PARAM_NAMES, CurveModel, Family, ParamVector, _Points, evaluate
 from .indices import _polygon_gini
 from .specfun import ConvergenceError
 
@@ -72,17 +77,25 @@ class FitConfig:
 
     max_iterations sets the evaluation budget of each start: the
     trust-region method may try max_iterations * (p + 1) points for p
-    parameters (scipy's max_nfev, which leaves out the residual
-    evaluations spent on its forward-difference Jacobians).
-    step_tolerance is its xtol: a start stops when a step is shorter
-    than step_tolerance times the norm of the fitted coordinates.
+    parameters (scipy's max_nfev).  Each residual evaluation also gives
+    the analytic Jacobian there, so the budget counts residual
+    evaluations only.  step_tolerance is its xtol: a start stops when a
+    step is shorter than step_tolerance times the norm of the fitted
+    coordinates.
 
     gradient_tolerance is the convergence verification threshold: a
     result is flagged converged only when the infinity norm of the
-    gradient J^T r at the optimum, from a central-difference Jacobian in
+    gradient J^T r at the optimum, from the analytic Jacobian in
     parameter coordinates, is at or below it.  The iteration itself
     runs to numerical exhaustion, so tightening this value never
-    changes the estimate, only the flag.
+    changes the estimate, only the flag.  The threshold is absolute,
+    while J^T r is a sum over the points, and trf judges its steps by
+    the SSE, which near the optimum moves by less than its own rounding.
+    On the benchmark's million-point power fit trf stops where |J^T r|
+    is 4e-6 to 7e-6 (the BLAS's summation order decides which).  Only
+    the finishing Gauss-Newton step, which lowers the SSE by about
+    1e-14, less than one unit in its last place near 412, brings it
+    under 1e-6.
 
     multistart_count is an upper bound on the number of starts: the
     multistart stops once at least 4 starts have produced residuals and
@@ -126,10 +139,12 @@ class FitResult:
     sits on a parameter-box boundary or at a nested limit.  converged
     is False when the gradient criterion was not met or the optimum
     sits on a parameter-box boundary or at a nested limit.
-    objective_history records the SSE of the start point and of each
-    accepted step of the winning start and never increases; iterations
-    counts the accepted steps, the final Gauss-Newton step included
-    when it lowers the SSE.
+    sse is the SSE of model.  objective_history records the SSE of the
+    start point and of each accepted step of the winning start, ends at
+    sse and never increases; iterations counts its steps.  The final
+    Gauss-Newton step counts when it lowers the SSE.  When it raises the
+    SSE by no more than rounding (see fit), it is taken, and the steps
+    whose SSE it does not reach leave the history.
 
     nested_limit is derived from the fitted parameters alone: the
     family a mixture has reduced to (pareto for pagb, power for pg and
@@ -265,38 +280,67 @@ def _inside(family, raw):
                for b, v in zip(_search_bounds(family), _search_values(family, raw)))
 
 
-def _residuals(family, raw, u, k_emp):
+class _Grid:
+    """The residual points u of one fit, checked and split once by
+    curves._Points, and the empirical K at those inside (0, 1).
+
+    Every start and the finish share the points' logs.  At u = 0 and
+    u = 1, K is fixed: those residuals are constant, their Jacobian rows
+    are 0, and they stay out of the least-squares problem.
+    """
+
+    def __init__(self, u, k_emp):
+        self.points = _Points(u)
+        self.k = k_emp[self.points.inside]
+        self.r_ends = self.points.k_ends - k_emp[self.points.ends]
+        self.sse_ends = float(self.r_ends @ self.r_ends)
+
+    def sse(self, r):
+        """SSE of all residuals, from those inside."""
+        return float(r @ r) + self.sse_ends
+
+    def all_residuals(self, r):
+        return self.points.join(r, self.r_ends)
+
+
+def _residuals(family, raw, points, k_emp):
+    """Residuals of the model at raw against k_emp on points, with the
+    derivative columns of K there (see curves.evaluate), or None when
+    the evaluation fails or either is not finite."""
     model = _make_model(family, raw)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         try:
-            k = evaluate(model, u)
+            r, dk = evaluate(model, points, grad=True)
         except (ConvergenceError, OverflowError, ArithmeticError):
             return None
-    return k - k_emp if np.all(np.isfinite(k)) else None
+    r -= k_emp  # K, a new array
+    if not (np.isfinite(r).all() and all(np.isfinite(d).all() for d in dk)):
+        return None
+    return r, dk
 
 
-def _fd_jacobian(resid, x, r0, lo, hi, central=True):
-    """Finite-difference Jacobian of resid at x, where r0 = resid(x).
+def _jacobian(family, raw, dk, search):
+    """Residual Jacobian at raw from the derivative columns dk of
+    evaluate: in search coordinates if search, else in the parameters.
 
-    Central differences (forward ones if not central), one-sided in a
-    coordinate where a step would leave [lo, hi].  None when any
-    residual evaluation fails.
+    A search coordinate is its value, or the log of it; pagb's curve is
+    differentiated in its search values (m, lam, shift), which map onto
+    alpha and beta by the chain rule without cancelling at small lam.
+    In search coordinates a single column of dk is scaled in place and
+    returned as a view, as a fit may hold 10^6 points: dk then serves
+    this Jacobian alone.
     """
-    J = np.empty((r0.size, x.size))
-    for j in range(x.size):
-        h = math.sqrt(_EPS) * (1.0 + abs(x[j]))
-        up_ok = x[j] + h <= hi[j]
-        two_sided = central and up_ok and x[j] - h >= lo[j]
-        step = h if up_ok else -h
-        up, down = x.copy(), x.copy()
-        up[j] += step
-        down[j] -= h
-        r_up = resid(up)
-        r_down = resid(down) if two_sided else r0
-        if r_up is None or r_down is None:
-            return None
-        J[:, j] = (r_up - r_down) / (2.0 * h if two_sided else step)
-    return J
+    values = _search_values(family, raw)
+    if search:
+        J = np.array(dk).T if len(dk) > 1 else dk[0][:, np.newaxis]
+        J *= [v if b.log else 1.0 for v, b in zip(values, _search_bounds(family))]
+        return J
+    if family is Family.PAGB:
+        m, lam, _ = values
+        d_m, d_lam, d_shift = dk
+        # m = beta lam and lam = 1/(alpha + beta)
+        dk = (-lam * (m * d_m + lam * d_lam), lam * ((1.0 - m) * d_m - lam * d_lam), d_shift)
+    return np.array(dk).T
 
 
 def _heuristic_start(family, gini_emp):
@@ -397,17 +441,18 @@ def _starts_agree(family, outcomes):
 
 
 class _StartFailed(Exception):
-    """Residuals failed at the start point or while differencing."""
+    """Residuals failed at the start point."""
 
 
-def _run_start(family, raw0, u, k_emp, config):
+def _run_start(family, raw0, grid, config):
     """Bounded trust-region reflective least squares from raw0.
 
     Returns (raw, history), history being the SSE of the start point and
     of each accepted step, or None when the start point has no residuals.
-    A failed residual at a trial point rejects the step; one while
-    differencing ends the run at its last accepted iterate.
+    A failed residual at a trial point rejects the step.
     """
+    from scipy.optimize import least_squares  # scipy.optimize loads on the first fit
+
     bounds = _search_bounds(family)
     lo, hi, is_log = np.array(bounds).T
     raw_lo, raw_hi, _ = np.array(_BOUNDS[family]).T
@@ -424,28 +469,24 @@ def _run_start(family, raw0, u, k_emp, config):
 
     t_lo, t_hi = to_t(lo), to_t(hi)
     accepted = []  # (t, sse) of the start point and of each accepted step
-    last = [None, None]  # t and residuals (None if failed) of the latest call
+    last = [None, None]  # t and _residuals (None if failed) of the latest call
 
     def resid(t):
-        r = _residuals(family, raw_of(t), u, k_emp)
-        last[:] = t.copy(), r
-        if r is None and not accepted:
+        last[:] = t.copy(), _residuals(family, raw_of(t), grid.points, grid.k)
+        if last[1] is None and not accepted:
             raise _StartFailed
         # a non-finite trial makes trf reject the step and shrink its radius
-        return np.full(u.size, np.nan) if r is None else r
+        return np.full(grid.k.size, np.nan) if last[1] is None else last[1][0]
 
     def jac(t):
         # trf calls this at the start point and at each accepted step,
         # right after evaluating the residuals there
-        t_last, r = last
-        if r is None or not np.array_equal(t, t_last):
+        t_last, got = last
+        if got is None or not np.array_equal(t, t_last):
             raise _StartFailed  # not reached while trf keeps that order
-        accepted.append((t.copy(), float(r @ r)))
-        J = _fd_jacobian(lambda x: _residuals(family, raw_of(x), u, k_emp),
-                         t, r, t_lo, t_hi, central=False)
-        if J is None:
-            raise _StartFailed
-        return J
+        r, dk = got
+        accepted.append((t.copy(), grid.sse(r)))
+        return _jacobian(family, raw_of(t), dk, search=True)
 
     t0 = np.clip(to_t(_search_values(family, np.clip(raw0, raw_lo, raw_hi))), t_lo, t_hi)
     try:
@@ -453,8 +494,7 @@ def _run_start(family, raw0, u, k_emp, config):
                       xtol=config.step_tolerance, ftol=1e-15, gtol=1e-15,
                       max_nfev=config.max_iterations * (t0.size + 1))
     except _StartFailed:
-        if not accepted:
-            return None
+        return None
     return raw_of(accepted[-1][0]), tuple(sse for _, sse in accepted)
 
 
@@ -464,10 +504,11 @@ def _gap(bound, value, edge):
 
 
 def _finishing_step(family, raw, J, r):
-    """Gauss-Newton step on the central-difference Jacobian J at raw, with
-    coordinates within 1e-2 of a bound held on it.  trf differences forward,
-    which biases its gradient by more than the SSE, flat to rounding near
-    the optimum, can show, and it nears an active bound only geometrically."""
+    """Gauss-Newton step on the Jacobian J at raw, in parameter
+    coordinates, with coordinates within 1e-2 of a bound held on it.
+    trf judges its steps by the SSE, which near the optimum changes by
+    less than its rounding, and it nears an active bound only
+    geometrically."""
     target, fixed = raw.copy(), np.zeros(raw.size, dtype=bool)
     for j, b in enumerate(_BOUNDS[family]):
         for edge in (b.lo, b.hi):
@@ -586,6 +627,7 @@ def fit(curve, family, config=FitConfig()):
     if u.size < p + 1:
         raise ValueError(f"need at least {p + 1} residual points to fit "
                          f"{family.value!r}, got {u.size}")
+    grid = _Grid(u, k_emp)
 
     gini_emp = min(max(_polygon_gini(u_all, k_all), 1e-6), 1.0 - 1e-6)
     starts = _multistart_points(family, gini_emp, config)
@@ -595,7 +637,7 @@ def fit(curve, family, config=FitConfig()):
         starts[1:1] = nested
     outcomes = []  # (raw, history) of each start that produced residuals
     for i, start in enumerate(starts):
-        outcome = _run_start(family, start, u, k_emp, config)
+        outcome = _run_start(family, start, grid, config)
         if outcome is None:
             continue
         outcomes.append(outcome)
@@ -607,33 +649,34 @@ def fit(curve, family, config=FitConfig()):
         raise RuntimeError(f"all fit starts failed for family {family.value!r}")
 
     raw, history = min(outcomes, key=lambda outcome: outcome[1][-1])
-    zeros = np.zeros(u.size)
-    lo, hi, _ = np.array(_BOUNDS[family]).T
-    for finishing in (True, False):
-        sse = history[-1]
-        model = _make_model(family, raw)
-        k_fit = evaluate(model, u)
-        r = k_fit - k_emp
-        if _nested_limit(model) is not None:
-            # no finishing step, and no standard errors or gradient to flag
-            J = None
-            break
-        # one central-difference Jacobian in parameter coordinates, one-sided
-        # at a box edge, gives the standard errors and the convergence flag
-        J = _fd_jacobian(lambda x: _residuals(family, tuple(map(float, x)), u, zeros),
-                         np.array(raw), k_fit, lo, hi)
-        if J is None or not finishing:
-            break
+    sse = history[-1]
+    r, dk = _residuals(family, raw, grid.points, grid.k)
+    if _nested_limit(_make_model(family, raw)) is None:
+        # one Gauss-Newton step, with the coordinates near a bound put on
+        # it, finishes the search unless it raises the SSE.  Near the
+        # optimum the change is below the rounding of the SSE itself, so
+        # it is summed term by term; with each curve value (at most 1)
+        # within 2 eps, the computed r' - r is within 4 eps, so a rise
+        # below 4 eps sum |r' + r| is within rounding and is no rise
+        lo, hi, _ = np.array(_BOUNDS[family]).T
+        J = _jacobian(family, raw, dk, search=False)
         trial = tuple(map(float, np.clip(_finishing_step(family, np.array(raw), J, r), lo, hi)))
-        r_trial = _residuals(family, trial, u, k_emp)
-        if r_trial is None or float(r_trial @ r_trial) > sse:
-            break
-        raw = trial
-        if float(r_trial @ r_trial) < sse:
-            history += (float(r_trial @ r_trial),)
+        got = _residuals(family, trial, grid.points, grid.k)
+        if got is not None:
+            change = float((got[0] - r) @ (got[0] + r))
+            if change <= 4.0 * _EPS * float(np.abs(got[0] + r).sum()):
+                raw, (r, dk) = trial, got
+                sse = grid.sse(r)
+                # the history ends at sse and never increases: a rise within
+                # rounding drops the steps it undoes
+                history = tuple(h for h in history if h > sse) + (sse,)
+    model = _make_model(family, raw)
+    # no standard errors or gradient to flag at a nested limit; elsewhere
+    # one Jacobian in parameter coordinates gives both
+    J = None if _nested_limit(model) is not None else _jacobian(family, raw, dk, search=False)
     gradient_ok = sse <= _SSE_FLOOR or (
         J is not None and bool(np.max(np.abs(J.T @ r)) <= config.gradient_tolerance))
-    metrics = _metrics(r)
+    metrics = _metrics(grid.all_residuals(r))
     inside = _inside(family, raw) and _nested_limit(model) is None
     # at a box edge or a nested limit the optimum is constrained and the
     # linearized covariance describes no sampling spread

@@ -299,7 +299,7 @@ _RESCALE = 400.0
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def _kummer_series(a, b, z):
+def _kummer_series(a, b, z, grad=False):
     """Elementwise 1F1(a; b; z_i) for b > 0, with the Kummer transform
     1F1(a; b; z) = exp(z) * 1F1(b - a; b; -z) applied where z < 0.
 
@@ -324,40 +324,115 @@ def _kummer_series(a, b, z):
     than warning, except for the transformed class (z below about
     -709), which is summed again in scaled form by
     _kummer_scaled_transform.
+
+    With grad, which needs a > 0 and b - a > 0, a third array holds in
+    its rows, for each value F, dF/dz - m F and the derivatives of F with
+    respect to m = a/b and to lam = 1/b at fixed m, the coordinates in
+    which pagb is fitted.  They are summed along the same terms (see
+    _TermSums); the values do not change.
     """
     z = np.asarray(z, dtype=float)
     value = np.empty_like(z)
     err = np.empty_like(z)
+    deriv = np.empty((3, z.size)) if grad else None
     neg = z < 0
     for mask, sa, sign in ((~neg, a, 1.0), (neg, b - a, -1.0)):
         if not mask.any():
             continue
         x = sign * z[mask]
-        total, term, total_abs, n = _taylor_sum(sa, b, x)
+        total, term, total_abs, n, dsum = _taylor_sum(sa, b, x, grad)
         if not np.isfinite(total).all():
             if sign > 0:
                 raise OverflowError("1F1 series overflowed")
-            value[mask], err[mask] = _kummer_scaled_transform(sa, b, x)
-            continue
-        series_err = np.abs(term) + (n * _EPS) * total_abs
-        if sign > 0:
-            value[mask], err[mask] = total, series_err
+            # the value and the derivative sums both come scaled by exp(-x)
+            value[mask], err[mask], *scaled = _kummer_scaled_transform(sa, b, x, grad)
+            dsum = scaled[0] if grad else None
         else:
-            scale = np.exp(-x)
-            value[mask] = scale * total
-            err[mask] = scale * series_err + _EPS * np.abs(value[mask])
-    return value, err
+            series_err = np.abs(term) + (n * _EPS) * total_abs
+            if sign > 0:
+                value[mask], err[mask] = total, series_err
+            else:
+                scale = np.exp(-x)
+                value[mask] = scale * total
+                err[mask] = scale * series_err + _EPS * np.abs(value[mask])
+                dsum = scale * dsum if grad else None
+        if grad:
+            # exp(-x) S(x) with x = -z has slope m F - exp(-x) (S' - (1 - m) S)
+            # in z, its series in the mean 1 - m
+            deriv[:, mask] = dsum if sign > 0 else dsum * [[-1.0], [-1.0], [1.0]]
+    return (value, err, deriv) if grad else (value, err)
 
 
-def _taylor_sum(sa, b, x):
+class _TermSums:
+    """Derivative sums of the 1F1(sa; b; x) series, sa > 0.
+
+    Term t_j of the series is t_(j-1) (sa + j - 1) / ((b + j - 1) j) x,
+    and the three sums are over t_j times scalars that depend on j alone:
+
+        C_j = j (1 - mu) lam / (1 + j lam), summing to S' - mu S, the
+              slope in x beyond mu times the sum S,
+        A_j = sum_(i<j) 1/(mu + i lam), the derivative of log t_j with
+              respect to mu = sa/b,
+        B_j = sum_(i<j) i (1 - mu) / ((mu + i lam)(1 + i lam)), that with
+              respect to lam = 1/b at fixed mu.
+
+    C_j is t_j's share of (sa/b) (1F1(sa+1; b+1; x) - 1F1(sa; b; x)),
+    which is S' - mu S.  No sum cancels, however small lam is: in sa and
+    b the derivatives cancel as lam -> 0, and S' and mu S agree to about
+    lam.  The terms are kept in a block of rows, and each full block is
+    summed into the three sums with one matrix product.
+    """
+
+    def __init__(self, sa, b, size):
+        self.sa, self.b = sa, b
+        self.j = 0  # terms t_1 .. t_j are summed, A_(j+1) - b/(sa+j) and B_j kept
+        self.a_j = self.b_j = 0.0
+        # a block of at most 16 terms and 8 MB
+        self.rows = np.empty((max(1, min(16, (1 << 20) // size)), size))
+        self.filled = 0
+        self.sums = np.zeros((3, size))
+
+    def add(self, term):
+        """Take the next term, t_(j+1) after t_j (t_0 = 1 adds nothing)."""
+        self.rows[self.filled] = term
+        self.filled += 1
+        if self.filled == len(self.rows):
+            self.flush()
+
+    def flush(self):
+        if not self.filled:
+            return
+        sa, b = self.sa, self.b
+        i = np.arange(self.j, self.j + self.filled, dtype=float)
+        a = self.a_j + np.cumsum(b / (sa + i))
+        c = self.b_j + np.cumsum(i * (b - sa) * b / ((sa + i) * (b + i)))
+        slope = (i + 1.0) * (b - sa) / (b * (b + i + 1.0))
+        self.sums += np.array((slope, a, c)) @ self.rows[:self.filled]
+        self.j += self.filled
+        self.a_j, self.b_j = a[-1], c[-1]
+        self.filled = 0
+
+    def scale(self, mask, factor):
+        self.flush()
+        self.sums[:, mask] *= factor
+
+    def derivatives(self):
+        """Rows S' - mu S, dS/dmu and dS/dlam of the series sum S."""
+        self.flush()
+        return self.sums
+
+
+def _taylor_sum(sa, b, x, grad=False):
     """Taylor series of 1F1(sa; b; x_i), x_i >= 0, stopped by the witness
     rule of _kummer_series.  Returns (sums, last terms, sums of term
-    magnitudes, terms summed)."""
+    magnitudes, terms summed, derivatives); the last are the rows of
+    _TermSums.derivatives with grad, else None."""
     term = np.ones_like(x)
     total = np.ones_like(x)
     signed = sa < 0
     # without negative terms the sum is its own magnitude sum
     total_abs = total.copy() if signed else total
+    sums = _TermSums(sa, b, x.size) if grad else None
     k, w = 0, int(np.argmax(x))
     while True:
         stop = _witness_stop(sa, b, float(x[w]), float(term[w]), float(total[w]), k)
@@ -367,10 +442,12 @@ def _taylor_sum(sa, b, x):
             total += term
             if signed:
                 total_abs += np.abs(term)
+            if grad:
+                sums.add(term)
         k = stop + 1
         running = np.abs(term) > 1e-17 * np.abs(total)
         if not running.any():
-            return total, term, total_abs, k
+            return total, term, total_abs, k, sums.derivatives() if grad else None
         w = int(np.flatnonzero(running)[np.argmax(x[running])])
 
 
@@ -385,7 +462,7 @@ def _witness_stop(sa, b, x, term, total, k):
     raise ConvergenceError("1F1 series did not converge")
 
 
-def _kummer_scaled_transform(sa, b, x):
+def _kummer_scaled_transform(sa, b, x, grad=False):
     """exp(-x) * 1F1(sa; b; x) for large x, where the sum alone
     overflows.
 
@@ -393,30 +470,37 @@ def _kummer_scaled_transform(sa, b, x):
     and the current term are multiplied by exp(-_RESCALE) whenever the
     sum passes exp(_RESCALE), and each element counts its rescalings m.
     The result is the scaled sum times exp(m * _RESCALE - x), whose
-    exponent is exact in floating point.
+    exponent is exact in floating point.  With grad, the derivative sums
+    of _TermSums are rescaled with the terms and returned third.
     """
     shrink = math.exp(-_RESCALE)
     term = np.ones_like(x)
     total = np.ones_like(x)
     total_abs = np.ones_like(x)
     rescales = np.zeros_like(x)
+    sums = _TermSums(sa, b, x.size) if grad else None
     for k in range(_MAX_ITER):
         term = term * ((sa + k) / ((b + k) * (k + 1.0))) * x
         total = total + term
         total_abs = total_abs + np.abs(term)
+        if grad:
+            sums.add(term)
         big = total_abs > math.exp(_RESCALE)
         if big.any():
             term[big] *= shrink
             total[big] *= shrink
             total_abs[big] *= shrink
             rescales[big] += 1.0
+            if grad:
+                sums.scale(big, shrink)
         if k > 2 and not (np.abs(term) > 1e-17 * np.abs(total)).any():
             break
     else:
         raise ConvergenceError("1F1 series did not converge")
     scale = np.exp(rescales * _RESCALE - x)
     value = scale * total
-    return value, scale * (np.abs(term) + ((k + 1) * _EPS) * total_abs) + _EPS * np.abs(value)
+    err = scale * (np.abs(term) + ((k + 1) * _EPS) * total_abs) + _EPS * np.abs(value)
+    return (value, err, scale * sums.derivatives()) if grad else (value, err)
 
 
 def kummer_1f1(a, b, z):

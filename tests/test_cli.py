@@ -478,14 +478,32 @@ class TestParser:
         assert capsys.readouterr().out.startswith(f"usage: leimkuhler {subcommand}")
 
 
-def test_import_leaves_scipy_integrate_unloaded():
-    # scipy.integrate serves only the numeric test oracles, which import
-    # it when called; the package and the command must not pay for it
+def fresh_python(code):
+    """Run code in a new interpreter that imports the package from src."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, (src, os.environ.get("PYTHONPATH")))))
-    code = ("import sys, leimkuhler, leimkuhler.cli; "
-            "assert 'scipy.integrate' not in sys.modules, 'scipy.integrate imported'")
-    done = subprocess.run([sys.executable, "-c", code], env=env,
+    return subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True)
+
+
+def test_import_leaves_scipy_integrate_unloaded():
+    # scipy.integrate serves only the numeric test oracles, which import
+    # it when called, and scipy.optimize only fit; the package and the
+    # command must not pay for them on import
+    done = fresh_python(
+        "import sys, leimkuhler, leimkuhler.cli; "
+        "assert 'scipy.integrate' not in sys.modules, 'scipy.integrate imported'; "
+        "assert 'scipy.optimize' not in sys.modules, 'scipy.optimize imported'")
     assert done.returncode == 0, done.stderr
+
+
+def test_fit_command_in_a_fresh_process(counts_file):
+    # scipy.optimize loads on the first fit
+    done = fresh_python(
+        "import sys; from leimkuhler.cli import main; "
+        f"code = main(['fit', {counts_file!r}, '--model', 'power', '--multistart', '2']); "
+        "assert 'scipy.optimize' in sys.modules, 'scipy.optimize not imported'; "
+        "sys.exit(code)")
+    assert done.returncode == 0, done.stderr
+    assert "power" in done.stdout

@@ -125,7 +125,7 @@ def masked_evaluate(model, u):
     out[arr == 0.0] = 0.0
     out[arr == 1.0] = 1.0
     if interior.any():
-        out[interior] = curves._EVAL[model.family](arr[interior], model.params)
+        out[interior] = curves._EVAL[model.family](curves._Points(arr[interior]), model.params)
     return out
 
 
@@ -397,13 +397,13 @@ class TestValidateCurve:
 
     def test_detects_convexity(self, monkeypatch):
         # a convex shape must be flagged by the second-difference check
-        monkeypatch.setitem(curves._EVAL, Family.POWER, lambda u, p: u**3)
+        monkeypatch.setitem(curves._EVAL, Family.POWER, lambda points, p: points.u**3)
         report = validate_curve(power(1.0))
         assert not report.is_valid
         assert any(v.prop == "concave" for v in report.violations)
 
     def test_detects_decrease(self, monkeypatch):
-        monkeypatch.setitem(curves._EVAL, Family.POWER, lambda u, p: np.sin(6.0 * u))
+        monkeypatch.setitem(curves._EVAL, Family.POWER, lambda points, p: np.sin(6.0 * points.u))
         report = validate_curve(power(1.0))
         assert any(v.prop == "monotone" for v in report.violations)
 
