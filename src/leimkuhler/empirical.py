@@ -225,7 +225,7 @@ def ingest(source, format="lines", column=None, label=None):
     counts = _read_lines(stream) if format == "lines" else _read_csv(stream, column)
     if not counts:
         raise DataError("no counts found in input")
-    return CitationDataset(tuple(sorted(counts, reverse=True)), label=label or "")
+    return CitationDataset(counts, label=label or "")
 
 
 def empirical_curve(dataset):
@@ -351,4 +351,4 @@ def sample_synthetic(family, n, seed, theta=None, sigma=1.0, alpha=None, beta=No
     counts = _round_half_up(scale * draws)
     if label is None:
         label = f"synthetic-{family.value}-n{n}-seed{seed}"
-    return CitationDataset(tuple(sorted(counts.tolist(), reverse=True)), label=label)
+    return CitationDataset(counts.tolist(), label=label)

@@ -1,22 +1,21 @@
 """Concentration indices over Leimkuhler curves.
 
-Three indices are provided.  The Gini index is twice the area between
-the curve and the diagonal, 2*integral(K) - 1.  The generalized Gini
-weights the area toward the most-cited sources,
-r(r+1)*integral((1-u)**(r-1) K(u)) - 1, and reduces to the Gini at
-r = 1.  The Pietra index is the maximum vertical distance max(K(u)-u).
+Three indices are provided.  The generalized Gini weights the area
+between the curve and the diagonal toward the most-cited sources,
+G_r = r(r+1)*integral((1-u)**(r-1) K(u)) - 1; the Gini index, twice
+the area, 2*integral(K) - 1, is its r = 1 member and is computed as
+G_1.  The Pietra index is the maximum vertical distance max(K(u)-u).
 
-All three share one dispatch: closed forms are used where the curve
-family admits them (method tag "closed_form"); other families, and
-closed forms that fail numerically at extreme parameters, take the
-numeric route, and the tag names the route actually taken.  The
+Each index has one route per method: a table of closed forms keyed by
+curve family (method tag "closed_form"), and one numeric route for the
+families the table lacks and for closed forms that fail numerically at
+extreme parameters; the tag names the route actually taken.  The
 numeric routes evaluate the curve on arrays, one `evaluate` call per
-round: the two Gini indices integrate by the tanh-sinh (double
-exponential) rule of Takahasi and Mori, and the Pietra index refines a
-grid bracket around the maximum of K(u) - u.  The mixture families
-also support an independent route that averages the base family's
-Gini over the mixing density with scipy's adaptive quadrature, used
-as a cross-check oracle.
+round: G_r integrates by the tanh-sinh (double exponential) rule of
+Takahasi and Mori, and the Pietra index refines a grid bracket around
+the maximum of K(u) - u.  The mixture families also support an
+independent route that averages the base family's Gini over the mixing
+density with scipy's adaptive quadrature, used as a cross-check oracle.
 """
 
 from __future__ import annotations
@@ -28,7 +27,13 @@ from typing import NamedTuple
 import numpy as np
 
 from . import specfun
-from .curves import Family, evaluate
+from .curves import (
+    Family,
+    evaluate,
+    gamma_mixing_density,
+    inverse_gaussian_mixing_density,
+    tilted_beta_mixing_density,
+)
 from .specfun import ConvergenceError
 
 __all__ = [
@@ -70,7 +75,10 @@ class IndexReport:
 
     generalized_gini is a tuple of (r, value) pairs.  Construction
     checks the defining invariants: gini and pietra lie in [0, 1] and
-    any r = 1 entry agrees with gini to 1e-9.
+    any r = 1 entry agrees with gini to 1e-9.  model_indices takes the
+    Gini from its r = 1 entry, so there the check holds by construction;
+    it is the check on empirical reports and on reports parsed back
+    from JSON.
     """
 
     gini: float
@@ -104,29 +112,47 @@ def _range_check(value, lo, hi, tol, what):
     return min(max(value, lo), hi)
 
 
-def _dispatch(model, method, numeric_tag, closed_families, closed, numeric):
+def _dispatch(model, method, numeric_tag, closed_forms, numeric, *args):
     """Run the route that `method` selects and return (result, tag).
 
-    "auto" takes the closed form for `closed_families` and the numeric
-    route otherwise; a closed form that fails numerically (ArithmeticError
-    or ConvergenceError) falls back to the numeric route under "auto"
-    and raises when the closed form was requested explicitly.
+    The closed form is closed_forms[model.family](model.params, *args),
+    and the numeric route is numeric(), which takes no arguments.
+    "auto" takes the closed form when the family has one and the
+    numeric route otherwise; a closed form that fails numerically
+    (ArithmeticError or ConvergenceError) falls back to the numeric
+    route under "auto" and raises when the closed form was requested
+    explicitly, as does a request for a closed form the family lacks.
     """
     if method not in ("auto", CLOSED_FORM, numeric_tag):
         raise ValueError(f"unknown method {method!r}")
-    if method == CLOSED_FORM or (method == "auto" and model.family in closed_families):
+    closed = closed_forms.get(model.family)
+    if method == CLOSED_FORM and closed is None:
+        raise ValueError(f"family {model.family.value!r} has no closed-form index")
+    if closed is not None and method != numeric_tag:
         try:
-            return closed(), CLOSED_FORM
+            return closed(model.params, *args), CLOSED_FORM
         except (ArithmeticError, ConvergenceError):
             if method == CLOSED_FORM:
                 raise
     return numeric(), numeric_tag
 
 
-def _gp_gini_closed(theta, kappa):
+def _gp_generalized_gini(theta, kappa, r):
+    # r (theta - 1)/(r + theta) + r (r + 1) B(kappa + 1, r + theta), since
+    # 1 - K = (1 - u**kappa)(1 - u)**theta; at kappa = 1 it is power's
     lg = specfun.log_gamma
-    term = 2.0 * math.exp(lg(kappa + 1.0) + lg(theta + 1.0) - lg(theta + kappa + 2.0))
-    return term + (theta - 1.0) / (theta + 1.0)
+    term = r * (r + 1.0) * math.exp(
+        lg(kappa + 1.0) + lg(theta + r) - lg(theta + kappa + (r + 1.0)))
+    return term + r * (theta - 1.0) / (theta + r)
+
+
+def _pareto_generalized_gini(p, r):
+    # the Gini theta/(2 - theta) is kept exact: through log-gammas it is
+    # a few ulps off, and far off relative to it at theta near 0
+    if r == 1.0:
+        return p.theta / (2.0 - p.theta)
+    lg = specfun.log_gamma
+    return math.exp(lg(2.0 + r) + lg(2.0 - p.theta) - lg(2.0 + r - p.theta)) - 1.0
 
 
 def _pg_scaled_gamma(alpha, x):
@@ -137,27 +163,20 @@ def _pg_scaled_gamma(alpha, x):
     return alpha * math.exp(alpha * math.log(x) + x + math.log(g.value))
 
 
-_GINI_CLOSED_FAMILIES = (Family.POWER, Family.GP, Family.PARETO, Family.PG)
-
-
-def _gini_closed(model):
-    p = model.params
-    if model.family is Family.POWER:
-        return p.theta / (2.0 + p.theta)
-    if model.family is Family.GP:
-        return _gp_gini_closed(p.theta, p.kappa)
-    if model.family is Family.PARETO:
-        return p.theta / (2.0 - p.theta)
-    if model.family is Family.PG:
-        return _pg_scaled_gamma(p.alpha, 2.0 * p.beta)
-    raise ValueError(f"no closed-form Gini for family {model.family.value!r}")
+# G_r in closed form, (params, r) -> value
+_GENERALIZED_GINI_CLOSED = {
+    Family.POWER: lambda p, r: r * p.theta / (1.0 + r + p.theta),
+    Family.GP: lambda p, r: _gp_generalized_gini(p.theta, p.kappa, r),
+    Family.PARETO: _pareto_generalized_gini,
+    Family.PG: lambda p, r: r * _pg_scaled_gamma(p.alpha, (1.0 + r) * p.beta),
+}
 
 
 # tanh-sinh nodes on (0, 1): t runs over [-_DE_T, _DE_T] and
 # u = 1 / (1 + exp(-pi sinh t)).  The smallest node, about 6e-38, puts
 # pagb's 1F1 argument shift + log u only 86 below its shift: for the
-# fit's shifts (down to -200) far above -709, where the Kummer series
-# sum overflows and has to be summed again in scaled form.
+# fit's shifts (down to -200) far above -708.4, below which the Kummer
+# series is summed in scaled form.
 _DE_T = 4.0
 _DE_MIN_LEVELS = 3
 _DE_MAX_LEVEL = 8
@@ -201,60 +220,6 @@ def _de_integrate(f, tol):
     return value, err
 
 
-def _gini_quadrature(model, tol):
-    value, err = _de_integrate(lambda u, c: evaluate(model, u), tol / 2.0)
-    if not 2.0 * err <= tol:
-        raise ConvergenceError(
-            f"gini quadrature error estimate {2 * err:.3e} exceeds tol {tol:.3e}",
-            2.0 * value - 1.0, 2.0 * err)
-    return 2.0 * value - 1.0
-
-
-def gini(model, tol=1e-10, method="auto"):
-    """Gini index of a parametric curve.
-
-    Parameters
-    ----------
-    model : CurveModel
-    tol : float
-        Absolute error budget for the quadrature route, which is the
-        tanh-sinh rule refined until two successive levels differ by
-        less than tol; ConvergenceError if they never do.
-    method : {"auto", "closed_form", "quadrature"}
-        "auto" uses the closed form when the family has one (power,
-        gp, pareto, pg) and quadrature otherwise.  When the closed
-        form fails numerically at extreme parameters (the pg kernel
-        underflows for very large alpha*beta), "auto" falls back to
-        quadrature and tags the result accordingly; requesting
-        "closed_form" explicitly raises instead.
-
-    Returns
-    -------
-    IndexValue
-        (value, method) with value in [0, 1].
-    """
-    _check_tol(tol)
-    value, tag = _dispatch(model, method, QUADRATURE, _GINI_CLOSED_FAMILIES,
-                           lambda: _gini_closed(model),
-                           lambda: _gini_quadrature(model, tol))
-    return IndexValue(_range_check(value, 0.0, 1.0, tol, "gini"), tag)
-
-
-_GEN_GINI_CLOSED_FAMILIES = (Family.POWER, Family.PARETO, Family.PG)
-
-
-def _generalized_gini_closed(model, r):
-    p = model.params
-    if model.family is Family.POWER:
-        return r * p.theta / (1.0 + r + p.theta)
-    if model.family is Family.PARETO:
-        lg = specfun.log_gamma
-        return math.exp(lg(2.0 + r) + lg(2.0 - p.theta) - lg(2.0 + r - p.theta)) - 1.0
-    if model.family is Family.PG:
-        return r * _pg_scaled_gamma(p.alpha, (1.0 + r) * p.beta)
-    raise ValueError(f"no closed-form generalized Gini for family {model.family.value!r}")
-
-
 def _generalized_gini_quadrature(model, r, tol):
     # integral((1-u)**(r-1) K) = 1/r - integral((1-u)**(r-1) (1 - K)); the
     # second integrand is at most (1-u)**r, because a concave K lies above
@@ -282,23 +247,42 @@ def generalized_gini(model, r, tol=1e-10, method="auto"):
     tol : float
         Absolute error budget for the quadrature route: the tanh-sinh
         rule applied to the weighted gap (1-u)**(r-1) (1 - K(u)), which
-        stays bounded for every r > 0.
+        stays bounded for every r > 0, refined until two successive
+        levels differ by less than tol; ConvergenceError if they never
+        do.
     method : {"auto", "closed_form", "quadrature"}
-        "auto" uses the closed form for power, pareto and pg (falling
-        back to quadrature when it fails numerically) and quadrature
-        otherwise.
+        "auto" uses the closed form for power, gp, pareto and pg and
+        quadrature otherwise.  When the closed form fails numerically at
+        extreme parameters (the pg kernel underflows for very large
+        alpha*beta), "auto" falls back to quadrature and tags the result
+        accordingly; requesting "closed_form" explicitly raises instead.
 
     Returns
     -------
     IndexValue
+        (value, method) with value in [0, r].
     """
     _check_tol(tol)
     if not (r > 0) or not math.isfinite(r):
         raise ValueError(f"r must be positive and finite, got {r}")
-    value, tag = _dispatch(model, method, QUADRATURE, _GEN_GINI_CLOSED_FAMILIES,
-                           lambda: _generalized_gini_closed(model, r),
-                           lambda: _generalized_gini_quadrature(model, r, tol))
+    value, tag = _dispatch(model, method, QUADRATURE, _GENERALIZED_GINI_CLOSED,
+                           lambda: _generalized_gini_quadrature(model, r, tol), r)
     return IndexValue(_range_check(value, 0.0, r, tol, "generalized gini"), tag)
+
+
+def gini(model, tol=1e-10, method="auto"):
+    """Gini index of a parametric curve, 2*integral(K) - 1.
+
+    This is generalized_gini(model, 1.0, tol, method): the same closed
+    forms (power, gp, pareto, pg), the same quadrature and the same
+    fallback rules.
+
+    Returns
+    -------
+    IndexValue
+        (value, method) with value in [0, 1].
+    """
+    return generalized_gini(model, 1.0, tol, method)
 
 
 _GRID_POINTS = 65
@@ -318,18 +302,18 @@ def _grid_max(f, tol):
         lo, hi = float(u[max(best - 1, 0)]), float(u[min(best + 1, _GRID_POINTS - 1)])
 
 
-_PIETRA_CLOSED_FAMILIES = (Family.POWER, Family.PARETO)
+def _power_pietra(p):
+    complement = math.exp(-math.log1p(p.theta) / p.theta)
+    return p.theta * complement / (1.0 + p.theta), 1.0 - complement
 
 
-def _pietra_closed(model):
-    p = model.params
-    if model.family is Family.POWER:
-        complement = math.exp(-math.log1p(p.theta) / p.theta)
-        return p.theta * complement / (1.0 + p.theta), 1.0 - complement
-    if model.family is Family.PARETO:
-        argmax = math.exp(math.log1p(-p.theta) / p.theta)
-        return p.theta * argmax / (1.0 - p.theta), argmax
-    raise ValueError(f"no closed-form Pietra for family {model.family.value!r}")
+def _pareto_pietra(p):
+    argmax = math.exp(math.log1p(-p.theta) / p.theta)
+    return p.theta * argmax / (1.0 - p.theta), argmax
+
+
+# the Pietra index in closed form, params -> (value, argmax)
+_PIETRA_CLOSED = {Family.POWER: _power_pietra, Family.PARETO: _pareto_pietra}
 
 
 def pietra(model, tol=1e-10, method="auto"):
@@ -357,18 +341,28 @@ def pietra(model, tol=1e-10, method="auto"):
     """
     _check_tol(tol)
     (value, argmax), tag = _dispatch(
-        model, method, SEARCH, _PIETRA_CLOSED_FAMILIES,
-        lambda: _pietra_closed(model),
+        model, method, SEARCH, _PIETRA_CLOSED,
         lambda: _grid_max(lambda u: evaluate(model, u) - u, tol))
     return PietraValue(_range_check(value, 0.0, 1.0, tol, "pietra"), argmax, tag)
 
 
+def _power_gini(theta, kappa):
+    return theta / (2.0 + theta)
+
+
+def _gp_gini(theta, kappa):
+    return _gp_generalized_gini(theta, kappa, 1.0)
+
+
+# each mixture family's mixing density constructor, and the Gini of its
+# base family at the exponent theta that the density mixes (and, for gp,
+# the mixture's kappa)
 _MIXTURES = {
-    Family.PG: ("gamma", "power"),
-    Family.PIG: ("invgauss", "power"),
-    Family.GPG: ("gamma", "gp"),
-    Family.GPIG: ("invgauss", "gp"),
-    Family.PAGB: ("tilted_beta", "pareto"),
+    Family.PG: (gamma_mixing_density, _power_gini),
+    Family.PIG: (inverse_gaussian_mixing_density, _power_gini),
+    Family.GPG: (gamma_mixing_density, _gp_gini),
+    Family.GPIG: (inverse_gaussian_mixing_density, _gp_gini),
+    Family.PAGB: (tilted_beta_mixing_density, lambda theta, kappa: theta / (2.0 - theta)),
 }
 
 
@@ -378,8 +372,9 @@ def gini_via_mixture(model, tol=1e-8):
 
     Because the Gini functional is linear in the curve, the Gini of a
     mixture curve is the expectation of the base Gini over the mixing
-    density.  This route is independent of both the closed forms and
-    the direct curve quadrature, so it serves as a cross-check oracle.
+    density.  This route is independent of the mixture's own closed
+    form and of the direct curve quadrature, so it serves as a
+    cross-check oracle.
 
     Parameters
     ----------
@@ -397,36 +392,20 @@ def gini_via_mixture(model, tol=1e-8):
     _check_tol(tol)
     if model.family not in _MIXTURES:
         raise ValueError(f"family {model.family.value!r} is not a mixture family")
-    weight, base = _MIXTURES[model.family]
+    mixing_density, base_gini = _MIXTURES[model.family]
     p = model.params
 
-    if base == "power":
-        base_gini = lambda t: t / (2.0 + t)
-    elif base == "gp":
-        base_gini = lambda t: _gp_gini_closed(t, p.kappa)
-    else:
-        base_gini = lambda t: t / (2.0 - t)
-
-    if weight == "tilted_beta":
-        from .curves import tilted_beta_mixing_density
-
-        density = tilted_beta_mixing_density(p.alpha, p.beta, p.shift)
-        value, err = quad(lambda t: base_gini(t) * density(t), 0.0, 1.0,
+    if mixing_density is tilted_beta_mixing_density:
+        density = mixing_density(p.alpha, p.beta, p.shift)
+        value, err = quad(lambda t: base_gini(t, p.kappa) * density(t), 0.0, 1.0,
                           epsabs=tol / 2.0, epsrel=1e-12, limit=400)
     else:
-        if weight == "gamma":
-            from .curves import gamma_mixing_density
-
-            density = gamma_mixing_density(p.alpha, p.beta)
-        else:
-            from .curves import inverse_gaussian_mixing_density
-
-            density = inverse_gaussian_mixing_density(p.alpha, p.beta)
+        density = mixing_density(p.alpha, p.beta)
 
         # map (0, inf) to (0, 1) through theta = t/(1-t)
         def integrand(t):
             theta = t / (1.0 - t)
-            return base_gini(theta) * density(theta) / (1.0 - t) ** 2
+            return base_gini(theta, p.kappa) * density(theta) / (1.0 - t) ** 2
 
         value, err = quad(integrand, 0.0, 1.0, epsabs=tol / 2.0, epsrel=1e-12, limit=400)
 
@@ -437,9 +416,13 @@ def gini_via_mixture(model, tol=1e-8):
 
 
 def model_indices(model, r_values=DEFAULT_R_VALUES, tol=1e-10):
-    """Full index report for a parametric curve model."""
-    g = gini(model, tol=tol)
+    """Full index report for a parametric curve model.
+
+    The Gini is the r = 1 entry when 1.0 is among r_values, and is
+    computed as G_1 otherwise.
+    """
     gen = [(float(r), generalized_gini(model, float(r), tol=tol)) for r in r_values]
+    g = dict(gen).get(1.0) or gini(model, tol=tol)
     p = pietra(model, tol=tol)
     # closed_form only when every r took the closed form
     gen_tag = (CLOSED_FORM if all(v.method == CLOSED_FORM for _, v in gen) else QUADRATURE)

@@ -296,6 +296,11 @@ def regularized_incomplete_beta(a, b, x):
 
 # a scaled sum is multiplied by exp(-_RESCALE) whenever it passes exp(_RESCALE)
 _RESCALE = 400.0
+# exp(-x) is subnormal past x = 708.4, so a transformed sum scaled by it
+# there would lose digits, or all of them
+_SCALED_FROM = 708.4
+# signs that turn the derivative sums of exp(-x) S(x) into those in z = -x
+_FLIP = np.array([[-1.0], [-1.0], [1.0]])
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -321,9 +326,11 @@ def _kummer_series(a, b, z, grad=False):
     term and the rounding that accumulates over the n terms summed,
     n * eps times the sum of term magnitudes.  An overflowed sum passes
     the stop test (inf > inf is False) and raises OverflowError rather
-    than warning, except for the transformed class (z below about
-    -709), which is summed again in scaled form by
-    _kummer_scaled_transform.
+    than warning.  In the transformed class, an element whose x is past
+    _SCALED_FROM, where exp(-x) is subnormal, or whose sum overflows, is
+    summed in scaled form by _kummer_scaled_transform instead; only
+    those elements go there, so no element's value depends on the
+    others in the call.
 
     With grad, which needs a > 0 and b - a > 0, a third array holds in
     its rows, for each value F, dF/dz - m F and the derivatives of F with
@@ -336,30 +343,34 @@ def _kummer_series(a, b, z, grad=False):
     err = np.empty_like(z)
     deriv = np.empty((3, z.size)) if grad else None
     neg = z < 0
-    for mask, sa, sign in ((~neg, a, 1.0), (neg, b - a, -1.0)):
+    scaled = z < -_SCALED_FROM
+    for mask, sa, sign in ((~neg, a, 1.0), (neg & ~scaled, b - a, -1.0)):
         if not mask.any():
             continue
         x = sign * z[mask]
         total, term, total_abs, n, dsum = _taylor_sum(sa, b, x, grad)
-        if not np.isfinite(total).all():
-            if sign > 0:
-                raise OverflowError("1F1 series overflowed")
-            # the value and the derivative sums both come scaled by exp(-x)
-            value[mask], err[mask], *scaled = _kummer_scaled_transform(sa, b, x, grad)
-            dsum = scaled[0] if grad else None
+        finite = np.isfinite(total)
+        if sign > 0 and not finite.all():
+            raise OverflowError("1F1 series overflowed")
+        series_err = np.abs(term) + (n * _EPS) * total_abs
+        if sign > 0:
+            value[mask], err[mask] = total, series_err
         else:
-            series_err = np.abs(term) + (n * _EPS) * total_abs
-            if sign > 0:
-                value[mask], err[mask] = total, series_err
-            else:
-                scale = np.exp(-x)
-                value[mask] = scale * total
-                err[mask] = scale * series_err + _EPS * np.abs(value[mask])
-                dsum = scale * dsum if grad else None
+            scale = np.exp(-x)
+            value[mask] = scale * total
+            err[mask] = scale * series_err + _EPS * np.abs(value[mask])
+            dsum = scale * dsum if grad else None
+            scaled[np.flatnonzero(mask)[~finite]] = True
         if grad:
             # exp(-x) S(x) with x = -z has slope m F - exp(-x) (S' - (1 - m) S)
             # in z, its series in the mean 1 - m
-            deriv[:, mask] = dsum if sign > 0 else dsum * [[-1.0], [-1.0], [1.0]]
+            deriv[:, mask] = dsum if sign > 0 else dsum * _FLIP
+    if scaled.any():
+        # the value and the derivative sums both come scaled by exp(-x)
+        value[scaled], err[scaled], *rest = _kummer_scaled_transform(
+            b - a, b, -z[scaled], grad)
+        if grad:
+            deriv[:, scaled] = rest[0] * _FLIP
     return (value, err, deriv) if grad else (value, err)
 
 

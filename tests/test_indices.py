@@ -71,6 +71,12 @@ class TestGini:
     def test_power_limit_is_zero(self):
         assert gini(power(1e-12)).value == pytest.approx(0.0, abs=1e-12)
 
+    def test_pareto_is_exact(self):
+        # theta/(2 - theta) itself, not its log-gamma form, which is ulps
+        # off and far off relative to the value as theta -> 0
+        for theta in (1e-12, 1e-6, 0.5, 1.0 - 1e-9):
+            assert gini(pareto(theta)).value == theta / (2.0 - theta), theta
+
     def test_monotone_in_theta(self):
         thetas = [0.05 * k for k in range(1, 40)]
         power_vals = [gini(power(t)).value for t in thetas]
@@ -115,11 +121,20 @@ class TestGeneralizedGini:
             0.31894327180175264, abs=1e-12)
         assert generalized_gini(pg(0.701, 0.102), 2.0).value == pytest.approx(
             1.0445787587900756, abs=1e-12)
+        for r, expected in ((0.5, 0.33832361773538244), (2.0, 1.0409993141238642)):
+            got = generalized_gini(gp(2.5, 0.7), r)
+            assert got.method == CLOSED_FORM
+            assert got.value == pytest.approx(expected, abs=1e-9), r
+
+    def test_gp_reduces_to_power_at_unit_kappa(self):
+        for theta in (0.3, 2.5, 40.0):
+            for r in (0.05, 0.5, 1.0, 2.0, 3.7):
+                got = generalized_gini(gp(theta, 1.0), r).value
+                assert got == pytest.approx(generalized_gini(power(theta), r).value,
+                                            abs=1e-14), (theta, r)
 
     def test_quadrature_pins(self):
         pins = [
-            (gp(2.5, 0.7), 0.5, 0.33832361773538244),
-            (gp(2.5, 0.7), 2.0, 1.0409993141238642),
             (pig(9.305, 2.227), 0.5, 0.32638680694658379),
             (pig(9.305, 2.227), 2.0, 1.0520910850232776),
             (pagb(2.0, 3.0, -5.0), 0.5, 0.23918088313978883),
@@ -131,7 +146,7 @@ class TestGeneralizedGini:
 
     def test_closed_matches_quadrature(self):
         rng = random.Random(818)
-        for family in (Family.POWER, Family.PARETO, Family.PG):
+        for family in (Family.POWER, Family.PARETO, Family.PG, Family.GP):
             for _ in range(10):
                 model = draw_model(rng, family)
                 for r in (0.05, 0.5, 1.0, 2.0, 3.7):
@@ -317,6 +332,29 @@ class TestModelIndices:
         assert report.method_tags["gini"] == QUADRATURE
         assert report.method_tags["generalized_gini"] == QUADRATURE
         assert model_indices(pg(0.701, 0.102)).method_tags["generalized_gini"] == CLOSED_FORM
+
+    def test_gini_is_the_unit_r_entry(self, monkeypatch):
+        # one tanh-sinh quadrature per G_r, and none more for the Gini;
+        # gp takes the closed form for every index but the Pietra
+        calls = []
+
+        def counted(f, tol):
+            calls.append(tol)
+            return _de_integrate(f, tol)
+
+        monkeypatch.setattr(indices, "_de_integrate", counted)
+        report = model_indices(pig(9.305, 2.227), r_values=(0.5, 1.0, 2.0))
+        assert len(calls) == 3
+        assert report.gini == dict(report.generalized_gini)[1.0]
+        calls.clear()
+        report = model_indices(gp(2.5, 0.7), r_values=(0.5, 1.0, 2.0))
+        assert calls == []
+        assert report.method_tags["gini"] == report.method_tags["generalized_gini"] == CLOSED_FORM
+
+    def test_gini_without_unit_r(self):
+        report = model_indices(pig(9.305, 2.227), r_values=(0.5, 2.0))
+        assert report.gini == gini(pig(9.305, 2.227)).value
+        assert report.method_tags["gini"] == QUADRATURE
 
     def test_invariant_enforced(self):
         with pytest.raises(ValueError, match="disagrees"):

@@ -222,6 +222,25 @@ class TestKummer1F1:
                 assert res.method == "transform"
         assert specfun.kummer_1f1(1.0, 2.0, -800.0).value == pytest.approx(1.0 / 800.0, rel=1e-12)
 
+    def test_subnormal_scale_sums_in_scaled_form(self):
+        # below z = -708.4 exp(z) is subnormal, although the transformed
+        # sum 1F1(b - a; b; -z) may still be finite: scaling that sum by
+        # it read 0.0 at (60, 100, -800) and lost digits at -740
+        for a, b in ((60.0, 100.0), (7.3, 2.1), (0.2, 0.3)):
+            for z in (-720.0, -740.0, -800.0, -5000.0):
+                ref = mpmath.hyp1f1(a, b, z)
+                res = specfun.kummer_1f1(a, b, z)
+                assert abs(res.value - ref) <= 1e-12 * abs(ref), (a, b, z)
+
+    def test_element_values_do_not_depend_on_the_call(self):
+        # an element that needs the scaled sum takes no other element
+        # with it, so each value is the one it has alone
+        z = np.array([-3.0, -300.0, -700.0, -720.0, -800.0, 2.0])
+        for a, b in ((1.0, 2.0), (60.0, 100.0), (7.3, 2.1), (0.2, 0.3)):
+            together, _ = specfun._kummer_series(a, b, z)
+            alone = [specfun._kummer_series(a, b, z[i:i + 1])[0][0] for i in range(z.size)]
+            assert together.tolist() == alone, (a, b)
+
     def test_overflow_raises(self):
         # both values grow like e^800, past the double range
         for a, b, z in ((1.0, 2.0, 800.0), (-2.5, 1.0, 800.0)):
@@ -253,7 +272,8 @@ def per_term_series(a, b, z):
     value = np.empty_like(z)
     err = np.empty_like(z)
     neg = z < 0
-    for mask, sa, sign in ((~neg, a, 1.0), (neg, b - a, -1.0)):
+    scaled = z < -specfun._SCALED_FROM
+    for mask, sa, sign in ((~neg, a, 1.0), (neg & ~scaled, b - a, -1.0)):
         if not mask.any():
             continue
         x = sign * z[mask]
@@ -268,11 +288,9 @@ def per_term_series(a, b, z):
                 break
         else:
             raise specfun.ConvergenceError("1F1 series did not converge")
-        if not np.isfinite(total).all():
-            if sign > 0:
-                raise OverflowError("1F1 series overflowed")
-            value[mask], err[mask] = specfun._kummer_scaled_transform(sa, b, x)
-            continue
+        finite = np.isfinite(total)
+        if sign > 0 and not finite.all():
+            raise OverflowError("1F1 series overflowed")
         series_err = np.abs(term) + ((k + 1) * specfun._EPS) * total_abs
         if sign > 0:
             value[mask], err[mask] = total, series_err
@@ -280,6 +298,9 @@ def per_term_series(a, b, z):
             scale = np.exp(-x)
             value[mask] = scale * total
             err[mask] = scale * series_err + specfun._EPS * np.abs(value[mask])
+            scaled[np.flatnonzero(mask)[~finite]] = True
+    if scaled.any():
+        value[scaled], err[scaled] = specfun._kummer_scaled_transform(b - a, b, -z[scaled])
     return value, err
 
 
