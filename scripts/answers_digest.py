@@ -23,15 +23,27 @@ With --lines it prints the answer lines themselves, one per line, in
 place of the digest, so that the outputs of two checkouts can be
 compared with diff to name the answers that moved.
 
+The script sets OPENBLAS_NUM_THREADS, OMP_NUM_THREADS and
+MKL_NUM_THREADS to 1 before numpy loads.  A fit's last bits depend on
+the order in which the BLAS sums, and so on its thread count; with one
+thread, two people running the digest on the same checkout get the
+same result.
+
 It takes about as long as fitting all eight families twice.
 """
 
 import argparse
 import hashlib
+import os
 import sys
 from pathlib import Path
 
-import numpy as np
+# one BLAS thread, as the benchmark runs: the last bits of a fit depend on
+# the order in which the BLAS sums, and so on its thread count
+for _name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_name] = "1"
+
+import numpy as np  # noqa: E402
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT))

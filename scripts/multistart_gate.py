@@ -20,18 +20,28 @@ repository root:
 
     PYTHONPATH=src python3 scripts/multistart_gate.py [--draws N]
 
+It sets OPENBLAS_NUM_THREADS, OMP_NUM_THREADS and MKL_NUM_THREADS to 1
+before numpy loads, as a fit's last bits depend on the BLAS thread
+count, so its output does not depend on the machine's cores.
+
 It takes several minutes, most of it in the full runs.
 """
 
 import argparse
 import importlib
 import math
+import os
 import sys
 import time
 from pathlib import Path
 from unittest import mock
 
-import numpy as np
+# one BLAS thread, as the benchmark runs: the last bits of a fit depend on
+# the order in which the BLAS sums, and so on its thread count
+for _name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_name] = "1"
+
+import numpy as np  # noqa: E402
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT))

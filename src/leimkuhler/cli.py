@@ -87,7 +87,6 @@ def _parse_format(text):
 
 _CONFIG_PARSERS = {
     "max_iterations": int,
-    "gradient_tolerance": float,
     "step_tolerance": float,
     "multistart_count": int,
     "seed": int,
@@ -287,7 +286,6 @@ def _add_input_arguments(parser):
 
 def _add_fit_arguments(parser):
     parser.add_argument("--max-iterations", dest="max_iterations", type=int)
-    parser.add_argument("--gradient-tolerance", dest="gradient_tolerance", type=float)
     parser.add_argument("--step-tolerance", dest="step_tolerance", type=float)
     parser.add_argument("--multistart", dest="multistart_count", type=int,
                         help="most starts per fit (default 16); a fit stops once "

@@ -21,12 +21,23 @@ the nested starts below have all run, and 3 end on the best one's
 minimum: within 1e-10 relative of its SSE and within 1e-6 of its end
 point in every search coordinate, or at a nested limit with it.  So
 FitConfig.multistart_count is an upper bound on the sampled starts.
-One Gauss-Newton step on the same Jacobian in alpha, beta and the
-other parameters, with the coordinates that end within 1e-2 of a bound
-put on that bound, finishes the search unless it raises the SSE by
-more than the rounding of the curve values accounts for.  Near the
-optimum two SSEs differ by less than their rounding, so the change is
-summed term by term, as sum (r' - r)(r' + r).
+The answer is the end point of the start with the lowest SSE, as trf
+returned it.
+
+A fit is converged when it is exact, its SSE at most n (4 eps)^2 for n
+residuals (each within the rounding of a K of at most 1), or when the
+relative offset of Bates & Watts (1981) is at most 1e-3:
+RO = (|Q1^T r| / sqrt p) / (|r - Q1 Q1^T r| / sqrt(m - p)) over the m
+residuals inside (0, 1), where the p columns of Q1 span those of the
+Jacobian J.  RO compares the part of the residuals that a step could
+still remove with the part no step reaches, so it depends on neither
+the scale of the data nor the number of points.  It is large where the
+SSE would fall beyond an edge of the box, and where trf stops short of
+an optimum outside it with an SSE at rounding level (flat or
+single-spike data); a rank-deficient J, whose parameters are not
+identified, gives no RO and reads not converged unless the fit is
+exact.  Standard errors are given only for a converged fit whose J has
+full rank.
 
 The mixtures nest simpler families in the limit where the mixing law
 collapses to a point mass: pagb nests pareto as lam -> 0, pg and pig
@@ -36,7 +47,7 @@ these limits lie inside the box, and with more than one start the
 fits of the nested families seed further starts there.  A fit whose
 mixing law has a squared coefficient of variation of at most 1e-12
 sits at its nested limit: FitResult.nested_limit names that family,
-and, as at any box edge, converged is False and std_errors is None.
+converged is False and std_errors is None.
 
 Model comparison uses the consistent Akaike criterion computed from
 the Gaussian profile likelihood of the residuals, CAIC =
@@ -68,7 +79,7 @@ __all__ = [
 ]
 
 _EPS = float(np.finfo(float).eps)
-_SSE_FLOOR = 1e-30
+_RELATIVE_OFFSET_CUT = 1e-3  # Bates & Watts's suggested cut
 
 
 @dataclass(frozen=True)
@@ -83,20 +94,6 @@ class FitConfig:
     step is shorter than step_tolerance times the norm of the fitted
     coordinates.
 
-    gradient_tolerance is the convergence verification threshold: a
-    result is flagged converged only when the infinity norm of the
-    gradient J^T r at the optimum, from the analytic Jacobian in
-    parameter coordinates, is at or below it.  The iteration itself
-    runs to numerical exhaustion, so tightening this value never
-    changes the estimate, only the flag.  The threshold is absolute,
-    while J^T r is a sum over the points, and trf judges its steps by
-    the SSE, which near the optimum moves by less than its own rounding.
-    On the benchmark's million-point power fit trf stops where |J^T r|
-    is 4e-6 to 7e-6 (the BLAS's summation order decides which).  Only
-    the finishing Gauss-Newton step, which lowers the SSE by about
-    1e-14, less than one unit in its last place near 412, brings it
-    under 1e-6.
-
     multistart_count is an upper bound on the number of starts: the
     multistart stops once at least 4 starts have produced residuals and
     3 of them end within 1e-10 relative of the best SSE so far and
@@ -107,7 +104,6 @@ class FitConfig:
     """
 
     max_iterations: int = 200
-    gradient_tolerance: float = 1e-6
     step_tolerance: float = 1e-13
     multistart_count: int = 16
     seed: int = 0
@@ -117,8 +113,8 @@ class FitConfig:
     def __post_init__(self):
         if self.max_iterations < 1 or self.multistart_count < 1:
             raise ValueError("iteration and start counts must be at least 1")
-        if not (self.gradient_tolerance > 0) or not (self.step_tolerance > 0):
-            raise ValueError("tolerances must be positive")
+        if not (self.step_tolerance > 0):
+            raise ValueError("step_tolerance must be positive")
         if self.variance_divisor not in ("n", "n_minus_p"):
             raise ValueError(f"variance_divisor must be 'n' or 'n_minus_p', "
                              f"got {self.variance_divisor!r}")
@@ -135,16 +131,13 @@ class FitResult:
     """Outcome of one family fit.
 
     std_errors is a tuple of per-parameter standard errors, or None
-    when the Jacobian at the optimum is rank deficient or the optimum
-    sits on a parameter-box boundary or at a nested limit.  converged
-    is False when the gradient criterion was not met or the optimum
-    sits on a parameter-box boundary or at a nested limit.
+    when the fit is not converged or the Jacobian at the optimum is rank
+    deficient.  converged is False at a nested limit; elsewhere it is
+    True for an exact fit or a relative offset of at most 1e-3 (see the
+    module docstring).
     sse is the SSE of model.  objective_history records the SSE of the
     start point and of each accepted step of the winning start, ends at
-    sse and never increases; iterations counts its steps.  The final
-    Gauss-Newton step counts when it lowers the SSE.  When it raises the
-    SSE by no more than rounding (see fit), it is taken, and the steps
-    whose SSE it does not reach leave the history.
+    sse and never increases; iterations counts its steps.
 
     nested_limit is derived from the fitted parameters alone: the
     family a mixture has reduced to (pareto for pagb, power for pg and
@@ -274,19 +267,13 @@ def _search_values(family, raw):
     return tuple(raw)
 
 
-def _inside(family, raw):
-    # more than 1e-9, by _gap, inside every edge of the search box
-    return all(b.lo < v < b.hi and _gap(b, v, b.lo) > 1e-9 and _gap(b, v, b.hi) > 1e-9
-               for b, v in zip(_search_bounds(family), _search_values(family, raw)))
-
-
 class _Grid:
     """The residual points u of one fit, checked and split once by
     curves._Points, and the empirical K at those inside (0, 1).
 
-    Every start and the finish share the points' logs.  At u = 0 and
-    u = 1, K is fixed: those residuals are constant, their Jacobian rows
-    are 0, and they stay out of the least-squares problem.
+    Every start and the final evaluation share the points' logs.  At
+    u = 0 and u = 1, K is fixed: those residuals are constant, their
+    Jacobian rows are 0, and they stay out of the least-squares problem.
     """
 
     def __init__(self, u, k_emp):
@@ -503,24 +490,6 @@ def _gap(bound, value, edge):
     return abs(math.log(value / edge)) if bound.log else abs(value - edge) / (bound.hi - bound.lo)
 
 
-def _finishing_step(family, raw, J, r):
-    """Gauss-Newton step on the Jacobian J at raw, in parameter
-    coordinates, with coordinates within 1e-2 of a bound held on it.
-    trf judges its steps by the SSE, which near the optimum changes by
-    less than its rounding, and it nears an active bound only
-    geometrically."""
-    target, fixed = raw.copy(), np.zeros(raw.size, dtype=bool)
-    for j, b in enumerate(_BOUNDS[family]):
-        for edge in (b.lo, b.hi):
-            if _gap(b, raw[j], edge) <= 1e-2:
-                target[j], fixed[j] = edge, True
-    if not fixed.all():
-        # the free coordinates solve the residuals linearized at raw
-        r_fixed = r + J @ (target - raw)
-        target[~fixed] += np.linalg.lstsq(J[:, ~fixed], -r_fixed, rcond=None)[0]
-    return target
-
-
 def standard_errors(jacobian, sse, n, p, variance_divisor="n_minus_p"):
     """Parameter standard errors from the Jacobian at the optimum.
 
@@ -541,21 +510,58 @@ def standard_errors(jacobian, sse, n, p, variance_divisor="n_minus_p"):
         Square roots of the covariance diagonal, or None when the
         Jacobian is rank deficient.
     """
+    sigma2 = _residual_variance(sse, n, p, variance_divisor)
+    J = np.asarray(jacobian, dtype=float)
+    if J.ndim != 2 or J.shape[0] < J.shape[1]:
+        raise ValueError("jacobian must have at least as many rows as columns")
+    return _standard_errors(_thin_svd(J), sigma2)
+
+
+def _residual_variance(sse, n, p, variance_divisor):
     if variance_divisor not in ("n", "n_minus_p"):
         raise ValueError(f"variance_divisor must be 'n' or 'n_minus_p', "
                          f"got {variance_divisor!r}")
     divisor = n if variance_divisor == "n" else n - p
     if divisor <= 0:
         raise ValueError("variance divisor must be positive")
-    J = np.asarray(jacobian, dtype=float)
-    if J.ndim != 2 or J.shape[0] < J.shape[1]:
-        raise ValueError("jacobian must have at least as many rows as columns")
-    _, s, vt = np.linalg.svd(J, full_matrices=False)
-    if s[0] == 0.0 or s[-1] <= s[0] * max(J.shape) * _EPS * 100.0:
+    return sse / divisor
+
+
+class _Svd(NamedTuple):
+    u: np.ndarray
+    s: np.ndarray
+    vt: np.ndarray
+    full_rank: bool  # every singular value above the rounding of the largest
+
+
+def _thin_svd(J):
+    u, s, vt = np.linalg.svd(J, full_matrices=False)
+    return _Svd(u, s, vt, bool(s[-1] > s[0] * max(J.shape) * _EPS * 100.0))
+
+
+def _standard_errors(svd, sigma2):
+    if not svd.full_rank:
         return None
-    sigma2 = sse / divisor
-    cov_diag = (vt.T**2 / s**2).sum(axis=1) * sigma2
+    cov_diag = (svd.vt.T**2 / svd.s**2).sum(axis=1) * sigma2
     return tuple(float(math.sqrt(max(c, 0.0))) for c in cov_diag)
+
+
+def _relative_offset(svd, r):
+    """Relative offset (Bates & Watts 1981) of the residuals r to the
+    span of the p columns of the Jacobian whose thin SVD is svd: the rms
+    of r's p components along the columns of U over the rms of its n - p
+    components across them, n = r.size.  It is inf where the Jacobian is
+    rank deficient, with no p-dimensional tangent plane to judge by, or
+    where n = p leaves no room across it."""
+    n, p = r.size, svd.s.size
+    if not svd.full_rank or n == p:
+        return math.inf
+    along = svd.u.T @ r
+    across = svd.u @ along
+    across -= r  # minus the part of r outside the span
+    offset = math.sqrt(float(along @ along) / p)
+    spread = math.sqrt(float(across @ across) / (n - p))
+    return offset / spread if spread > 0.0 else math.inf
 
 
 def caic(sse, n, p, count_variance_param=False):
@@ -604,9 +610,10 @@ def fit(curve, family, config=FitConfig()):
     Returns
     -------
     FitResult
-        Best result over the starts run; converged is False if the
-        best start did not meet the gradient criterion or the optimum
-        hit a parameter bound or a nested limit.  The starts stop once
+        The end point of the start with the lowest SSE; converged is
+        False at a nested limit, and elsewhere True for an exact fit or
+        a relative offset of at most 1e-3 (see the module docstring),
+        and std_errors is None unless converged.  The starts stop once
         at least 4 have produced residuals, those at the nested fits
         have all run, and 3 of them end within 1e-10 relative of the
         best SSE so far and within 1e-6 of the best end point, so
@@ -650,38 +657,20 @@ def fit(curve, family, config=FitConfig()):
 
     raw, history = min(outcomes, key=lambda outcome: outcome[1][-1])
     sse = history[-1]
-    r, dk = _residuals(family, raw, grid.points, grid.k)
-    if _nested_limit(_make_model(family, raw)) is None:
-        # one Gauss-Newton step, with the coordinates near a bound put on
-        # it, finishes the search unless it raises the SSE.  Near the
-        # optimum the change is below the rounding of the SSE itself, so
-        # it is summed term by term; with each curve value (at most 1)
-        # within 2 eps, the computed r' - r is within 4 eps, so a rise
-        # below 4 eps sum |r' + r| is within rounding and is no rise
-        lo, hi, _ = np.array(_BOUNDS[family]).T
-        J = _jacobian(family, raw, dk, search=False)
-        trial = tuple(map(float, np.clip(_finishing_step(family, np.array(raw), J, r), lo, hi)))
-        got = _residuals(family, trial, grid.points, grid.k)
-        if got is not None:
-            change = float((got[0] - r) @ (got[0] + r))
-            if change <= 4.0 * _EPS * float(np.abs(got[0] + r).sum()):
-                raw, (r, dk) = trial, got
-                sse = grid.sse(r)
-                # the history ends at sse and never increases: a rise within
-                # rounding drops the steps it undoes
-                history = tuple(h for h in history if h > sse) + (sse,)
     model = _make_model(family, raw)
-    # no standard errors or gradient to flag at a nested limit; elsewhere
-    # one Jacobian in parameter coordinates gives both
-    J = None if _nested_limit(model) is not None else _jacobian(family, raw, dk, search=False)
-    gradient_ok = sse <= _SSE_FLOOR or (
-        J is not None and bool(np.max(np.abs(J.T @ r)) <= config.gradient_tolerance))
+    r, dk = _residuals(family, raw, grid.points, grid.k)
     metrics = _metrics(grid.all_residuals(r))
-    inside = _inside(family, raw) and _nested_limit(model) is None
-    # at a box edge or a nested limit the optimum is constrained and the
-    # linearized covariance describes no sampling spread
-    errors = None if J is None or not inside else standard_errors(
-        J, sse, u.size, p, variance_divisor=config.variance_divisor)
+    converged, errors = False, None
+    if _nested_limit(model) is None:
+        # one thin SVD of the Jacobian in parameter coordinates gives the
+        # relative offset and the standard errors; a nested limit has
+        # neither, as its mixing parameters are not identified
+        svd = _thin_svd(_jacobian(family, raw, dk, search=False))
+        converged = (sse <= u.size * (4.0 * _EPS) ** 2
+                     or _relative_offset(svd, r) <= _RELATIVE_OFFSET_CUT)
+        if converged:
+            errors = _standard_errors(
+                svd, _residual_variance(sse, u.size, p, config.variance_divisor))
     return FitResult(
         model=model,
         std_errors=errors,
@@ -690,7 +679,7 @@ def fit(curve, family, config=FitConfig()):
         max_abs=metrics.max_abs,
         mae=metrics.mae,
         caic=caic(sse, u.size, p, config.caic_counts_variance),
-        converged=gradient_ok and inside,
+        converged=converged,
         iterations=len(history) - 1,
         objective_history=history,
     )

@@ -50,6 +50,7 @@ from leimkuhler.fit import FitConfig, fit
 from leimkuhler.indices import empirical_indices, generalized_gini, gini, gini_via_mixture, pietra
 from leimkuhler.order import check_proposition
 from tests.test_curves import draw_model
+from tests.test_indices import quad_gini
 
 FIT_CONFIG = FitConfig(multistart_count=4, seed=11)
 
@@ -198,14 +199,16 @@ def test_parameter_shift_orderings_hold_across_random_draws():
 
 
 def test_family_and_index_consistency_identities():
-    # order one of the weighted index recovers the plain one
+    # order one of the weighted index recovers the plain one, 2 int K - 1,
+    # here by QUADPACK (or the mixture average where quad falls short)
     rng = random.Random(9108)
     for family in Family:
         for _ in range(6):
             model = draw_model(rng, family)
-            plain = gini(model).value
+            plain = quad_gini(model)
             weighted = generalized_gini(model, 1.0).value
             assert abs(weighted - plain) <= 1e-9, (family.value, model.param_values())
+            assert abs(gini(model).value - plain) <= 1e-9, (family.value, model.param_values())
 
     # unit exponent collapses the generalized power family to the base one
     u_grid = np.linspace(0.0, 1.0, 512)

@@ -452,6 +452,17 @@ class TestConfigFile:
         assert main(["--config", conf, "export-plot", counts_file]) == 1
         assert "resolution" in capsys.readouterr().err
 
+    def test_gradient_tolerance_is_gone(self, power_file, tmp_path, capsys):
+        # convergence is judged by a scale-free relative offset, with no knob
+        conf = self.write_config(tmp_path, "gradient_tolerance=1e-6\n")
+        assert main(["--config", conf, "fit", power_file, "--model", "power"]) == 1
+        assert "gradient_tolerance" in capsys.readouterr().err
+        assert main(["fit", power_file, "--model", "power",
+                     "--gradient-tolerance", "1e-6"]) == 1
+        assert "--gradient-tolerance" in capsys.readouterr().err
+        config = self.fitted_config(power_file, tmp_path, [], capsys)
+        assert "gradient_tolerance" not in config
+
     def test_zero_multistart_count_rejected(self, counts_file, tmp_path, capsys):
         conf = self.write_config(tmp_path, "multistart_count=0\n")
         assert main(["--config", conf, "fit", counts_file, "--model", "power"]) == 1
