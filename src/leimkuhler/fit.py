@@ -13,6 +13,23 @@ m = beta/(alpha+beta) in (0, 1), lam = 1/(alpha+beta) in [1e-14, 100]
 and the raw shift in [-200, 100].  The residual points are checked,
 and their logs computed, once per fit; at u = 1 (and u = 0) K is
 fixed, so those residuals stay out of the search.
+
+trf never sees the n residuals.  Its steps use the Jacobian J and the
+residuals r only through J^T J, J^T r, r^T r and J's column norms, so
+each residual evaluation hands it the residuals [z; rho] and the
+Jacobian [R_J; 0] of a problem in p + 1 rows with the same Gram
+(Bjorck 1996, ch. 2).  R_J comes from an eigen-decomposition of J^T J
+scaled by J's column norms, taken again on J turned onto its
+eigenvectors where two columns are close to parallel, so that every
+eigenvalue holds its own digits (see _compress).  trf's SVDs and products then cost O(p^3), not
+O(n p^2), per step; the SSE and the history still come from the full
+residuals.  z is 0 along eigenvalues of at most 100 eps of the
+largest, which hold only rounding.  The convergence test below still
+takes one thin SVD of the n x p Jacobian, once per fit: its rank cut,
+a singular-value ratio of 100 n eps (1.5e-10 at n = 6826), lies below
+the square root of eps to which one Gram resolves that ratio, so the
+factor trf gets could put a fit on the other side of it.
+
 Each fit is restarted from a deterministic seeded Latin-hypercube of
 initial points plus a method-of-moments start; the best final
 objective wins.  The starts run in turn and stop early once one
@@ -80,6 +97,12 @@ __all__ = [
 
 _EPS = float(np.finfo(float).eps)
 _RELATIVE_OFFSET_CUT = 1e-3  # Bates & Watts's suggested cut
+# see _compress: below 1e-8 of the largest, an eigenvalue of the scaled
+# Gram keeps fewer than 8 good digits, so J is turned onto its eigenvectors
+# and the Gram formed again; eigenvalues below 100 eps of the largest are
+# rounding, and z is 0 along them
+_GRAM_REFINE = 1e-8
+_GRAM_CUT = 100.0 * _EPS
 
 
 @dataclass(frozen=True)
@@ -282,10 +305,6 @@ class _Grid:
         self.r_ends = self.points.k_ends - k_emp[self.points.ends]
         self.sse_ends = float(self.r_ends @ self.r_ends)
 
-    def sse(self, r):
-        """SSE of all residuals, from those inside."""
-        return float(r @ r) + self.sse_ends
-
     def all_residuals(self, r):
         return self.points.join(r, self.r_ends)
 
@@ -427,6 +446,62 @@ def _starts_agree(family, outcomes):
                for raw, history in outcomes) >= _AGREE_COUNT
 
 
+class _Compressed(NamedTuple):
+    """A least-squares problem in p + 1 rows with the Gram of [J r]."""
+
+    residuals: np.ndarray  # [z; rho], p + 1 values
+    jacobian: np.ndarray  # [R_J; 0], (p + 1) x p
+    rr: float  # r^T r of the full residuals
+
+
+def _scaled_eigh(a):
+    """The column norms d of the Gram a, with d = 1 for a zero column,
+    and the eigenvalues and eigenvectors of a scaled to D^-1 a D^-1."""
+    d = np.sqrt(a.diagonal())
+    d[d == 0.0] = 1.0
+    lam, v = np.linalg.eigh(a / np.outer(d, d))
+    return d, lam, v
+
+
+def _compress(J, r):
+    """The (p+1)-row problem that trf solves in place of (J, r).
+
+    With D the column norms of J, the scaled Gram D^-1 J^T J D^-1 =
+    V L V^T gives R_J = L^1/2 V^T D, z = L^-1/2 V^T D^-1 J^T r and
+    rho = sqrt(r^T r - z^T z).  Then R_J^T R_J = J^T J, R_J^T z = J^T r
+    and |z|^2 + rho^2 = r^T r to rounding: trf uses J and r only through
+    these and J's column norms, so it takes the same steps on
+    ([z; rho], [R_J; 0]).  Scaling by D keeps every column norm to
+    rounding however far apart they lie, as x_scale="jac" needs.
+
+    A Gram knows its eigenvalues only to rounding of the largest, so
+    where the smallest is below _GRAM_REFINE of the largest (columns
+    close to parallel, as along the valley to a nested limit), J is
+    turned onto V first: the columns of J D^-1 V are close to
+    orthogonal, and their Gram gives each eigenvalue to its own
+    rounding, as an SVD of J would.  z is 0 on eigenvalues of at most
+    _GRAM_CUT of the largest.  Returns None where the Gram overflows.
+    """
+    a = J.T @ J
+    if not np.isfinite(a.diagonal()).all():
+        return None
+    d, lam, v = _scaled_eigh(a)
+    back = None  # J = J_turned @ back
+    if lam[0] < _GRAM_REFINE * lam[-1]:
+        back = v.T * d
+        J = J @ (v / d[:, np.newaxis])
+        d, lam, v = _scaled_eigh(J.T @ J)
+    root = np.sqrt(np.maximum(lam, 0.0))
+    z = v.T @ ((J.T @ r) / d)
+    z = np.divide(z, root, out=np.zeros_like(z), where=lam > _GRAM_CUT * lam[-1])
+    jacobian = np.zeros((z.size + 1, z.size))
+    jacobian[:-1] = root[:, np.newaxis] * v.T * d
+    if back is not None:
+        jacobian[:-1] = jacobian[:-1] @ back
+    rr = float(r @ r)
+    return _Compressed(np.append(z, math.sqrt(max(rr - z @ z, 0.0))), jacobian, rr)
+
+
 class _StartFailed(Exception):
     """Residuals failed at the start point."""
 
@@ -437,6 +512,12 @@ def _run_start(family, raw0, grid, config):
     Returns (raw, history), history being the SSE of the start point and
     of each accepted step, or None when the start point has no residuals.
     A failed residual at a trial point rejects the step.
+
+    At every point trf gets the p + 1 residuals and the (p+1) x p
+    Jacobian of _compress, whatever the number of points: its trust-
+    region SVDs and products cost O(p^3) a step, and the cost it compares
+    is r^T r to rounding.  Each history SSE is the full residuals' r^T r
+    from that Gram, plus the fixed ends.
     """
     from scipy.optimize import least_squares  # scipy.optimize loads on the first fit
 
@@ -456,14 +537,18 @@ def _run_start(family, raw0, grid, config):
 
     t_lo, t_hi = to_t(lo), to_t(hi)
     accepted = []  # (t, sse) of the start point and of each accepted step
-    last = [None, None]  # t and _residuals (None if failed) of the latest call
+    last = [None, None]  # t and _Compressed (None if failed) of the latest call
 
     def resid(t):
-        last[:] = t.copy(), _residuals(family, raw_of(t), grid.points, grid.k)
-        if last[1] is None and not accepted:
+        raw = raw_of(t)
+        got = _residuals(family, raw, grid.points, grid.k)
+        if got is not None:
+            got = _compress(_jacobian(family, raw, got[1], search=True), got[0])
+        last[:] = t.copy(), got
+        if got is None and not accepted:
             raise _StartFailed
         # a non-finite trial makes trf reject the step and shrink its radius
-        return np.full(grid.k.size, np.nan) if last[1] is None else last[1][0]
+        return np.full(len(bounds) + 1, np.nan) if got is None else got.residuals
 
     def jac(t):
         # trf calls this at the start point and at each accepted step,
@@ -471,9 +556,8 @@ def _run_start(family, raw0, grid, config):
         t_last, got = last
         if got is None or not np.array_equal(t, t_last):
             raise _StartFailed  # not reached while trf keeps that order
-        r, dk = got
-        accepted.append((t.copy(), grid.sse(r)))
-        return _jacobian(family, raw_of(t), dk, search=True)
+        accepted.append((t.copy(), got.rr + grid.sse_ends))
+        return got.jacobian
 
     t0 = np.clip(to_t(_search_values(family, np.clip(raw0, raw_lo, raw_hi))), t_lo, t_hi)
     try:

@@ -593,6 +593,94 @@ class TestRelativeOffset:
         assert self.offset(np.eye(3), [1.0, 2.0, 3.0]) == math.inf
 
 
+class TestCompressedProblem:
+    """The (p+1)-row problem trf solves in place of the n-row one."""
+
+    @staticmethod
+    def check(J, r):
+        got = fit_module._compress(J, r)
+        p = J.shape[1]
+        assert got.residuals.shape == (p + 1,) and got.jacobian.shape == (p + 1, p)
+        assert np.isfinite(got.residuals).all() and np.isfinite(got.jacobian).all()
+        assert not got.jacobian[p].any()
+        assert got.rr == float(r @ r)
+        full = np.column_stack([J, r])
+        gram = full.T @ full
+        small = np.column_stack([got.jacobian, got.residuals])
+        norms = np.sqrt(np.diag(gram))
+        # each entry to 1e-12 of the norms of its two columns, however far
+        # apart the column scales lie
+        scale = np.outer(norms, norms)
+        assert np.all(np.abs(small.T @ small - gram) <= 1e-12 * scale)
+        assert got.residuals @ got.residuals == pytest.approx(r @ r, rel=1e-13)
+        assert np.all(np.abs(got.jacobian.T @ got.residuals - J.T @ r) <= 1e-12 * norms[:p] * norms[p])
+        return got
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_keeps_the_gram_of_random_problems(self, seed):
+        rng = np.random.default_rng(seed)
+        J, r = rng.normal(size=(50, 3)), rng.normal(size=50)
+        self.check(J, r)
+        self.check(J * [1e-4, 1.0, 1e4], r)
+        self.check(J * [1e4, 1e-4, 1.0], 1e-6 * r)
+
+    def test_zero_and_equal_columns_give_finite_output(self):
+        rng = np.random.default_rng(7)
+        v, w, r = rng.normal(size=(3, 40))
+        got = self.check(np.column_stack([v, np.zeros(40), w]), r)
+        assert not got.jacobian[:, 1].any()
+        self.check(np.column_stack([v, v, w]), r)
+        self.check(np.column_stack([v, v]), r)
+        self.check(np.zeros((40, 2)), r)
+
+    def test_nearly_parallel_columns_keep_their_small_singular_value(self):
+        # sigma_2 / sigma_1 about 1e-7: the Gram alone would hold sigma_2^2
+        # only to rounding of sigma_1^2, an SVD of J holds sigma_2 to 1e-9
+        rng = np.random.default_rng(3)
+        v, w, r = rng.normal(size=(3, 200))
+        J = np.column_stack([v, v + 1e-7 * w, w])
+        got = self.check(J, r)
+        expected = np.linalg.svd(J, compute_uv=False)
+        assert np.linalg.svd(got.jacobian, compute_uv=False) == pytest.approx(expected, rel=1e-8)
+
+    def test_single_residual(self):
+        # one residual and three parameters, as on the counts (2^70, 1)
+        self.check(np.array([[2.0, 3.0, -1.0]]), np.array([0.5]))
+        self.check(np.array([[2.0, 3.0]]), np.array([0.0]))
+
+    @pytest.mark.parametrize("family, draw", [("power", ("power", {"theta": 3.0})),
+                                              ("gpg", ("pg", {"alpha": 0.7, "beta": 0.1}))])
+    def test_trf_gets_p_plus_one_rows_at_any_n(self, family, draw, monkeypatch):
+        import scipy.optimize
+
+        least_squares = scipy.optimize.least_squares
+        sizes = []
+
+        def wrapped(fun, x0, *args, **kwargs):
+            sizes.append(fun(x0).size - len(x0))
+            return least_squares(fun, x0, *args, **kwargs)
+
+        monkeypatch.setattr(scipy.optimize, "least_squares", wrapped)
+        generator, params = draw
+        curve = empirical_curve(sample_synthetic(generator, 10_000, 5, **params))
+        # with two starts, gpg also fits pg, gp and power for its nested starts
+        result = fit(curve, family, FitConfig(multistart_count=2))
+        assert sizes and set(sizes) == {1}
+        # the SSE is still that of the full residuals
+        r = evaluate(result.model, curve.u_values()[1:]) - curve.k_values()[1:]
+        assert result.sse == pytest.approx(float(r @ r), rel=1e-12)
+
+    def test_pig_at_its_unnamed_alpha_limit(self):
+        # pig on pareto-like data runs to the alpha cap, where J is rank
+        # deficient: the Gram's eigenvalue cut acts there
+        curve = empirical_curve(sample_synthetic("pareto", 500, 0, theta=0.646))
+        result = fit(curve, "pig")
+        assert result.sse == pytest.approx(0.30825332969881, rel=1e-10)
+        assert result.model.params.alpha > 1e13
+        assert not result.converged
+        assert result.nested_limit is None and result.std_errors is None
+
+
 class TestCaic:
     def test_pinned_value(self):
         # log likelihood -(100/2) (log(2 pi / 100) + 1) = 88.364656,
