@@ -246,7 +246,7 @@ def cmd_simulate(args):
         dataset = sample_synthetic(args.family, n=args.n, seed=args.seed, **kwargs)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
-    text = "\n".join(str(count) for count in dataset.counts_desc) + "\n"
+    text = "\n".join(map(str, dataset.counts_desc.tolist())) + "\n"
     _write_bytes(args.out, text.encode("utf-8"))
     return 0
 

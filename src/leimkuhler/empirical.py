@@ -13,7 +13,7 @@ from __future__ import annotations
 import csv
 import io
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -49,30 +49,61 @@ class DataError(ValueError):
         self.line_number = line_number
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CitationDataset:
-    """Citation counts sorted descending, with totals precomputed."""
+    """Citation counts sorted descending, with the total precomputed.
 
-    counts_desc: tuple
+    counts_desc is a read-only 1-D numpy array: int64, or object
+    holding Python ints when any count is at least 2**63.  Any sequence
+    of integers (or an integer array) is accepted and copied.  total is
+    the exact sum as a Python int.  Two datasets are equal when their
+    labels and their sorted counts are.
+    """
+
+    counts_desc: np.ndarray
     label: str = ""
+    total: int = field(init=False, repr=False)
 
     def __post_init__(self):
-        counts = tuple(int(c) for c in self.counts_desc)
-        if len(counts) < 1:
+        values = self.counts_desc
+        if not (isinstance(values, np.ndarray) and values.ndim == 1
+                and np.can_cast(values.dtype, np.int64)):
+            # np.array makes floats of ints at or above 2**63, so each
+            # count goes through int(), and those counts keep Python ints
+            values = [int(c) for c in values]
+        try:
+            counts = np.array(values, dtype=np.int64)
+        except OverflowError:
+            counts = np.array(values, dtype=object)
+        if counts.size < 1:
             raise DataError("dataset needs at least one count")
-        if any(c < 0 for c in counts):
+        if counts.min() < 0:
             raise DataError("counts must be non-negative")
-        if any(a < b for a, b in zip(counts, counts[1:])):
-            counts = tuple(sorted(counts, reverse=True))
+        if not np.all(counts[:-1] >= counts[1:]):
+            counts.sort()
+            counts = counts[::-1]
+        counts.flags.writeable = False
+        # an int64 sum cannot wrap while max * n < 2**63
+        if counts.dtype == np.int64 and int(counts[0]) * counts.size < 2**63:
+            total = int(counts.sum())
+        else:
+            total = sum(counts.tolist())
         object.__setattr__(self, "counts_desc", counts)
+        object.__setattr__(self, "total", total)
+
+    def __eq__(self, other):
+        if not isinstance(other, CitationDataset):
+            return NotImplemented
+        return self.label == other.label and np.array_equal(self.counts_desc, other.counts_desc)
+
+    def __hash__(self):
+        counts = self.counts_desc
+        key = counts.tobytes() if counts.dtype == np.int64 else tuple(counts.tolist())
+        return hash((self.label, key))
 
     @property
     def n(self):
         return len(self.counts_desc)
-
-    @property
-    def total(self):
-        return sum(self.counts_desc)
 
 
 _POINT = np.dtype([("u", float), ("k_value", float)])
@@ -166,6 +197,26 @@ def _read_lines(stream):
     return counts
 
 
+def _read_lines_fast(text):
+    """Counts of a "lines" text, parsed by numpy in one call.
+
+    numpy's result stands only for ASCII text (numpy 2.4's loadtxt reads
+    some other letters as digits) with one non-negative int64 on each
+    non-blank line; ndmin=2 keeps "1 2" from passing as two lines.  All
+    else goes to _read_lines, the only source of line-numbered errors,
+    header skipping and counts at or above 2**63.
+    """
+    # loadtxt warns on a text with no data, which the per-line parser reports
+    if text.isascii() and text and not text.isspace():
+        try:
+            values = np.loadtxt(io.StringIO(text), dtype=np.int64, comments=None, ndmin=2)
+        except ValueError:
+            values = None
+        if values is not None and values.shape[1] == 1 and values.min() >= 0:
+            return values[:, 0]
+    return _read_lines(io.StringIO(text, newline=None))
+
+
 def _read_csv(stream, column):
     reader = csv.DictReader(stream)
     if reader.fieldnames is None:
@@ -188,7 +239,10 @@ def ingest(source, format="lines", column=None, label=None):
         Path to a UTF-8 text file, or an open text stream.
     format : {"lines", "csv"}
         "lines" expects one non-negative integer per line (blank lines
-        ignored, one leading non-numeric header line tolerated);
+        ignored, one leading non-numeric header line tolerated), with
+        lines ending at "\n", "\r\n" or "\r" as in a file opened in
+        text mode.  numpy parses the whole text in one call; text it
+        does not cover exactly falls back to a per-line parser.
         "csv" reads the named integer column of an RFC-4180 file.
     column : str, optional
         Column name, required for format="csv".
@@ -198,6 +252,8 @@ def ingest(source, format="lines", column=None, label=None):
     Returns
     -------
     CitationDataset
+        counts_desc is a read-only int64 array, or an object array of
+        Python ints when a count is at least 2**63.
 
     Raises
     ------
@@ -210,6 +266,7 @@ def ingest(source, format="lines", column=None, label=None):
     if format == "csv" and not column:
         raise ValueError("csv format requires a column name")
 
+    text = None
     if isinstance(source, (str, Path)):
         path = Path(source)
         if label is None:
@@ -218,12 +275,12 @@ def ingest(source, format="lines", column=None, label=None):
             text = path.read_text(encoding="utf-8")
         except OSError as exc:
             raise DataError(f"cannot read {path}: {exc}") from exc
-        stream = io.StringIO(text)
-    else:
-        stream = source
 
-    counts = _read_lines(stream) if format == "lines" else _read_csv(stream, column)
-    if not counts:
+    if format == "lines":
+        counts = _read_lines_fast(source.read() if text is None else text)
+    else:
+        counts = _read_csv(source if text is None else io.StringIO(text), column)
+    if not len(counts):
         raise DataError("no counts found in input")
     return CitationDataset(counts, label=label or "")
 
@@ -241,8 +298,8 @@ def empirical_curve(dataset):
         raise DataError("dataset total is zero; the empirical curve is undefined")
     n = dataset.n
     # int64 sums convert to float exactly below 2**53, so s / total rounds
-    # as it does for Python ints; larger totals keep Python ints
-    counts = np.array(dataset.counts_desc, dtype=np.int64 if total < 2**53 else object)
+    # as it does for Python ints; larger totals take Python ints
+    counts = dataset.counts_desc if total < 2**53 else dataset.counts_desc.astype(object)
     points = np.recarray(n + 1, dtype=_POINT)
     points.u = np.arange(n + 1) / n
     points.k_value[0] = 0.0
@@ -271,7 +328,7 @@ def descriptive_stats(dataset, ddof=0):
     -------
     DescriptiveStats
     """
-    counts = np.array(dataset.counts_desc, dtype=float)
+    counts = dataset.counts_desc.astype(float)
     if dataset.n - ddof <= 0:
         raise ValueError("variance divisor n - ddof must be positive")
     mean = float(counts.mean())
@@ -351,4 +408,4 @@ def sample_synthetic(family, n, seed, theta=None, sigma=1.0, alpha=None, beta=No
     counts = _round_half_up(scale * draws)
     if label is None:
         label = f"synthetic-{family.value}-n{n}-seed{seed}"
-    return CitationDataset(counts.tolist(), label=label)
+    return CitationDataset(counts, label=label)

@@ -1,11 +1,14 @@
 """Tests for dataset ingestion and the empirical polygon."""
 
+import dataclasses
 import io
 import math
 import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from leimkuhler.curves import evaluate, power
 from leimkuhler.empirical import (
@@ -13,6 +16,8 @@ from leimkuhler.empirical import (
     DataError,
     descriptive_stats,
     dispersion_index,
+    _read_lines,
+    _read_lines_fast,
     empirical_curve,
     ingest,
     sample_synthetic,
@@ -22,17 +27,19 @@ from leimkuhler.empirical import (
 class TestIngest:
     def test_lines(self):
         ds = ingest(io.StringIO("3\n1\n2\n"))
-        assert ds.counts_desc == (3, 2, 1)
+        assert ds.counts_desc.tolist() == [3, 2, 1]
+        assert ds.counts_desc.dtype == np.int64
         assert ds.n == 3
         assert ds.total == 6
 
     def test_lines_blank_lines_ignored(self):
         ds = ingest(io.StringIO("\n3\n\n1\n2\n\n"))
-        assert ds.counts_desc == (3, 2, 1)
+        assert ds.counts_desc.tolist() == [3, 2, 1]
 
     def test_lines_header_skipped(self):
         ds = ingest(io.StringIO("citations\n3\n1\n"))
-        assert ds.counts_desc == (3, 1)
+        assert ds.counts_desc.tolist() == [3, 1]
+        assert ds.counts_desc.dtype == np.int64
 
     def test_lines_malformed_reports_line_number(self):
         with pytest.raises(DataError, match="line 2"):
@@ -51,13 +58,14 @@ class TestIngest:
     def test_csv(self):
         text = "journal,citations\na,0\nb,0\nc,5\n"
         ds = ingest(io.StringIO(text), format="csv", column="citations")
-        assert ds.counts_desc == (5, 0, 0)
+        assert ds.counts_desc.tolist() == [5, 0, 0]
+        assert ds.counts_desc.dtype == np.int64
         assert ds.total == 5
 
     def test_csv_quoted_fields(self):
         text = 'name,citations\n"x, y",7\nz,2\n'
         ds = ingest(io.StringIO(text), format="csv", column="citations")
-        assert ds.counts_desc == (7, 2)
+        assert ds.counts_desc.tolist() == [7, 2]
 
     def test_csv_missing_column(self):
         with pytest.raises(DataError, match="'cites' not found"):
@@ -75,7 +83,9 @@ class TestIngest:
         path = tmp_path / "counts.txt"
         path.write_text("4\n3\n2\n1\n")
         ds = ingest(path)
-        assert ds.counts_desc == (4, 3, 2, 1)
+        assert ds.counts_desc.tolist() == [4, 3, 2, 1]
+        assert ds.counts_desc.dtype == np.int64
+        assert not ds.counts_desc.flags.writeable
         assert ds.label == "counts.txt"
 
     def test_missing_path(self, tmp_path):
@@ -86,13 +96,104 @@ class TestIngest:
         lines = ingest(io.StringIO("5\n1\n3\n"))
         text = "citations\n5\n1\n3\n"
         csv_ds = ingest(io.StringIO(text), format="csv", column="citations")
-        assert lines.counts_desc == csv_ds.counts_desc
+        assert lines.counts_desc.tolist() == csv_ds.counts_desc.tolist()
+        assert lines == csv_ds
+
+
+def _parsed(parser, text):
+    try:
+        return [int(c) for c in parser(text)]
+    except DataError as exc:
+        return str(exc), exc.line_number
+
+
+def _numpy_lines(text, ndmin=2):
+    return np.loadtxt(io.StringIO(text), dtype=np.int64, comments=None, ndmin=ndmin)
+
+
+# lines that are mostly counts, padded with whitespace int() strips,
+# and otherwise junk over an alphabet where int() and np.loadtxt differ
+_PAD = st.sampled_from(["", " ", "\t", "\x0c", "\xa0", " \t "])
+_NUMBER = st.builds(lambda pad, sign, n, tail: pad + sign + str(n) + tail,
+                    _PAD, st.sampled_from(["", "", "", "+", "-"]),
+                    st.integers(0, 1000) | st.integers(0, 2**64), _PAD)
+_JUNK = st.text(alphabet="0123456789+-_.#aZ \t\x0c\xa0\u0663\uff15\u01fe", max_size=6)
+_LINE = st.one_of(_NUMBER, _JUNK, st.just(""), st.just("citations"))
+
+
+def _text(line):
+    return st.builds(
+        lambda lines, cut: "".join(line + end for line, end in lines)[:cut or None],
+        st.lists(st.tuples(line, st.sampled_from(["\n", "\r\n", "\r"])), max_size=8),
+        st.sampled_from([0, 0, -1]),
+    )
+
+
+# texts of counts and blank lines alone reach the numpy path more often
+_TEXT = _text(_LINE) | _text(_NUMBER | st.just(""))
+
+
+class TestIngestFastPath:
+    """numpy's one-call parse must give what the per-line parser gives."""
+
+    @settings(deadline=None, max_examples=300)
+    @given(_TEXT)
+    def test_agrees_with_per_line_parser(self, text):
+        per_line = _parsed(lambda t: _read_lines(io.StringIO(t, newline=None)), text)
+        assert _parsed(_read_lines_fast, text) == per_line
+
+    def test_plain_text_takes_numpy_path(self):
+        counts = _read_lines_fast("3\n 1\r\n\n\t2 \n")
+        assert isinstance(counts, np.ndarray) and counts.tolist() == [3, 1, 2]
+
+    def test_two_values_on_one_line(self):
+        # with ndmin=1, loadtxt reads a one-line "1 2" as two counts
+        assert _numpy_lines("1 2\n", ndmin=1).tolist() == [1, 2]
+        # the per-line parser takes that line as a header
+        assert _read_lines_fast("1 2\n") == []
+        with pytest.raises(DataError, match="no counts"):
+            ingest(io.StringIO("1 2\n"))
+        with pytest.raises(DataError, match="line 2: expected a non-negative integer"):
+            ingest(io.StringIO("5\n1 2\n"))
+
+    def test_forms_only_int_accepts(self):
+        # int() reads underscores and non-ASCII digits; loadtxt refuses them
+        for text, value in (("1_000\n", 1000), ("\u0663\n", 3), ("\uff15\n", 5)):
+            with pytest.raises(ValueError):
+                _numpy_lines(text)
+            assert ingest(io.StringIO(text)).counts_desc.tolist() == [value]
+
+    def test_header_line(self):
+        with pytest.raises(ValueError):
+            _numpy_lines("citations\n3\n1\n")
+        assert _read_lines_fast("citations\n3\n1\n") == [3, 1]
+
+    def test_non_ascii_letter_is_not_a_digit(self):
+        # numpy 2.4's loadtxt reads U+01FE as the digit value 462;
+        # non-ASCII text never takes the numpy path
+        with pytest.raises(DataError, match="line 2: expected a non-negative integer"):
+            ingest(io.StringIO("5\n\u01fe\n7\n"))
+
+    def test_line_ends(self):
+        # loadtxt refuses a bare "\r"; lines then end as in a text-mode file
+        with pytest.raises(ValueError):
+            _numpy_lines("1\r2\r")
+        assert ingest(io.StringIO("1\r2\r", newline="")).counts_desc.tolist() == [2, 1]
+        assert ingest(io.StringIO("1\r\n\r\n2\r\n")).counts_desc.tolist() == [2, 1]
+
+    def test_negative_and_oversized_counts(self):
+        with pytest.raises(DataError, match="line 2: negative count -1"):
+            ingest(io.StringIO("3\n-1\n"))
+        assert _read_lines_fast("-0\n+4\n").tolist() == [0, 4]
+        assert _read_lines_fast(f"{2**63}\n1\n") == [2**63, 1]
 
 
 class TestCitationDataset:
     def test_sorts_descending(self):
         ds = CitationDataset((1, 5, 3))
-        assert ds.counts_desc == (5, 3, 1)
+        assert ds.counts_desc.tolist() == [5, 3, 1]
+        assert ds.counts_desc.dtype == np.int64
+        assert not ds.counts_desc.flags.writeable
 
     def test_rejects_empty(self):
         with pytest.raises(DataError):
@@ -101,6 +202,35 @@ class TestCitationDataset:
     def test_rejects_negative(self):
         with pytest.raises(DataError):
             CitationDataset((3, -1))
+
+    def test_shuffled_inputs_give_equal_datasets(self):
+        rng = random.Random(406)
+        counts = [rng.randint(0, 50) for _ in range(40)]
+        shuffled = counts[:]
+        rng.shuffle(shuffled)
+        a, b = CitationDataset(counts), CitationDataset(np.array(shuffled))
+        assert a == b and hash(a) == hash(b)
+        assert len({a, b, CitationDataset(tuple(shuffled))}) == 1
+        assert a != CitationDataset(counts, label="other")
+        assert a != CitationDataset(counts[1:] + [51])
+        big = CitationDataset((2**70, 3, 2**64))
+        assert big == CitationDataset([3, 2**64, 2**70]) and hash(big) == hash(CitationDataset([3, 2**64, 2**70]))
+
+    def test_counts_cannot_be_written(self):
+        source = np.array([1, 3])
+        ds = CitationDataset(source)
+        source[0] = 9
+        assert ds.counts_desc.tolist() == [3, 1]
+        with pytest.raises(ValueError):
+            ds.counts_desc[0] = 0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            ds.counts_desc = np.array([0])
+        assert not CitationDataset((2**63, 1)).counts_desc.flags.writeable
+
+    def test_total_is_an_exact_int(self):
+        ds = CitationDataset(np.array([4, 3, 2, 1], dtype=np.int32))
+        assert ds.counts_desc.dtype == np.int64
+        assert type(ds.total) is int and ds.total == 10
 
 
 class TestEmpiricalCurve:
@@ -204,12 +334,13 @@ class TestSampleSynthetic:
     def test_deterministic(self):
         a = sample_synthetic("power", 50, seed=7, theta=2.0)
         b = sample_synthetic("power", 50, seed=7, theta=2.0)
-        assert a.counts_desc == b.counts_desc
+        assert a.counts_desc.tolist() == b.counts_desc.tolist()
+        assert a.counts_desc.dtype == np.int64
 
     def test_different_seeds_differ(self):
         a = sample_synthetic("power", 50, seed=7, theta=2.0)
         b = sample_synthetic("power", 50, seed=8, theta=2.0)
-        assert a.counts_desc != b.counts_desc
+        assert a.counts_desc.tolist() != b.counts_desc.tolist()
 
     def test_power_inversion_traced(self):
         # the single draw must be round(scale * u**theta) for the
