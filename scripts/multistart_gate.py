@@ -88,11 +88,16 @@ def gate_sets(draws):
 
 
 def fit_all(curve, config):
-    """family -> FitResult, or the failure's type and message."""
+    """family -> FitResult, or the failure's type and message.
+
+    As in compare_models, each family is fitted once in a call, and the
+    mixtures take the fits they nest from the same call.
+    """
     results = {}
+    fitted = {}
     for family in Family:
         try:
-            results[family] = fit_module.fit(curve, family, config)
+            results[family] = fit_module._fit_once(curve, family, config, fitted)
         except (ValueError, RuntimeError, ArithmeticError) as exc:
             results[family] = f"{type(exc).__name__}: {exc}"
     return results

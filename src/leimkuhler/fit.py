@@ -123,7 +123,9 @@ class FitConfig:
     within 1e-6 of the best end point (see fit).  With more than one
     start, a mixture adds 1 to 5 starts at the fits of the families it
     nests, and these all run before the multistart may stop.  Those
-    nested fits run with this same config.
+    nested fits run with this same config, once per family in a call of
+    fit or compare_models: a comparison hands the fits it has made down
+    to the mixtures that nest them.
     """
 
     max_iterations: int = 200
@@ -235,6 +237,9 @@ _NESTED = {
     Family.GPIG: (Family.PIG, Family.GP),
 }
 _LIMIT_CV2 = 1e-12
+
+# what a failed fit raises: a failure in compare_models, no nested start
+_FIT_ERRORS = (ValueError, RuntimeError, OverflowError)
 
 # the multistart stops once its starts keep landing on one minimum (after
 # Boender & Rinnooy Kan 1987): see _starts_agree
@@ -393,13 +398,14 @@ def _point_mass(family, theta):
     return (theta, _MIX.hi)  # inverse Gaussian with mean alpha
 
 
-def _nested_starts(family, curve, config):
-    """Starts at the fits of the families nested in family."""
+def _nested_starts(family, curve, config, fitted):
+    """Starts at the fits of the families nested in family, taken from
+    fitted or made there (see _fit_once)."""
     starts = []
     for nested in _NESTED[family]:
         try:
-            params = fit(curve, nested, config).model.param_values()
-        except (ValueError, RuntimeError, ConvergenceError, OverflowError):
+            params = _fit_once(curve, nested, config, fitted).model.param_values()
+        except _FIT_ERRORS:
             continue
         if nested is Family.PARETO:
             # pagb on the lam floor, its mean exponent at 1 - theta
@@ -682,7 +688,7 @@ def fit_metrics(curve, model):
     return _metrics(evaluate(model, curve.u_values()[1:]) - curve.k_values()[1:])
 
 
-def fit(curve, family, config=FitConfig()):
+def fit(curve, family, config=FitConfig(), *, _fitted=None):
     """Fit one curve family to an empirical polygon.
 
     Parameters
@@ -702,6 +708,8 @@ def fit(curve, family, config=FitConfig()):
         have all run, and 3 of them end within 1e-10 relative of the
         best SSE so far and within 1e-6 of the best end point, so
         config.multistart_count bounds the number of sampled starts.
+        A mixture fits each family it nests once, with config, to seed
+        its starts (gpg fits pg, which fits power, and gp).
 
     Raises
     ------
@@ -710,6 +718,7 @@ def fit(curve, family, config=FitConfig()):
     RuntimeError
         If every start fails to produce residuals.
     """
+    # _fitted: the fits made so far in this call of compare_models (see _fit_once)
     family = Family(family)
     u_all, k_all = curve.u_values(), curve.k_values()
     # residuals skip the fixed origin vertex
@@ -724,7 +733,7 @@ def fit(curve, family, config=FitConfig()):
     starts = _multistart_points(family, gini_emp, config)
     nested = []
     if family in _NESTED and config.multistart_count > 1:
-        nested = _nested_starts(family, curve, config)
+        nested = _nested_starts(family, curve, config, {} if _fitted is None else _fitted)
         starts[1:1] = nested
     outcomes = []  # (raw, history) of each start that produced residuals
     for i, start in enumerate(starts):
@@ -769,12 +778,29 @@ def fit(curve, family, config=FitConfig()):
     )
 
 
+def _fit_once(curve, family, config, fitted):
+    """The fit of family from fitted, a dict of the fits made so far in
+    one call: made there with fit on first use, and kept with the error
+    it raised, if any, which is raised again on every later use."""
+    if family not in fitted:
+        try:
+            # through fit, so that a wrapper of fit (perfbench's tracer) sees it
+            fitted[family] = fit(curve, family, config, _fitted=fitted)
+        except _FIT_ERRORS as exc:
+            fitted[family] = exc
+    if isinstance(fitted[family], Exception):
+        raise fitted[family]
+    return fitted[family]
+
+
 def compare_models(curve, families, config=FitConfig()):
     """Fit several families and rank them by CAIC.
 
     Ties break by MSE, then by fewer parameters.  Families whose fit
     raises are recorded in the failures list rather than aborting the
-    comparison.
+    comparison.  Each family is fitted once: the fits made so far are
+    handed down to the mixtures that nest them, so every result equals
+    that family's own fit.
 
     Returns
     -------
@@ -791,11 +817,12 @@ def compare_models(curve, families, config=FitConfig()):
         raise ValueError("need at least one family")
     results = []
     failures = []
+    fitted = {}
     for family in families:
         family = Family(family)
         try:
-            results.append(fit(curve, family, config))
-        except (ValueError, RuntimeError, ConvergenceError, OverflowError) as exc:
+            results.append(_fit_once(curve, family, config, fitted))
+        except _FIT_ERRORS as exc:
             failures.append((family.value, str(exc)))
     if not results:
         raise RuntimeError(f"all families failed: {failures}")

@@ -435,14 +435,18 @@ def model_indices(model, r_values=DEFAULT_R_VALUES, tol=1e-10):
     )
 
 
-def _segment_weighted_integral(u0, k0, u1, k1, r):
-    # exact integral of (1-u)**(r-1) * K(u) over [u0, u1] for the
-    # linear segment K(u) = a + b u, via the substitution t = 1 - u
-    b = (k1 - k0) / (u1 - u0)
-    a = k0 - b * u0
-    t0, t1 = 1.0 - u0, 1.0 - u1
-    term1 = (a + b) * (t0**r - t1**r) / r
-    term2 = b * (t0 ** (r + 1.0) - t1 ** (r + 1.0)) / (r + 1.0)
+def _segment_weighted_integral(u, k, r):
+    # exact integral of (1-u)**(r-1) * K(u) over each segment [u_i, u_i+1]
+    # of the polygon through the vertices (u, k), K(u) = a + b u on it, via
+    # the substitution t = 1 - u; each power is taken once per vertex, and
+    # one at a time, as the vertices may number 10^6
+    b = np.diff(k) / np.diff(u)
+    a = k[:-1] - b * u[:-1]
+    t = 1.0 - u
+    w = t**r
+    term1 = (a + b) * (w[:-1] - w[1:]) / r
+    w = t ** (r + 1.0)
+    term2 = b * (w[:-1] - w[1:]) / (r + 1.0)
     return term1 - term2
 
 
@@ -487,7 +491,7 @@ def empirical_indices(curve, r_values=DEFAULT_R_VALUES):
         r = float(r)
         if not (r > 0) or not math.isfinite(r):
             raise ValueError(f"r must be positive and finite, got {r}")
-        total = float(np.sum(_segment_weighted_integral(u[:-1], k[:-1], u[1:], k[1:], r)))
+        total = float(np.sum(_segment_weighted_integral(u, k, r)))
         gen.append((r, r * (r + 1.0) * total - 1.0))
 
     return IndexReport(

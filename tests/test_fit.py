@@ -349,16 +349,68 @@ class TestNestedLimits:
 
     def test_nested_fits_take_the_callers_config(self, monkeypatch):
         config = FitConfig(multistart_count=8, seed=3)
-        nested = []
-
-        def recording_fit(curve, family, config=FitConfig()):
-            nested.append((Family(family), config))
-            return fit(curve, family, config)
-
-        monkeypatch.setattr(fit_module, "fit", recording_fit)
+        nested = record_fits(monkeypatch)
         fit(empirical_curve(CitationDataset((7, 3, 2, 1))), "gpg", config)
         assert sorted(family.value for family, _ in nested) == ["gp", "pg", "power"]
         assert all(seen == config for _, seen in nested)
+
+
+def record_fits(monkeypatch):
+    """Record the (family, config) of every fit made through fit_module.fit,
+    as _fit_once makes each fit of a comparison and each nested fit."""
+    calls = []
+
+    def recording_fit(curve, family, config=FitConfig(), **kwargs):
+        calls.append((Family(family), config))
+        return fit(curve, family, config, **kwargs)
+
+    monkeypatch.setattr(fit_module, "fit", recording_fit)
+    return calls
+
+
+def fit_fields(result):
+    return (result.model.param_values(), result.sse, result.objective_history,
+            result.std_errors, result.converged, result.nested_limit)
+
+
+class TestOneFitPerFamily:
+    """compare_models fits each family once and hands the fits it has made
+    down to the mixtures that nest them."""
+
+    CONFIG = FitConfig(multistart_count=2)
+
+    @pytest.mark.parametrize("dataset", [
+        CitationDataset((7, 3, 2, 1)),
+        sample_synthetic("pg", n=300, seed=4, alpha=0.7, beta=0.3),
+    ], ids=["(7, 3, 2, 1)", "pg-300"])
+    def test_each_family_fitted_once_with_its_own_answer(self, dataset, monkeypatch):
+        curve = empirical_curve(dataset)
+        alone = {family: fit_fields(fit(curve, family, self.CONFIG)) for family in Family}
+        calls = record_fits(monkeypatch)
+        for families in (list(Family), list(Family)[::-1]):
+            calls.clear()
+            comparison = compare_models(curve, families, self.CONFIG)
+            assert sorted(family.value for family, _ in calls) == sorted(f.value for f in Family)
+            assert comparison.failures == ()
+            assert len(comparison.results) == len(Family)
+            for result in comparison.results:
+                assert fit_fields(result) == alone[result.model.family], result.model.family
+
+    @pytest.mark.parametrize("reverse", [False, True])
+    def test_failed_nested_fit_is_made_and_recorded_once(self, reverse, monkeypatch):
+        run_start = fit_module._run_start
+
+        def no_pareto_start(family, *args):
+            return None if family is Family.PARETO else run_start(family, *args)
+
+        monkeypatch.setattr(fit_module, "_run_start", no_pareto_start)
+        calls = record_fits(monkeypatch)
+        families = list(Family)[::-1] if reverse else list(Family)
+        comparison = compare_models(empirical_curve(CitationDataset((7, 3, 2, 1))),
+                                    families, self.CONFIG)
+        assert [family for family, _ in comparison.failures] == ["pareto"]
+        assert [family for family, _ in calls].count(Family.PARETO) == 1
+        assert Family.PAGB in {result.model.family for result in comparison.results}
 
 
 EARLY_STOP_SETS = {

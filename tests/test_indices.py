@@ -427,7 +427,8 @@ class TestEmpiricalIndices:
                     best, best_u = p.k_value - p.u, p.u
             assert (report.pietra, report.pietra_argmax_u) == (best, best_u)
             for r, value in report.generalized_gini:
-                total = sum(_segment_weighted_integral(p0.u, p0.k_value, p1.u, p1.k_value, r)
+                total = sum(_segment_weighted_integral(np.array([p0.u, p1.u]),
+                                                       np.array([p0.k_value, p1.k_value]), r)[0]
                             for p0, p1 in zip(points, points[1:]))
                 assert value == pytest.approx(r * (r + 1.0) * total - 1.0, abs=1e-12)
 
