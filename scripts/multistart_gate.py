@@ -1,8 +1,11 @@
-"""Check that the multistart stop rule keeps the answers of the full run.
+"""Check that the stop rules of `fit` keep the answers of the full run.
 
 `fit` stops its starts once 3 of at least 4 agree on the best SSE within
-1e-10 relative.  This script fits all eight families twice on each set
-below, once as `fit` runs and once with every start run, and compares:
+1e-10 relative, and ends a mixture's start at its first step onto the
+nested limit at the SSE of the limit family's fit, within 1e-10
+relative.  This script fits all eight families twice on each set below,
+once as `fit` runs and once with every start run to trf's own end, and
+compares:
 
 - the bundled data, (7, 3, 2, 1), (5, 5, 5, 5) and (1, 0, 0, 0) with the
   default FitConfig;
@@ -13,7 +16,7 @@ below, once as `fit` runs and once with every start run, and compares:
   FitConfig(multistart_count=2).
 
 It prints one line per set, the worst relative SSE excess of the early
-stop over the full run, and every fit whose converged flag, nested
+stops over the full run, and every fit whose converged flag, nested
 limit or failure differs.  It exits 1 when an SSE exceeds the full
 run's by more than 1e-10 relative or a flag differs.  Run from the
 repository root:
@@ -104,7 +107,7 @@ def fit_all(curve, config):
 
 
 def excess(early, full):
-    """Relative SSE excess of the early stop over the full run."""
+    """Relative SSE excess of the early stops over the full run."""
     if full.sse > 0:
         return early.sse / full.sse - 1.0
     return 0.0 if early.sse == 0 else math.inf
@@ -124,7 +127,8 @@ def main():
         start = time.perf_counter()
         early = fit_all(curve, config)
         early_s = time.perf_counter() - start
-        with mock.patch.object(fit_module, "_starts_agree", lambda *args: False):
+        with mock.patch.object(fit_module, "_starts_agree", lambda *args: False), \
+                mock.patch.object(fit_module, "_ends_at_limit", lambda *args: False):
             start = time.perf_counter()
             full = fit_all(curve, config)
             full_s = time.perf_counter() - start

@@ -64,7 +64,12 @@ these limits lie inside the box, and with more than one start the
 fits of the nested families seed further starts there.  A fit whose
 mixing law has a squared coefficient of variation of at most 1e-12
 sits at its nested limit: FitResult.nested_limit names that family,
-converged is False and std_errors is None.
+converged is False and std_errors is None.  Given those fits, a start
+ends at its first accepted step, not counting its start point, that
+lands on the nested limit with an SSE within 1e-10 relative of the
+limit family's fit (the last family nested): further steps there move
+only the last digits of the SSE and the unidentified mixing parameters,
+and cannot end below that fit, which is one of the starts.
 
 Model comparison uses the consistent Akaike criterion computed from
 the Gaussian profile likelihood of the residuals, CAIC =
@@ -162,7 +167,9 @@ class FitResult:
     module docstring).
     sse is the SSE of model.  objective_history records the SSE of the
     start point and of each accepted step of the winning start, ends at
-    sse and never increases; iterations counts its steps.
+    sse and never increases; iterations counts its steps.  A start ends
+    at its first step onto the nested limit at the SSE of the limit
+    family's fit (see fit), so at a limit both stop there.
 
     nested_limit is derived from the fitted parameters alone: the
     family a mixture has reduced to (pareto for pagb, power for pg and
@@ -242,7 +249,8 @@ _LIMIT_CV2 = 1e-12
 _FIT_ERRORS = (ValueError, RuntimeError, OverflowError)
 
 # the multistart stops once its starts keep landing on one minimum (after
-# Boender & Rinnooy Kan 1987): see _starts_agree
+# Boender & Rinnooy Kan 1987): see _starts_agree; _AGREE_RTOL also bounds
+# the limit stop, _ends_at_limit
 _AGREE_MIN_STARTS = 4
 _AGREE_COUNT = 3
 _AGREE_RTOL = 1e-10
@@ -512,12 +520,28 @@ class _StartFailed(Exception):
     """Residuals failed at the start point."""
 
 
-def _run_start(family, raw0, grid, config):
+class _AtLimit(Exception):
+    """An accepted step ended its start at the nested limit."""
+
+
+def _ends_at_limit(family, raw, sse, limit_sse):
+    """The limit stop rule: raw is at the nested limit of family and sse
+    within _AGREE_RTOL relative of limit_sse, the SSE of the limit
+    family's own fit.  No step on from there can end below that fit,
+    which is one of the starts."""
+    return (abs(sse - limit_sse) <= _AGREE_RTOL * limit_sse
+            and _nested_limit(_make_model(family, raw)) is not None)
+
+
+def _run_start(family, raw0, grid, config, limit_sse):
     """Bounded trust-region reflective least squares from raw0.
 
     Returns (raw, history), history being the SSE of the start point and
     of each accepted step, or None when the start point has no residuals.
-    A failed residual at a trial point rejects the step.
+    A failed residual at a trial point rejects the step.  limit_sse is
+    the SSE of the fit of family's nested limit, or None; given it, the
+    start ends at the first accepted step, not its start point, that
+    meets _ends_at_limit: trf would only move its SSE in the last digits.
 
     At every point trf gets the p + 1 residuals and the (p+1) x p
     Jacobian of _compress, whatever the number of points: its trust-
@@ -563,6 +587,9 @@ def _run_start(family, raw0, grid, config):
         if got is None or not np.array_equal(t, t_last):
             raise _StartFailed  # not reached while trf keeps that order
         accepted.append((t.copy(), got.rr + grid.sse_ends))
+        if (limit_sse is not None and len(accepted) > 1
+                and _ends_at_limit(family, raw_of(t), accepted[-1][1], limit_sse)):
+            raise _AtLimit
         return got.jacobian
 
     t0 = np.clip(to_t(_search_values(family, np.clip(raw0, raw_lo, raw_hi))), t_lo, t_hi)
@@ -572,6 +599,8 @@ def _run_start(family, raw0, grid, config):
                       max_nfev=config.max_iterations * (t0.size + 1))
     except _StartFailed:
         return None
+    except _AtLimit:
+        pass
     return raw_of(accepted[-1][0]), tuple(sse for _, sse in accepted)
 
 
@@ -709,7 +738,10 @@ def fit(curve, family, config=FitConfig(), *, _fitted=None):
         best SSE so far and within 1e-6 of the best end point, so
         config.multistart_count bounds the number of sampled starts.
         A mixture fits each family it nests once, with config, to seed
-        its starts (gpg fits pg, which fits power, and gp).
+        its starts (gpg fits pg, which fits power, and gp).  Each of its
+        starts then ends at its first accepted step, not its start
+        point, that lands on the nested limit with an SSE within 1e-10
+        relative of the limit family's fit.
 
     Raises
     ------
@@ -731,13 +763,17 @@ def fit(curve, family, config=FitConfig(), *, _fitted=None):
 
     gini_emp = min(max(_polygon_gini(u_all, k_all), 1e-6), 1.0 - 1e-6)
     starts = _multistart_points(family, gini_emp, config)
-    nested = []
+    nested, limit_sse = [], None
     if family in _NESTED and config.multistart_count > 1:
-        nested = _nested_starts(family, curve, config, {} if _fitted is None else _fitted)
+        fitted = {} if _fitted is None else _fitted
+        nested = _nested_starts(family, curve, config, fitted)
         starts[1:1] = nested
+        limit = fitted[_NESTED[family][-1]]
+        if not isinstance(limit, Exception):
+            limit_sse = limit.sse
     outcomes = []  # (raw, history) of each start that produced residuals
     for i, start in enumerate(starts):
-        outcome = _run_start(family, start, grid, config)
+        outcome = _run_start(family, start, grid, config, limit_sse)
         if outcome is None:
             continue
         outcomes.append(outcome)

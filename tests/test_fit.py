@@ -295,8 +295,9 @@ class TestNestedLimits:
         assert result.objective_history[-1] == result.sse
 
     def test_pagb_reaches_pareto(self):
-        # on both sets an alpha, beta cap of 1e4 stops pagb on its
-        # alpha/shift corner, above pareto's SSE
+        # every start ends at lam -> 0, where the shift is not identified:
+        # the limit stop ends it at its first step there within 1e-10 of
+        # pareto's SSE
         for dataset in (CitationDataset((7, 3, 2, 1)),
                         sample_synthetic("power", n=500, seed=9, theta=1.5)):
             curve = empirical_curve(dataset)
@@ -305,7 +306,8 @@ class TestNestedLimits:
             self.assert_at_limit(result, Family.PARETO)
 
     def test_pg_and_pig_reach_power(self):
-        # an alpha, beta cap of 1e4 holds pg at alpha = 1e4 here
+        # the mixing law collapses as its parameters reach the 1e14 cap, and
+        # the start at the power fit ends there after at most one step
         curve = empirical_curve(sample_synthetic("pg", n=2000, seed=5, alpha=0.7, beta=0.1))
         reference = fit(curve, "power", FAST).sse
         for family in ("pg", "pig"):
@@ -423,8 +425,10 @@ EARLY_STOP_SETS = {
 
 
 def without_early_stop(monkeypatch):
-    """Run every start, as fit did before the multistart stop rule."""
+    """Run every start to trf's own end, as fit did before its stop rules:
+    the multistart stop and the limit stop."""
     monkeypatch.setattr(fit_module, "_starts_agree", lambda *args: False)
+    monkeypatch.setattr(fit_module, "_ends_at_limit", lambda *args: False)
 
 
 class TestEarlyStop:
@@ -491,6 +495,67 @@ class TestEarlyStop:
         early = fit(curve, "power", config)
         without_early_stop(monkeypatch)
         assert fit(curve, "power", config) == early
+
+
+class TestLimitStop:
+    """A mixture's start ends at its first accepted step, not its start
+    point, onto the nested limit at the SSE of the limit family's fit."""
+
+    def test_rule(self):
+        at_limit, inside = (6e13, 4e13, -1.0), (6.0, 4.0, -1.0)
+        ends = fit_module._ends_at_limit
+        assert ends(Family.PAGB, at_limit, 2.0 * (1 + 9e-11), 2.0)
+        assert ends(Family.PAGB, at_limit, 2.0 * (1 - 9e-11), 2.0)
+        assert not ends(Family.PAGB, at_limit, 2.0 * (1 + 2e-10), 2.0)
+        assert not ends(Family.PAGB, at_limit, 1.0, 2.0)
+        assert not ends(Family.PAGB, inside, 2.0, 2.0)
+        assert ends(Family.PG, (1e14, 5e13), 0.0, 0.0)
+
+    def test_bundled_pagb_takes_one_step_on_pareto(self, monkeypatch):
+        curve = empirical_curve(ingest(BUNDLED))
+        steps = []  # accepted steps at the limit, one count per pagb start
+        run_start, ends_at_limit = fit_module._run_start, fit_module._ends_at_limit
+
+        def counting_start(family, *args):
+            if family is Family.PAGB:
+                steps.append(0)
+            return run_start(family, *args)
+
+        def counting_rule(family, raw, *args):
+            if fit_module._nested_limit(fit_module._make_model(family, raw)) is not None:
+                steps[-1] += 1
+            return ends_at_limit(family, raw, *args)
+
+        monkeypatch.setattr(fit_module, "_run_start", counting_start)
+        monkeypatch.setattr(fit_module, "_ends_at_limit", counting_rule)
+        result = fit(curve, "pagb")
+        assert result.nested_limit is Family.PARETO
+        assert result.sse <= fit(curve, "pareto").sse * (1.0 + 1e-10)
+        assert steps and max(steps) <= 1, steps
+
+    def test_start_point_at_the_limit_may_leave_it(self):
+        # pig's start at the power fit is at its limit with power's SSE; its
+        # steps leave the limit for pig's interior optimum (pg's start there
+        # makes one step and trf stops)
+        curve = empirical_curve(ingest(BUNDLED))
+        power_fit = fit(curve, "power")
+        grid = fit_module._Grid(curve.u_values()[1:], curve.k_values()[1:])
+        start = fit_module._point_mass(Family.PIG, *power_fit.model.param_values())
+        raw, history = fit_module._run_start(Family.PIG, start, grid, FitConfig(), power_fit.sse)
+        assert fit_module._ends_at_limit(Family.PIG, start, history[0], power_fit.sse)
+        assert history[-1] < 0.1 * power_fit.sse
+        assert fit_module._nested_limit(fit_module._make_model(Family.PIG, raw)) is None
+
+    def test_single_start_runs_to_the_end(self, monkeypatch):
+        # gpig's only start here touches the gp limit before kappa is
+        # fitted; a stop there without the SSE of a gp fit to hold it to
+        # would end 4.8 times above this SSE
+        theta = float(np.random.default_rng(3).uniform(0.5, 5.0))  # the gate's power seed 3
+        curve = empirical_curve(sample_synthetic("power", n=500, seed=3, theta=theta))
+        config = FitConfig(multistart_count=1)
+        result = fit(curve, "gpig", config)
+        without_early_stop(monkeypatch)
+        assert fit_fields(result) == fit_fields(fit(curve, "gpig", config))
 
 
 class TestDegenerateDatasets:
