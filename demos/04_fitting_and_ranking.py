@@ -2,8 +2,8 @@
 
 Fitting minimizes the sum of squared gaps between the empirical
 polygon and the model curve at the observed source fractions, via
-scipy's trust-region reflective least squares inside the parameter
-box, restarted from several points.  Models are ranked
+the package's own bounded Levenberg-Marquardt least squares inside
+the parameter box, restarted from several points.  Models are ranked
 by CAIC, which penalizes parameters more strongly than plain AIC, so
 a mixture family only wins when the extra flexibility pays for
 itself.  The script prints the ranked table and writes the full JSON

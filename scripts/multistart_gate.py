@@ -4,8 +4,8 @@
 1e-10 relative, and ends a mixture's start at its first step onto the
 nested limit at the SSE of the limit family's fit, within 1e-10
 relative.  This script fits all eight families twice on each set below,
-once as `fit` runs and once with every start run to trf's own end, and
-compares:
+once as `fit` runs and once with every start run to the solver's own
+end, and compares:
 
 - the bundled data, (7, 3, 2, 1), (5, 5, 5, 5) and (1, 0, 0, 0) with the
   default FitConfig;
@@ -22,16 +22,26 @@ run's by more than 1e-10 relative or a flag differs.  Run from the
 repository root:
 
     PYTHONPATH=src python3 scripts/multistart_gate.py [--draws N]
+        [--save PATH] [--against PATH]
+
+--save writes one JSON record per fit as `fit` runs it: the SSE, the
+converged flag, the nested limit, whether standard errors are given,
+and the failure, if any.  --against compares the fits with records
+saved by another checkout (say, the parent commit): it prints the worst
+relative SSE rise over those records and every change of a flag, a
+nested limit, the presence of standard errors or a failure, and exits 1
+when an SSE is higher than the saved one by more than 1e-10 relative.
 
 It sets OPENBLAS_NUM_THREADS, OMP_NUM_THREADS and MKL_NUM_THREADS to 1
 before numpy loads, as a fit's last bits depend on the BLAS thread
 count, so its output does not depend on the machine's cores.
 
-It takes several minutes, most of it in the full runs.
+It takes a few minutes, most of it in the full runs.
 """
 
 import argparse
 import importlib
+import json
 import math
 import os
 import sys
@@ -106,22 +116,57 @@ def fit_all(curve, config):
     return results
 
 
-def excess(early, full):
-    """Relative SSE excess of the early stops over the full run."""
-    if full.sse > 0:
-        return early.sse / full.sse - 1.0
-    return 0.0 if early.sse == 0 else math.inf
+def rise(sse, reference):
+    """Relative rise of an SSE over a reference SSE."""
+    if reference > 0:
+        return sse / reference - 1.0
+    return 0.0 if sse == 0 else math.inf
+
+
+def record(label, family, result):
+    """The saved record of one fit, as --save writes it."""
+    if isinstance(result, str):
+        return {"set": label, "family": family.value, "sse": None, "converged": None,
+                "nested_limit": None, "std_errors": None, "failure": result}
+    limit = result.nested_limit
+    return {"set": label, "family": family.value, "sse": result.sse,
+            "converged": result.converged, "nested_limit": limit and limit.value,
+            "std_errors": result.std_errors is not None, "failure": None}
+
+
+def compare_records(records, saved):
+    """The worst relative SSE rise of records over saved, and the lines
+    naming every other field that changed."""
+    saved = {(r["set"], r["family"]): r for r in saved}
+    worst, changes = (-math.inf, None), []
+    for new in records:
+        name = f"{new['set']} {new['family']}"
+        old = saved.get((new["set"], new["family"]))
+        if old is None:
+            changes.append(f"{name}: not in the saved records")
+            continue
+        if new["sse"] is not None and old["sse"] is not None:
+            worst = max(worst, (rise(new["sse"], old["sse"]), name), key=lambda w: w[0])
+        for field in ("converged", "nested_limit", "std_errors", "failure"):
+            if new[field] != old[field]:
+                changes.append(f"{name}: {field} {old[field]!r} -> {new[field]!r}")
+    return worst, changes
 
 
 def main():
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--draws", type=int, default=20,
                         help="seeded draws per generator (default 20)")
+    parser.add_argument("--save", type=Path, metavar="PATH",
+                        help="write one JSON record per fit as fit runs it")
+    parser.add_argument("--against", type=Path, metavar="PATH",
+                        help="compare the fits with records written by --save")
     args = parser.parse_args()
 
     worst = (-math.inf, None)
     mismatches = []
     fits = 0
+    records = []
     for label, dataset, config in gate_sets(args.draws):
         curve = empirical_curve(dataset)
         start = time.perf_counter()
@@ -136,11 +181,12 @@ def main():
         for family in Family:
             a, b = early[family], full[family]
             fits += 1
+            records.append(record(label, family, a))
             if isinstance(a, str) or isinstance(b, str):
                 if a != b:
                     mismatches.append(f"{label} {family.value}: {a!r} vs full {b!r}")
                 continue
-            value = excess(a, b)
+            value = rise(a.sse, b.sse)
             set_worst = max(set_worst, value)
             worst = max(worst, (value, f"{label} {family.value}"), key=lambda w: w[0])
             flags = (a.converged, a.nested_limit), (b.converged, b.nested_limit)
@@ -155,6 +201,17 @@ def main():
         print("flag mismatch:", line)
     breach = worst[0] > SSE_RTOL or mismatches
     print("FAIL" if breach else "PASS")
+    if args.save:
+        args.save.write_text(json.dumps(records, indent=1) + "\n", encoding="utf-8")
+    if args.against:
+        worst_rise, changes = compare_records(records, json.loads(args.against.read_text()))
+        print(f"against {args.against}: worst relative SSE rise "
+              f"{worst_rise[0]:+.3e} ({worst_rise[1]})")
+        for line in changes:
+            print("changed:", line)
+        against_breach = worst_rise[0] > SSE_RTOL
+        print("FAIL" if against_breach else "PASS", "against the saved records")
+        breach = breach or against_breach
     return 1 if breach else 0
 
 

@@ -2,33 +2,24 @@
 
 The objective is the sum of squared vertical gaps between the
 empirical polygon vertices (i/n, s_i/s_n), i = 1..n, and the
-parametric curve.  Each start runs scipy's trust-region reflective
-method (Branch, Coleman & Li 1999) inside the parameter box, with the
-analytic Jacobian (Moré 1978 on supplying J): curves.evaluate with
-grad gives K and its derivatives from one pass over the points.  Scale
-parameters (theta, alpha, beta) are fitted on a log scale, the Pareto
-theta and kappa as raw values between their bounds, and trf scales
-every coordinate by its Jacobian column.  pagb is searched in
-m = beta/(alpha+beta) in (0, 1), lam = 1/(alpha+beta) in [1e-14, 100]
-and the raw shift in [-200, 100].  The residual points are checked,
-and their logs computed, once per fit; at u = 1 (and u = 0) K is
-fixed, so those residuals stay out of the search.
+parametric curve.  Each start runs a bounded Levenberg-Marquardt
+method (Moré 1978, see _run_start) inside the parameter box, with the
+analytic Jacobian: curves.evaluate with grad gives K and its
+derivatives from one pass over the points.  Scale parameters (theta,
+alpha, beta) are fitted on a log scale, the Pareto theta and kappa as
+raw values between their bounds.  pagb is searched in m =
+beta/(alpha+beta) in (0, 1), lam = 1/(alpha+beta) in [1e-14, 100] and
+the raw shift in [-200, 100].  The residual points are checked, and
+their logs computed, once per fit; at u = 1 (and u = 0) K is fixed, so
+those residuals stay out of the search.
 
-trf never sees the n residuals.  Its steps use the Jacobian J and the
-residuals r only through J^T J, J^T r, r^T r and J's column norms, so
-each residual evaluation hands it the residuals [z; rho] and the
-Jacobian [R_J; 0] of a problem in p + 1 rows with the same Gram
-(Bjorck 1996, ch. 2).  R_J comes from an eigen-decomposition of J^T J
-scaled by J's column norms, taken again on J turned onto its
-eigenvectors where two columns are close to parallel, so that every
-eigenvalue holds its own digits (see _compress).  trf's SVDs and products then cost O(p^3), not
-O(n p^2), per step; the SSE and the history still come from the full
-residuals.  z is 0 along eigenvalues of at most 100 eps of the
-largest, which hold only rounding.  The convergence test below still
+The solver sees the Jacobian J and the residuals r only through the
+Gram of [J r], reduced to a p x p R and a p-vector z (_compress; Bjorck
+1996, ch. 2), so a step costs O(p^3), not O(n p^2); the SSE and the
+history come from the full residuals.  The convergence test below
 takes one thin SVD of the n x p Jacobian, once per fit: its rank cut,
 a singular-value ratio of 100 n eps (1.5e-10 at n = 6826), lies below
-the square root of eps to which one Gram resolves that ratio, so the
-factor trf gets could put a fit on the other side of it.
+the square root of eps to which one Gram resolves that ratio.
 
 Each fit is restarted from a deterministic seeded Latin-hypercube of
 initial points plus a method-of-moments start; the best final
@@ -38,8 +29,7 @@ the nested starts below have all run, and 3 end on the best one's
 minimum: within 1e-10 relative of its SSE and within 1e-6 of its end
 point in every search coordinate, or at a nested limit with it.  So
 FitConfig.multistart_count is an upper bound on the sampled starts.
-The answer is the end point of the start with the lowest SSE, as trf
-returned it.
+The answer is the end point of the start with the lowest SSE.
 
 A fit is converged when it is exact, its SSE at most n (4 eps)^2 for n
 residuals (each within the rounding of a K of at most 1), or when the
@@ -49,12 +39,11 @@ residuals inside (0, 1), where the p columns of Q1 span those of the
 Jacobian J.  RO compares the part of the residuals that a step could
 still remove with the part no step reaches, so it depends on neither
 the scale of the data nor the number of points.  It is large where the
-SSE would fall beyond an edge of the box, and where trf stops short of
-an optimum outside it with an SSE at rounding level (flat or
-single-spike data); a rank-deficient J, whose parameters are not
-identified, gives no RO and reads not converged unless the fit is
-exact.  Standard errors are given only for a converged fit whose J has
-full rank.
+SSE would fall beyond an edge of the box, also where that SSE is at
+rounding level (flat or single-spike data); a rank-deficient J, whose
+parameters are not identified, gives no RO and reads not converged
+unless the fit is exact.  Standard errors are given only for a
+converged fit whose J has full rank.
 
 The mixtures nest simpler families in the limit where the mixing law
 collapses to a point mass: pagb nests pareto as lam -> 0, pg and pig
@@ -65,11 +54,9 @@ fits of the nested families seed further starts there.  A fit whose
 mixing law has a squared coefficient of variation of at most 1e-12
 sits at its nested limit: FitResult.nested_limit names that family,
 converged is False and std_errors is None.  Given those fits, a start
-ends at its first accepted step, not counting its start point, that
-lands on the nested limit with an SSE within 1e-10 relative of the
-limit family's fit (the last family nested): further steps there move
-only the last digits of the SSE and the unidentified mixing parameters,
-and cannot end below that fit, which is one of the starts.
+ends at its first accepted step onto the nested limit with an SSE
+within 1e-10 relative of the limit family's fit (the last family
+nested, see _ends_at_limit).
 
 Model comparison uses the consistent Akaike criterion computed from
 the Gaussian profile likelihood of the residuals, CAIC =
@@ -78,6 +65,7 @@ p(1 + log n) - 2 log l; lower is preferred.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -103,34 +91,25 @@ __all__ = [
 _EPS = float(np.finfo(float).eps)
 _RELATIVE_OFFSET_CUT = 1e-3  # Bates & Watts's suggested cut
 # see _compress: below 1e-8 of the largest, an eigenvalue of the scaled
-# Gram keeps fewer than 8 good digits, so J is turned onto its eigenvectors
-# and the Gram formed again; eigenvalues below 100 eps of the largest are
-# rounding, and z is 0 along them
+# Gram keeps fewer than 8 good digits; below 100 eps it is rounding
 _GRAM_REFINE = 1e-8
 _GRAM_CUT = 100.0 * _EPS
+_RO_STOP = 1e-6  # a start ends at a relative offset this small (_run_start)
 
 
 @dataclass(frozen=True)
 class FitConfig:
     """Knobs for the least-squares iteration and multistart.
 
-    max_iterations sets the evaluation budget of each start: the
-    trust-region method may try max_iterations * (p + 1) points for p
-    parameters (scipy's max_nfev).  Each residual evaluation also gives
-    the analytic Jacobian there, so the budget counts residual
-    evaluations only.  step_tolerance is its xtol: a start stops when a
-    step is shorter than step_tolerance times the norm of the fitted
-    coordinates.
+    max_iterations sets the evaluation budget of each start: the solver
+    evaluates at most max_iterations * (p + 1) points for p parameters,
+    each with its Jacobian.  A start stops after a step shorter than
+    step_tolerance (step_tolerance + |t|) in its search coordinates t.
 
-    multistart_count is an upper bound on the number of starts: the
-    multistart stops once at least 4 starts have produced residuals and
-    3 of them end within 1e-10 relative of the best SSE so far and
-    within 1e-6 of the best end point (see fit).  With more than one
-    start, a mixture adds 1 to 5 starts at the fits of the families it
-    nests, and these all run before the multistart may stop.  Those
-    nested fits run with this same config, once per family in a call of
-    fit or compare_models: a comparison hands the fits it has made down
-    to the mixtures that nest them.
+    multistart_count is an upper bound on the number of sampled starts
+    (see the module docstring); with more than one, a mixture adds 1 to
+    5 starts at the fits of the families it nests, made with this same
+    config once per family in a call of fit or compare_models.
     """
 
     max_iterations: int = 200
@@ -167,9 +146,7 @@ class FitResult:
     module docstring).
     sse is the SSE of model.  objective_history records the SSE of the
     start point and of each accepted step of the winning start, ends at
-    sse and never increases; iterations counts its steps.  A start ends
-    at its first step onto the nested limit at the SSE of the limit
-    family's fit (see fit), so at a limit both stop there.
+    sse and never increases; iterations counts its steps.
 
     nested_limit is derived from the fitted parameters alone: the
     family a mixture has reduced to (pareto for pagb, power for pg and
@@ -229,7 +206,7 @@ _BOUNDS = {
 
 # pagb is searched in the mean m = beta/(alpha+beta) and the spread
 # lam = 1/(alpha+beta) of its mixed exponent, and the shift: lam = 0 is
-# the pareto limit, a short trf step away on a linear scale.  The box maps
+# the pareto limit, a short step away on a linear scale.  The box maps
 # into the alpha, beta box of _MIX.
 _PAGB_SEARCH = (_Bound(1e-6, 1.0 - 1e-6, False), _Bound(1e-14, 100.0, False), _SHIFT)
 
@@ -460,97 +437,123 @@ def _starts_agree(family, outcomes):
                for raw, history in outcomes) >= _AGREE_COUNT
 
 
-class _Compressed(NamedTuple):
-    """A least-squares problem in p + 1 rows with the Gram of [J r]."""
+def _compress(J, r, turn=True):
+    """The Gram of [J r] as (R, z, r^T r): R^T R = J^T J, R^T z = J^T r.
 
-    residuals: np.ndarray  # [z; rho], p + 1 values
-    jacobian: np.ndarray  # [R_J; 0], (p + 1) x p
-    rr: float  # r^T r of the full residuals
-
-
-def _scaled_eigh(a):
-    """The column norms d of the Gram a, with d = 1 for a zero column,
-    and the eigenvalues and eigenvectors of a scaled to D^-1 a D^-1."""
-    d = np.sqrt(a.diagonal())
-    d[d == 0.0] = 1.0
-    lam, v = np.linalg.eigh(a / np.outer(d, d))
-    return d, lam, v
-
-
-def _compress(J, r):
-    """The (p+1)-row problem that trf solves in place of (J, r).
-
-    With D the column norms of J, the scaled Gram D^-1 J^T J D^-1 =
-    V L V^T gives R_J = L^1/2 V^T D, z = L^-1/2 V^T D^-1 J^T r and
-    rho = sqrt(r^T r - z^T z).  Then R_J^T R_J = J^T J, R_J^T z = J^T r
-    and |z|^2 + rho^2 = r^T r to rounding: trf uses J and r only through
-    these and J's column norms, so it takes the same steps on
-    ([z; rho], [R_J; 0]).  Scaling by D keeps every column norm to
-    rounding however far apart they lie, as x_scale="jac" needs.
-
-    A Gram knows its eigenvalues only to rounding of the largest, so
-    where the smallest is below _GRAM_REFINE of the largest (columns
-    close to parallel, as along the valley to a nested limit), J is
-    turned onto V first: the columns of J D^-1 V are close to
-    orthogonal, and their Gram gives each eigenvalue to its own
-    rounding, as an SVD of J would.  z is 0 on eigenvalues of at most
-    _GRAM_CUT of the largest.  Returns None where the Gram overflows.
+    With D the column norms of J (1 for a zero column), the scaled Gram
+    D^-1 J^T J D^-1 = V L V^T gives R = L^1/2 V^T D and z = L^-1/2 V^T
+    D^-1 J^T r, the components of r on an orthonormal basis of the span
+    of J's columns.  Where the smallest eigenvalue is below _GRAM_REFINE
+    of the largest (columns close to parallel, as along the valley to a
+    nested limit), J is turned onto V first, so that the Gram of J D^-1 V
+    gives each eigenvalue to its own rounding, as an SVD of J would.  z
+    is 0 on eigenvalues of at most _GRAM_CUT of the largest.  Returns
+    None where the Gram overflows.
     """
     a = J.T @ J
     if not np.isfinite(a.diagonal()).all():
         return None
-    d, lam, v = _scaled_eigh(a)
-    back = None  # J = J_turned @ back
-    if lam[0] < _GRAM_REFINE * lam[-1]:
-        back = v.T * d
-        J = J @ (v / d[:, np.newaxis])
-        d, lam, v = _scaled_eigh(J.T @ J)
+    d = np.sqrt(a.diagonal())
+    d[d == 0.0] = 1.0
+    lam, v = np.linalg.eigh(a / np.outer(d, d))
+    if turn and lam[0] < _GRAM_REFINE * lam[-1]:
+        R, z, rr = _compress(J @ (v / d[:, np.newaxis]), r, turn=False)
+        return R @ (v.T * d), z, rr
     root = np.sqrt(np.maximum(lam, 0.0))
     z = v.T @ ((J.T @ r) / d)
     z = np.divide(z, root, out=np.zeros_like(z), where=lam > _GRAM_CUT * lam[-1])
-    jacobian = np.zeros((z.size + 1, z.size))
-    jacobian[:-1] = root[:, np.newaxis] * v.T * d
-    if back is not None:
-        jacobian[:-1] = jacobian[:-1] @ back
-    rr = float(r @ r)
-    return _Compressed(np.append(z, math.sqrt(max(rr - z @ z, 0.0))), jacobian, rr)
+    return root[:, np.newaxis] * v.T * d, z, float(r @ r)
 
 
-class _StartFailed(Exception):
-    """Residuals failed at the start point."""
+def _box_minimum(M, z, lam, lo, hi):
+    """The minimum of |M y + z|^2 + lam |y|^2, lam > 0, on the box lo <= y
+    <= hi: the best of the minima over the spans of the 3^p faces of the
+    box (each coordinate free, at lo or at hi) that lie in the box.  They
+    are solved together, each by QR of its 2p-row problem with the bound
+    columns moved to the right-hand side, as M's small singular values
+    need."""
+    # each coordinate at lo (-1), free (0) or at hi (1)
+    faces = np.array(list(itertools.product((-1, 0, 1), repeat=lo.size)))
+    free = faces == 0
+    fixed = np.where(free, 0.0, np.where(faces < 0, lo, hi))
+    eye = np.eye(lo.size)
+    a = np.concatenate([M * free[:, np.newaxis, :],
+                        np.where(free[:, :, np.newaxis], math.sqrt(lam) * eye, eye)], axis=1)
+    q, r = np.linalg.qr(a)
+    b = np.concatenate([-z - fixed @ M.T, fixed], axis=1)
+    y = np.linalg.solve(r, q.transpose(0, 2, 1) @ b[..., np.newaxis])[..., 0]
+    y = np.where(free, y, fixed)  # the solve keeps the bounds only to rounding
+    y = y[((lo <= y) & (y <= hi)).all(axis=1)]  # the corners always lie in the box
+    return y[np.argmin(((y @ M.T + z) ** 2).sum(axis=1) + lam * (y * y).sum(axis=1))]
 
 
-class _AtLimit(Exception):
-    """An accepted step ended its start at the nested limit."""
+def _lm_step(M, z, radius, lo, hi):
+    """The Levenberg-Marquardt step y in lo <= y <= hi for the linear
+    problem |M y + z|^2, and the drop in |M y + z|^2 it gives.
+
+    A coordinate on a bound that the gradient M^T z pushes against stays
+    there.  In the others the damping lam is (100 eps)^2 of M's largest
+    squared singular value, or larger where that leaves the trust region
+    |y| <= radius: Newton's method on 1/|y(lam)| - 1/radius brings |y|
+    within 10% of radius (Moré & Sorensen 1983).  A step that leaves the
+    box is _box_minimum's at that damping, or at |M^T z| / radius where
+    that leaves the trust region.
+    """
+    g = z @ M
+    free = ~(((lo == 0.0) & (g > 0.0)) | ((hi == 0.0) & (g < 0.0)))
+    y = np.zeros(lo.size)
+    if free.any():
+        u, sigma, wt = np.linalg.svd(M[:, free], full_matrices=False)
+        s = sigma * sigma
+        beta = sigma * (u.T @ z)  # M^T z on the rows of wt
+        lam = (100.0 * _EPS) ** 2 * s[0] or 1.0  # M = 0 has step 0 at any damping
+        w = beta / (s + lam)
+        for _ in range(10):
+            q = math.sqrt(w @ w)
+            if q <= 1.1 * radius:
+                break
+            lam += (q / radius - 1.0) / ((w / q) @ (w / q / (s + lam)))
+            w = beta / (s + lam)
+        y[free] = -(w @ wt)
+        if (y < lo).any() or (y > hi).any():
+            lo, hi = np.where(free, lo, 0.0), np.where(free, hi, 0.0)
+            y = _box_minimum(M, z, lam, lo, hi)
+            if math.sqrt(y @ y) > 1.1 * radius:  # |y| <= |M^T z| / lam on the box
+                y = _box_minimum(M, z, math.sqrt(g[free] @ g[free]) / radius, lo, hi)
+    my = M @ y
+    return y, -float((2.0 * z + my) @ my)
 
 
 def _ends_at_limit(family, raw, sse, limit_sse):
     """The limit stop rule: raw is at the nested limit of family and sse
     within _AGREE_RTOL relative of limit_sse, the SSE of the limit
-    family's own fit.  No step on from there can end below that fit,
-    which is one of the starts."""
+    family's own fit.  Steps on move only the last digits of the SSE and
+    the unidentified mixing parameters, and cannot end below that fit."""
     return (abs(sse - limit_sse) <= _AGREE_RTOL * limit_sse
             and _nested_limit(_make_model(family, raw)) is not None)
 
 
 def _run_start(family, raw0, grid, config, limit_sse):
-    """Bounded trust-region reflective least squares from raw0.
+    """Bounded Levenberg-Marquardt least squares from raw0 (Moré 1978).
 
     Returns (raw, history), history being the SSE of the start point and
     of each accepted step, or None when the start point has no residuals.
-    A failed residual at a trial point rejects the step.  limit_sse is
-    the SSE of the fit of family's nested limit, or None; given it, the
-    start ends at the first accepted step, not its start point, that
-    meets _ends_at_limit: trf would only move its SSE in the last digits.
+    Each step is _lm_step's on the Gram of _compress, in the search
+    coordinates t scaled by D, the largest column norms of J met so far;
+    the trust radius starts at |D t0| and follows the ratio of each
+    step's SSE drop to its predicted one.  A step that lowers the SSE is
+    taken.  The start ends:
 
-    At every point trf gets the p + 1 residuals and the (p+1) x p
-    Jacobian of _compress, whatever the number of points: its trust-
-    region SVDs and products cost O(p^3) a step, and the cost it compares
-    is r^T r to rounding.  Each history SSE is the full residuals' r^T r
-    from that Gram, plus the fixed ends.
+    - at a relative offset |z| / sqrt p over rho / sqrt(m - p) of at
+      most _RO_STOP, m residuals, which leaves the SSE within about
+      _RO_STOP^2 p / (m - p) relative of the minimum's, or where the
+      drop |z|^2 a step could give is below sqrt(m) eps r^T r, the
+      rounding of a sum of m squares, which the SSE cannot resolve;
+    - after a step shorter than step_tolerance (step_tolerance + |t|);
+    - after max_iterations (p + 1) residual evaluations;
+    - given limit_sse, the SSE of the fit of family's nested limit, at
+      its first accepted step that meets _ends_at_limit.
     """
-    from scipy.optimize import least_squares  # scipy.optimize loads on the first fit
-
     bounds = _search_bounds(family)
     lo, hi, is_log = np.array(bounds).T
     raw_lo, raw_hi, _ = np.array(_BOUNDS[family]).T
@@ -565,43 +568,49 @@ def _run_start(family, raw0, grid, config, limit_sse):
             values = ((1.0 - m) / lam, m / lam, shift)
         return tuple(map(float, np.clip(values, raw_lo, raw_hi)))
 
-    t_lo, t_hi = to_t(lo), to_t(hi)
-    accepted = []  # (t, sse) of the start point and of each accepted step
-    last = [None, None]  # t and _Compressed (None if failed) of the latest call
-
-    def resid(t):
+    def gram(t):
         raw = raw_of(t)
         got = _residuals(family, raw, grid.points, grid.k)
-        if got is not None:
-            got = _compress(_jacobian(family, raw, got[1], search=True), got[0])
-        last[:] = t.copy(), got
-        if got is None and not accepted:
-            raise _StartFailed
-        # a non-finite trial makes trf reject the step and shrink its radius
-        return np.full(len(bounds) + 1, np.nan) if got is None else got.residuals
+        return got and _compress(_jacobian(family, raw, got[1], search=True), got[0])
 
-    def jac(t):
-        # trf calls this at the start point and at each accepted step,
-        # right after evaluating the residuals there
-        t_last, got = last
-        if got is None or not np.array_equal(t, t_last):
-            raise _StartFailed  # not reached while trf keeps that order
-        accepted.append((t.copy(), got.rr + grid.sse_ends))
-        if (limit_sse is not None and len(accepted) > 1
-                and _ends_at_limit(family, raw_of(t), accepted[-1][1], limit_sse)):
-            raise _AtLimit
-        return got.jacobian
-
-    t0 = np.clip(to_t(_search_values(family, np.clip(raw0, raw_lo, raw_hi))), t_lo, t_hi)
-    try:
-        least_squares(resid, t0, jac=jac, bounds=(t_lo, t_hi), method="trf", x_scale="jac",
-                      xtol=config.step_tolerance, ftol=1e-15, gtol=1e-15,
-                      max_nfev=config.max_iterations * (t0.size + 1))
-    except _StartFailed:
+    t_lo, t_hi = to_t(lo), to_t(hi)
+    t = np.clip(to_t(_search_values(family, np.clip(raw0, raw_lo, raw_hi))), t_lo, t_hi)
+    got = gram(t)
+    if got is None:
         return None
-    except _AtLimit:
-        pass
-    return raw_of(accepted[-1][0]), tuple(sse for _, sse in accepted)
+    history = [got[2] + grid.sse_ends]
+    m, p, tol = grid.k.size, t.size, config.step_tolerance
+    scale = np.linalg.norm(got[0], axis=0)
+    scale[scale == 0.0] = 1.0
+    radius = float(np.linalg.norm(scale * t)) or 1.0
+    for _ in range(config.max_iterations * (p + 1) - 1):
+        R, z, rr = got
+        zz = float(z @ z)
+        if m > p and (m - p) * zz <= _RO_STOP**2 * p * (rr - zz) or zz <= math.sqrt(m) * _EPS * rr:
+            break
+        scale = np.maximum(scale, np.linalg.norm(R, axis=0))
+        lo_y, hi_y = scale * (t_lo - t), scale * (t_hi - t)
+        y, drop = _lm_step(R / scale, z, radius, lo_y, hi_y)
+        step = y / scale
+        done = np.linalg.norm(step) < tol * (tol + np.linalg.norm(t))
+        # a step onto a face of the box lands on its bounds exactly
+        t_new = np.where(y <= lo_y, t_lo, np.where(y >= hi_y, t_hi,
+                                                   np.clip(t + step, t_lo, t_hi)))
+        new = gram(t_new)
+        size = float(np.linalg.norm(y))
+        gain = -math.inf if new is None else rr - new[2]
+        if gain < 0.25 * drop:
+            radius = 0.25 * size
+        elif gain > 0.75 * drop and size > 0.95 * radius:
+            radius *= 2.0
+        if gain > 0.0:
+            t, got = t_new, new
+            history.append(new[2] + grid.sse_ends)
+            done = done or (limit_sse is not None
+                            and _ends_at_limit(family, raw_of(t), history[-1], limit_sse))
+        if done:
+            break
+    return raw_of(t), tuple(history)
 
 
 def _gap(bound, value, edge):
@@ -729,19 +738,10 @@ def fit(curve, family, config=FitConfig(), *, _fitted=None):
     Returns
     -------
     FitResult
-        The end point of the start with the lowest SSE; converged is
-        False at a nested limit, and elsewhere True for an exact fit or
-        a relative offset of at most 1e-3 (see the module docstring),
-        and std_errors is None unless converged.  The starts stop once
-        at least 4 have produced residuals, those at the nested fits
-        have all run, and 3 of them end within 1e-10 relative of the
-        best SSE so far and within 1e-6 of the best end point, so
-        config.multistart_count bounds the number of sampled starts.
-        A mixture fits each family it nests once, with config, to seed
-        its starts (gpg fits pg, which fits power, and gp).  Each of its
-        starts then ends at its first accepted step, not its start
-        point, that lands on the nested limit with an SSE within 1e-10
-        relative of the limit family's fit.
+        The end point of the start with the lowest SSE (the module
+        docstring gives the starts, their stop rules and the converged
+        flag).  A mixture fits each family it nests once, with config,
+        to seed its starts (gpg fits pg, which fits power, and gp).
 
     Raises
     ------

@@ -500,8 +500,8 @@ def fresh_python(code):
 
 def test_import_leaves_scipy_integrate_unloaded():
     # scipy.integrate serves only the numeric test oracles, which import
-    # it when called, and scipy.optimize only fit; the package and the
-    # command must not pay for them on import
+    # it when called; the package and the command must not pay for it, or
+    # for scipy.optimize, on import
     done = fresh_python(
         "import sys, leimkuhler, leimkuhler.cli; "
         "assert 'scipy.integrate' not in sys.modules, 'scipy.integrate imported'; "
@@ -510,11 +510,13 @@ def test_import_leaves_scipy_integrate_unloaded():
 
 
 def test_fit_command_in_a_fresh_process(counts_file):
-    # scipy.optimize loads on the first fit
+    # the fit's own solver works on the Gram: a power fit loads neither
+    # scipy.optimize nor scipy.special
     done = fresh_python(
         "import sys; from leimkuhler.cli import main; "
         f"code = main(['fit', {counts_file!r}, '--model', 'power', '--multistart', '2']); "
-        "assert 'scipy.optimize' in sys.modules, 'scipy.optimize not imported'; "
+        "assert 'scipy.optimize' not in sys.modules, 'scipy.optimize imported'; "
+        "assert 'scipy.special' not in sys.modules, 'scipy.special imported'; "
         "sys.exit(code)")
     assert done.returncode == 0, done.stderr
     assert "power" in done.stdout

@@ -240,30 +240,28 @@ class TestConvergedFlag:
         assert not result.converged
         assert result.std_errors is None
 
-    def test_stop_short_of_a_bound_is_not_converged(self):
-        # trf stops a relative 9e-6 short of gp's theta floor and 3e-8 short
-        # of its kappa cap here, with the SSE still falling towards the
-        # corner: the fit reports that end point, and its residuals lie
-        # almost wholly in the span of the Jacobian
+    def test_stop_on_a_bound_is_not_converged(self):
+        # the SSE still falls towards gp's corner at the theta floor and
+        # the kappa cap here: the bounded steps end on that corner, and the
+        # residuals there lie almost wholly in the span of the Jacobian
         curve = empirical_curve(CitationDataset((5, 5, 5, 5)))
         result = fit(curve, "gp", FAST)
-        theta, kappa = result.model.param_values()
-        assert 1e-8 < theta < 1.0001e-8 and 1.0 - 1e-7 < kappa < 1.0
+        assert result.model.param_values() == (1e-8, 1.0)
         assert result.nested_limit is None
         assert not result.converged
         assert result.objective_history[-1] == result.sse
 
     def test_flag_at_a_flat_optimum_is_scale_free(self):
-        # with four starts trf ends 1e-9 short of the Pareto optimum on the
-        # bundled data: the SSE is flat to rounding there, and |J^T r| is
-        # about 2e-6, but its relative offset is far below 1e-3
+        # with four starts the solver stops short of the Pareto optimum on
+        # the bundled data, where the SSE is flat to rounding: |J^T r| is not
+        # 0 there, but its relative offset is far below 1e-3
         curve = empirical_curve(ingest(BUNDLED))
         result = fit(curve, "pareto", FitConfig(multistart_count=4, seed=0))
         assert result.converged
 
     def test_sse_is_that_of_the_returned_model(self):
-        # the SSE of trf's end point, also where it is at rounding level,
-        # as on (5, 5, 5, 5)
+        # the SSE of the solver's end point, also where it is at rounding
+        # level, as on (5, 5, 5, 5)
         for counts in (ingest(BUNDLED), CitationDataset((5, 5, 5, 5))):
             curve = empirical_curve(counts)
             u, k_emp = curve.u_values()[1:], curve.k_values()[1:]
@@ -425,8 +423,8 @@ EARLY_STOP_SETS = {
 
 
 def without_early_stop(monkeypatch):
-    """Run every start to trf's own end, as fit did before its stop rules:
-    the multistart stop and the limit stop."""
+    """Run every start to the solver's own end, as fit did before its stop
+    rules: the multistart stop and the limit stop."""
     monkeypatch.setattr(fit_module, "_starts_agree", lambda *args: False)
     monkeypatch.setattr(fit_module, "_ends_at_limit", lambda *args: False)
 
@@ -512,31 +510,37 @@ class TestLimitStop:
         assert ends(Family.PG, (1e14, 5e13), 0.0, 0.0)
 
     def test_bundled_pagb_takes_one_step_on_pareto(self, monkeypatch):
+        # each pagb start makes at most one accepted step onto the pareto
+        # limit at pareto's SSE, its last: steps onto the limit at a
+        # higher SSE go on, as Gauss-Newton along the face lam = 0 takes a
+        # few to reach pareto's SSE there
         curve = empirical_curve(ingest(BUNDLED))
-        steps = []  # accepted steps at the limit, one count per pagb start
+        rules = []  # the rule at each accepted step at the limit, per pagb start
         run_start, ends_at_limit = fit_module._run_start, fit_module._ends_at_limit
 
         def counting_start(family, *args):
             if family is Family.PAGB:
-                steps.append(0)
+                rules.append([])
             return run_start(family, *args)
 
         def counting_rule(family, raw, *args):
+            met = ends_at_limit(family, raw, *args)
             if fit_module._nested_limit(fit_module._make_model(family, raw)) is not None:
-                steps[-1] += 1
-            return ends_at_limit(family, raw, *args)
+                rules[-1].append(met)
+            return met
 
         monkeypatch.setattr(fit_module, "_run_start", counting_start)
         monkeypatch.setattr(fit_module, "_ends_at_limit", counting_rule)
         result = fit(curve, "pagb")
         assert result.nested_limit is Family.PARETO
         assert result.sse <= fit(curve, "pareto").sse * (1.0 + 1e-10)
-        assert steps and max(steps) <= 1, steps
+        assert any(met and met[-1] for met in rules), rules
+        assert all(True not in met[:-1] for met in rules), rules
 
     def test_start_point_at_the_limit_may_leave_it(self):
         # pig's start at the power fit is at its limit with power's SSE; its
         # steps leave the limit for pig's interior optimum (pg's start there
-        # makes one step and trf stops)
+        # makes one step and stops)
         curve = empirical_curve(ingest(BUNDLED))
         power_fit = fit(curve, "power")
         grid = fit_module._Grid(curve.u_values()[1:], curve.k_values()[1:])
@@ -558,6 +562,119 @@ class TestLimitStop:
         assert fit_fields(result) == fit_fields(fit(curve, "gpig", config))
 
 
+def damped_problem(rng, p, kind):
+    """A random damped least-squares problem |J y + r|^2 + lam |y|^2 in
+    p coordinates as (J, r, lam, A, b), |A y - b|^2 being the same.
+    kind "scaled" spreads J's column norms from 1e-4 to 1e4; "parallel"
+    makes its first two columns nearly parallel."""
+    J, r = rng.normal(size=(12, p)), rng.normal(size=12)
+    if kind == "scaled":
+        J *= np.logspace(-4.0, 4.0, p)
+    elif kind == "parallel":
+        J[:, 1] = J[:, 0] + 1e-7 * J[:, 1]
+    lam = 10.0 ** rng.uniform(-6.0, 0.0) * np.linalg.norm(J, 2) ** 2
+    A = np.vstack([J, math.sqrt(lam) * np.eye(p)])
+    b = np.append(-r, np.zeros(p))
+    return J, r, lam, A, b
+
+
+class TestBoundedStep:
+    """The step on the box: the minimum of the damped problem over the
+    faces of the box, against scipy's bounded linear least squares."""
+
+    @pytest.mark.parametrize("p", [1, 2, 3])
+    def test_matches_lsq_linear(self, p):
+        from scipy.optimize import lsq_linear  # an oracle for the tests only
+
+        rng = np.random.default_rng(p)
+        active_counts = set()
+        kinds = ("plain", "scaled", "parallel") if p > 1 else ("plain", "scaled")
+        for kind in kinds:
+            for _ in range(6):
+                J, r, lam, A, b = damped_problem(rng, p, kind)
+                free = np.linalg.lstsq(A, b, rcond=None)[0]
+                for forced in range(p + 1):
+                    # the box holds 0, and cuts the free minimum in `forced`
+                    # coordinates
+                    width = 10.0 * np.abs(free) + 1e-3
+                    lo, hi = -width * rng.uniform(0.5, 1.0, p), width * rng.uniform(0.5, 1.0, p)
+                    cut = rng.permutation(p)[:forced]
+                    hi[cut] = np.where(free[cut] > 0, 0.5 * free[cut], hi[cut])
+                    lo[cut] = np.where(free[cut] < 0, 0.5 * free[cut], lo[cut])
+                    y = fit_module._box_minimum(J, r, lam, lo, hi)
+                    assert np.all((lo <= y) & (y <= hi))
+                    oracle = lsq_linear(A, b, bounds=(lo, hi), method="bvls", tol=1e-15).x
+                    objective, expected = (float(np.sum((A @ x - b) ** 2)) for x in (y, oracle))
+                    assert objective == pytest.approx(expected, rel=1e-10), (kind, forced)
+                    active_counts.add(int(np.sum((y == lo) | (y == hi))))
+        assert active_counts == set(range(p + 1))
+
+    def test_takes_the_free_step_inside_the_box(self):
+        rng = np.random.default_rng(5)
+        M, z = rng.normal(size=(3, 3)), rng.normal(size=3)
+        wide = np.full(3, 1e6)
+        y, drop = fit_module._lm_step(M, z, 1e6, -wide, wide)
+        # the undamped step, but for the rounding-level damping
+        assert y == pytest.approx(np.linalg.solve(M, -z), rel=1e-9)
+        assert drop == pytest.approx(z @ z, rel=1e-9)
+        # a trust radius of 0.1 damps it to within 10% of the radius
+        y, drop = fit_module._lm_step(M, z, 0.1, -wide, wide)
+        assert 0.1 <= np.linalg.norm(y) <= 0.11
+        assert 0.0 < drop == pytest.approx(z @ z - np.sum((M @ y + z) ** 2), rel=1e-9)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_a_step_from_a_corner_stays_in_the_box(self, seed):
+        rng = np.random.default_rng(seed)
+        M, z = rng.normal(size=(3, 3)), rng.normal(size=3)
+        # at the corner every coordinate sits on its lower or upper bound
+        upper = rng.uniform(size=3) < 0.5
+        lo = np.where(upper, -rng.uniform(0.1, 1.0, 3), 0.0)
+        hi = np.where(upper, 0.0, rng.uniform(0.1, 1.0, 3))
+        for radius in (1e-3, 1.0, 1e3):
+            y, drop = fit_module._lm_step(M, z, radius, lo, hi)
+            assert np.all((lo <= y) & (y <= hi)), (radius, y)
+            assert drop >= 0.0
+
+    def test_start_at_a_box_corner_stays_feasible(self, monkeypatch):
+        # gpg from the corner kappa = 1, alpha at its floor, beta at its cap
+        curve = empirical_curve(sample_synthetic("pg", n=300, seed=4, alpha=0.7, beta=0.3))
+        grid = fit_module._Grid(curve.u_values()[1:], curve.k_values()[1:])
+        lm_step, steps = fit_module._lm_step, []
+
+        def stepping(M, z, radius, lo, hi):
+            y, drop = lm_step(M, z, radius, lo, hi)
+            steps.append(bool(np.all((lo <= y) & (y <= hi))))
+            return y, drop
+
+        monkeypatch.setattr(fit_module, "_lm_step", stepping)
+        corner = (1.0, 1e-8, 1e14)
+        raw, history = fit_module._run_start(Family.GPG, corner, grid, FitConfig(), None)
+        assert steps and all(steps)
+        assert all(b.lo <= x <= b.hi for b, x in zip(fit_module._BOUNDS[Family.GPG], raw))
+        assert all(a >= b for a, b in zip(history, history[1:]))
+        assert history[-1] < history[0]
+
+    def test_relative_offset_stop_after_one_step_on_a_linear_problem(self, monkeypatch):
+        # pareto's theta is searched on a linear scale: with residuals
+        # a theta - b, the first step lands on the least-squares solution,
+        # whose relative offset is at rounding level
+        rng = np.random.default_rng(2)
+        a = rng.uniform(0.5, 1.5, 50)
+        b = 0.3 * a + 1e-3 * rng.normal(size=50)
+        calls = []
+
+        def linear(family, raw, points, k_emp):
+            calls.append(raw)
+            return a * raw[0] - b, (a.copy(),)
+
+        monkeypatch.setattr(fit_module, "_residuals", linear)
+        u = np.arange(1, 51) / 51.0
+        grid = fit_module._Grid(u, u)
+        raw, history = fit_module._run_start(Family.PARETO, (0.5,), grid, FitConfig(), None)
+        assert len(calls) == 2 and len(history) == 2
+        assert raw[0] == pytest.approx((a @ b) / (a @ a), rel=1e-12)
+
+
 class TestDegenerateDatasets:
     """Pinned behaviour on datasets at the edges of the input domain."""
 
@@ -576,17 +693,21 @@ class TestDegenerateDatasets:
         curve = empirical_curve(dataset)
         assert empirical_indices(curve).gini == 0.5
         result = fit(curve, "power")
-        # theta runs towards infinity: one residual, in J's span
-        assert not result.converged and result.sse < 1e-15
+        # the one residual's K is 2^70 / (2^70 + 1), 1.0 in floating point,
+        # which 1 - 2^-(1 + theta) reaches for theta of about 53 and more:
+        # the bounded steps run theta up to there, an exact fit
+        assert result.converged and result.sse == 0.0
 
     # a fit whose SSE is at rounding level but not exact reads converged
-    # only if its relative offset is at most 1e-3.  On these sets trf heads
-    # for an optimum outside the box (theta to infinity, or a kappa or
-    # theta floor) and stops with SSE from 1e-19 to 1e-15 and residuals
-    # almost wholly in the span of J, so no family reads converged
+    # only if its relative offset is at most 1e-3.  On these sets the SSE
+    # falls towards an optimum outside the box (theta to infinity, or a
+    # kappa or theta floor): the families that stop on the box's edge with
+    # SSE from 1e-25 to 1e-17 and residuals almost wholly in the span of J
+    # read not converged, those whose SSE reaches n (4 eps)^2 or 0 read
+    # converged as exact fits
     @pytest.mark.parametrize("counts, converged", [
-        ((5, 5, 5, 5), set()),
-        ((1, 0, 0, 0), set()),
+        ((5, 5, 5, 5), {"pg", "gpg"}),
+        ((1, 0, 0, 0), {"power", "gp", "pg", "pig", "gpg", "gpig"}),
     ])
     def test_flags_on_flat_and_single_spike_data(self, counts, converged):
         curve = empirical_curve(CitationDataset(counts))
@@ -711,27 +832,28 @@ class TestRelativeOffset:
 
 
 class TestCompressedProblem:
-    """The (p+1)-row problem trf solves in place of the n-row one."""
+    """The Gram of [J r] that the solver sees in place of the n-row problem."""
 
     @staticmethod
     def check(J, r):
-        got = fit_module._compress(J, r)
+        R, z, rr = fit_module._compress(J, r)
         p = J.shape[1]
-        assert got.residuals.shape == (p + 1,) and got.jacobian.shape == (p + 1, p)
-        assert np.isfinite(got.residuals).all() and np.isfinite(got.jacobian).all()
-        assert not got.jacobian[p].any()
-        assert got.rr == float(r @ r)
+        assert R.shape == (p, p) and z.shape == (p,)
+        assert np.isfinite(R).all() and np.isfinite(z).all()
+        assert rr == float(r @ r)
+        # [R z; 0 rho], rho^2 = r^T r - z^T z, has the Gram of [J r]
+        small = np.zeros((p + 1, p + 1))
+        small[:p, :p], small[:p, p], small[p, p] = R, z, math.sqrt(max(rr - z @ z, 0.0))
         full = np.column_stack([J, r])
         gram = full.T @ full
-        small = np.column_stack([got.jacobian, got.residuals])
         norms = np.sqrt(np.diag(gram))
         # each entry to 1e-12 of the norms of its two columns, however far
         # apart the column scales lie
         scale = np.outer(norms, norms)
         assert np.all(np.abs(small.T @ small - gram) <= 1e-12 * scale)
-        assert got.residuals @ got.residuals == pytest.approx(r @ r, rel=1e-13)
-        assert np.all(np.abs(got.jacobian.T @ got.residuals - J.T @ r) <= 1e-12 * norms[:p] * norms[p])
-        return got
+        assert small[:, p] @ small[:, p] == pytest.approx(r @ r, rel=1e-13)
+        assert np.all(np.abs(R.T @ z - J.T @ r) <= 1e-12 * norms[:p] * norms[p])
+        return R, z, rr
 
     @pytest.mark.parametrize("seed", range(5))
     def test_keeps_the_gram_of_random_problems(self, seed):
@@ -744,8 +866,8 @@ class TestCompressedProblem:
     def test_zero_and_equal_columns_give_finite_output(self):
         rng = np.random.default_rng(7)
         v, w, r = rng.normal(size=(3, 40))
-        got = self.check(np.column_stack([v, np.zeros(40), w]), r)
-        assert not got.jacobian[:, 1].any()
+        R, _, _ = self.check(np.column_stack([v, np.zeros(40), w]), r)
+        assert not R[:, 1].any()
         self.check(np.column_stack([v, v, w]), r)
         self.check(np.column_stack([v, v]), r)
         self.check(np.zeros((40, 2)), r)
@@ -756,9 +878,9 @@ class TestCompressedProblem:
         rng = np.random.default_rng(3)
         v, w, r = rng.normal(size=(3, 200))
         J = np.column_stack([v, v + 1e-7 * w, w])
-        got = self.check(J, r)
+        R, _, _ = self.check(J, r)
         expected = np.linalg.svd(J, compute_uv=False)
-        assert np.linalg.svd(got.jacobian, compute_uv=False) == pytest.approx(expected, rel=1e-8)
+        assert np.linalg.svd(R, compute_uv=False) == pytest.approx(expected, rel=1e-8)
 
     def test_single_residual(self):
         # one residual and three parameters, as on the counts (2^70, 1)
@@ -767,22 +889,27 @@ class TestCompressedProblem:
 
     @pytest.mark.parametrize("family, draw", [("power", ("power", {"theta": 3.0})),
                                               ("gpg", ("pg", {"alpha": 0.7, "beta": 0.1}))])
-    def test_trf_gets_p_plus_one_rows_at_any_n(self, family, draw, monkeypatch):
-        import scipy.optimize
+    def test_solver_gets_the_gram_at_any_n(self, family, draw, monkeypatch):
+        compress, lm_step = fit_module._compress, fit_module._lm_step
+        rows, sizes = [], []
 
-        least_squares = scipy.optimize.least_squares
-        sizes = []
+        def compressing(J, r, **kwargs):
+            rows.append(J.shape[0])
+            return compress(J, r, **kwargs)
 
-        def wrapped(fun, x0, *args, **kwargs):
-            sizes.append(fun(x0).size - len(x0))
-            return least_squares(fun, x0, *args, **kwargs)
+        def stepping(M, z, *args):
+            sizes.append((M.shape, z.shape))
+            return lm_step(M, z, *args)
 
-        monkeypatch.setattr(scipy.optimize, "least_squares", wrapped)
+        monkeypatch.setattr(fit_module, "_compress", compressing)
+        monkeypatch.setattr(fit_module, "_lm_step", stepping)
         generator, params = draw
         curve = empirical_curve(sample_synthetic(generator, 10_000, 5, **params))
         # with two starts, gpg also fits pg, gp and power for its nested starts
         result = fit(curve, family, FitConfig(multistart_count=2))
-        assert sizes and set(sizes) == {1}
+        n = curve.u_values().size - 2  # the vertices inside (0, 1)
+        assert rows and set(rows) == {n}
+        assert sizes and all(m == (z[0], z[0]) and z[0] <= 3 for m, z in sizes)
         # the SSE is still that of the full residuals
         r = evaluate(result.model, curve.u_values()[1:]) - curve.k_values()[1:]
         assert result.sse == pytest.approx(float(r @ r), rel=1e-12)
