@@ -9,9 +9,11 @@ end, and compares:
 
 - the bundled data, (7, 3, 2, 1), (5, 5, 5, 5) and (1, 0, 0, 0) with the
   default FitConfig;
-- 20 seeded sample_synthetic draws per generator (power, pareto, pg,
-  pig), parameters drawn from the draw's seed, with the default
+- 20 seeded sample_synthetic draws of 500 per generator (power, pareto,
+  pg, pig), parameters drawn from the draw's seed, with the default
   FitConfig;
+- one draw of 100,000 per generator (seed 0), on which `fit` runs each
+  start on a thinned polygon first, with the default FitConfig;
 - the benchmark's smoke input, every 20th line of the bundled data, with
   FitConfig(multistart_count=2).
 
@@ -36,7 +38,8 @@ It sets OPENBLAS_NUM_THREADS, OMP_NUM_THREADS and MKL_NUM_THREADS to 1
 before numpy loads, as a fit's last bits depend on the BLAS thread
 count, so its output does not depend on the machine's cores.
 
-It takes a few minutes, most of it in the full runs.
+It takes a few minutes, most of it in the full runs of the 100,000-point
+draws.
 """
 
 import argparse
@@ -73,6 +76,7 @@ fit_module = importlib.import_module("leimkuhler.fit")
 
 SSE_RTOL = 1e-10
 SAMPLE_N = 500
+LARGE_N = 100_000  # above the size from which fit thins the polygon
 # parameter ranges of the synthetic draws, sampled uniformly
 GENERATORS = {
     "power": {"theta": (0.5, 5.0)},
@@ -82,18 +86,26 @@ GENERATORS = {
 }
 
 
+def draw(generator, n, seed):
+    """(label, dataset) of a seeded draw, its parameters drawn from seed."""
+    rng = np.random.default_rng(seed)
+    params = {name: float(rng.uniform(lo, hi)) for name, (lo, hi) in GENERATORS[generator].items()}
+    label = f"{generator} seed {seed} " + " ".join(
+        f"{name}={value:.3g}" for name, value in params.items())
+    return label, sample_synthetic(generator, n, seed, **params)
+
+
 def gate_sets(draws):
     """(label, counts, config) of every set the gate covers."""
     yield "bundled", ingest(ROOT / BUNDLED), FitConfig()
     for counts in ((7, 3, 2, 1), (5, 5, 5, 5), (1, 0, 0, 0)):
         yield str(counts), CitationDataset(counts), FitConfig()
-    for generator, ranges in GENERATORS.items():
+    for generator in GENERATORS:
         for seed in range(draws):
-            rng = np.random.default_rng(seed)
-            params = {name: float(rng.uniform(lo, hi)) for name, (lo, hi) in ranges.items()}
-            label = f"{generator} seed {seed} " + " ".join(
-                f"{name}={value:.3g}" for name, value in params.items())
-            yield label, sample_synthetic(generator, SAMPLE_N, seed, **params), FitConfig()
+            yield *draw(generator, SAMPLE_N, seed), FitConfig()
+    for generator in GENERATORS:
+        label, dataset = draw(generator, LARGE_N, 0)
+        yield f"{label} n={LARGE_N}", dataset, FitConfig()
     # as the benchmark writes it: every SMOKE_STRIDE-th line of the file
     lines = (ROOT / BUNDLED).read_text(encoding="utf-8").split()
     smoke = CitationDataset(tuple(map(int, lines[::SMOKE_STRIDE])))

@@ -13,6 +13,7 @@ from __future__ import annotations
 import csv
 import io
 import math
+import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -197,24 +198,39 @@ def _read_lines(stream):
     return counts
 
 
-def _read_lines_fast(text):
-    """Counts of a "lines" text, parsed by numpy in one call.
+# numpy opens a path through np.lib._datasource, which decompresses files
+# with these suffixes and looks for a missing file under each of them
+_DATASOURCE_SUFFIXES = (".gz", ".bz2", ".xz", ".lzma")
 
-    numpy's result stands only for ASCII text (numpy 2.4's loadtxt reads
-    some other letters as digits) with one non-negative int64 on each
-    non-blank line; ndmin=2 keeps "1 2" from passing as two lines.  All
+
+def _numpy_counts(source):
+    """Counts of a "lines" text stream or file, parsed by numpy in one
+    call, or None where numpy's result does not stand for the per-line
+    parser's.
+
+    It stands only for ASCII text (numpy 2.4's loadtxt reads some other
+    letters as digits) with one non-negative int64 on each non-blank
+    line; ndmin=2 keeps "1 2" from passing as two lines.  A file is
+    decoded as ASCII, so other text raises UnicodeDecodeError here.  All
     else goes to _read_lines, the only source of line-numbered errors,
     header skipping and counts at or above 2**63.
     """
-    # loadtxt warns on a text with no data, which the per-line parser reports
-    if text.isascii() and text and not text.isspace():
+    with warnings.catch_warnings():
+        # loadtxt warns on input with no data, which the per-line parser reports
+        warnings.simplefilter("error", UserWarning)
         try:
-            values = np.loadtxt(io.StringIO(text), dtype=np.int64, comments=None, ndmin=2)
-        except ValueError:
-            values = None
-        if values is not None and values.shape[1] == 1 and values.min() >= 0:
-            return values[:, 0]
-    return _read_lines(io.StringIO(text, newline=None))
+            values = np.loadtxt(source, dtype=np.int64, comments=None, ndmin=2,
+                                encoding="ascii")
+        except (ValueError, UserWarning, OSError):  # UnicodeDecodeError is a ValueError
+            return None
+    return values[:, 0] if values.shape[1] == 1 and values.min() >= 0 else None
+
+
+def _read_lines_fast(text):
+    """Counts of a "lines" text: numpy's parse where it stands, else the
+    per-line parser's (see _numpy_counts)."""
+    counts = _numpy_counts(io.StringIO(text)) if text.isascii() else None
+    return _read_lines(io.StringIO(text, newline=None)) if counts is None else counts
 
 
 def _read_csv(stream, column):
@@ -241,8 +257,10 @@ def ingest(source, format="lines", column=None, label=None):
         "lines" expects one non-negative integer per line (blank lines
         ignored, one leading non-numeric header line tolerated), with
         lines ending at "\n", "\r\n" or "\r" as in a file opened in
-        text mode.  numpy parses the whole text in one call; text it
-        does not cover exactly falls back to a per-line parser.
+        text mode.  numpy parses the whole text in one call, reading a
+        path once; text it does not cover exactly (not ASCII, a header,
+        no data, a count at or above 2**63) falls back to a per-line
+        parser.
         "csv" reads the named integer column of an RFC-4180 file.
     column : str, optional
         Column name, required for format="csv".
@@ -266,20 +284,25 @@ def ingest(source, format="lines", column=None, label=None):
     if format == "csv" and not column:
         raise ValueError("csv format requires a column name")
 
-    text = None
+    text = counts = None
     if isinstance(source, (str, Path)):
         path = Path(source)
         if label is None:
             label = path.name
-        try:
-            text = path.read_text(encoding="utf-8")
-        except OSError as exc:
-            raise DataError(f"cannot read {path}: {exc}") from exc
+        if format == "lines" and path.is_file() and path.suffix not in _DATASOURCE_SUFFIXES:
+            counts = _numpy_counts(path)  # an ASCII file is read once, by numpy
+        if counts is None:
+            try:
+                text = path.read_text(encoding="utf-8")
+            except (OSError, UnicodeDecodeError) as exc:
+                raise DataError(f"cannot read {path}: {exc}") from exc
 
-    if format == "lines":
-        counts = _read_lines_fast(source.read() if text is None else text)
-    else:
+    if format == "csv":
         counts = _read_csv(source if text is None else io.StringIO(text), column)
+    elif text is not None:
+        counts = _read_lines(io.StringIO(text, newline=None))  # numpy's parse did not stand
+    elif counts is None:
+        counts = _read_lines_fast(source.read())
     if not len(counts):
         raise DataError("no counts found in input")
     return CitationDataset(counts, label=label or "")

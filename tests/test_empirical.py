@@ -1,9 +1,13 @@
 """Tests for dataset ingestion and the empirical polygon."""
 
 import dataclasses
+import gzip
 import io
 import math
 import random
+import tempfile
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -107,6 +111,13 @@ def _parsed(parser, text):
         return str(exc), exc.line_number
 
 
+def _ingested(source):
+    try:
+        return sorted(int(c) for c in ingest(source).counts_desc)
+    except DataError as exc:
+        return str(exc), exc.line_number
+
+
 def _numpy_lines(text, ndmin=2):
     return np.loadtxt(io.StringIO(text), dtype=np.int64, comments=None, ndmin=ndmin)
 
@@ -141,6 +152,56 @@ class TestIngestFastPath:
     def test_agrees_with_per_line_parser(self, text):
         per_line = _parsed(lambda t: _read_lines(io.StringIO(t, newline=None)), text)
         assert _parsed(_read_lines_fast, text) == per_line
+
+    @settings(deadline=None, max_examples=150)
+    @given(_TEXT)
+    def test_file_agrees_with_its_text(self, text):
+        # numpy reads a path itself; what it does not cover is read again
+        with tempfile.TemporaryDirectory() as work:
+            path = Path(work) / "counts.txt"
+            path.write_bytes(text.encode("utf-8"))
+            from_text = _ingested(io.StringIO(path.read_text(encoding="utf-8")))
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                assert _ingested(path) == from_text
+
+    def test_ascii_file_is_read_once_by_numpy(self, tmp_path, monkeypatch):
+        path = tmp_path / "counts.txt"
+        path.write_bytes(b"3\r\n1\n\n2\r")
+        monkeypatch.setattr(Path, "read_text", lambda *args, **kwargs: pytest.fail("read again"))
+        assert ingest(path).counts_desc.tolist() == [3, 2, 1]
+
+    @pytest.mark.parametrize("data, expected", [
+        ("5\n\u01fe\n7\n".encode("utf-8"), "line 2: expected a non-negative integer"),
+        ("\u0663\n1\n".encode("utf-8"), [1, 3]),
+        (b"", "no counts"),
+        (b" \n\t\n", "no counts"),
+        (b"citations\n3\n", [3]),
+        (f"{2**63}\n1\n".encode(), [1, 2**63]),
+        (b"3\n-1\n", "line 2: negative count -1"),
+    ], ids=["non-ascii letter", "non-ascii digit", "empty", "blank", "header", "2^63",
+            "negative"])
+    def test_file_falls_back_to_per_line_parser(self, data, expected, tmp_path):
+        path = tmp_path / "counts.txt"
+        path.write_bytes(data)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # loadtxt's no-data warning stays inside
+            got = _ingested(path)
+        assert got == expected if isinstance(expected, list) else expected in got[0]
+
+    def test_file_that_is_not_utf8(self, tmp_path):
+        path = tmp_path / "counts.txt"
+        path.write_bytes(b"3\n\xe9\n")
+        with pytest.raises(DataError, match="cannot read"):
+            ingest(path)
+
+    def test_compressed_file_is_not_opened(self, tmp_path):
+        # numpy would decompress these, and open one in place of a missing file
+        data = gzip.compress(b"3\n1\n")
+        (tmp_path / "counts.txt.gz").write_bytes(data)
+        for name in ("counts.txt.gz", "counts.txt"):
+            with pytest.raises(DataError, match="cannot read"):
+                ingest(tmp_path / name)
 
     def test_plain_text_takes_numpy_path(self):
         counts = _read_lines_fast("3\n 1\r\n\n\t2 \n")

@@ -562,6 +562,90 @@ class TestLimitStop:
         assert fit_fields(result) == fit_fields(fit(curve, "gpig", config))
 
 
+def record_starts(monkeypatch):
+    """Record (family, residual points, limit SSE) of every _run_start."""
+    calls = []
+    run_start = fit_module._run_start
+
+    def recording(family, raw0, grid, config, limit_sse):
+        calls.append((family, grid.points.size, limit_sse))
+        return run_start(family, raw0, grid, config, limit_sse)
+
+    monkeypatch.setattr(fit_module, "_run_start", recording)
+    return calls
+
+
+def thinning_off(monkeypatch):
+    monkeypatch.setattr(fit_module, "_THIN_ABOVE", math.inf)
+
+
+def pg_curve(n):
+    return empirical_curve(sample_synthetic("pg", n=n, seed=1, alpha=0.7, beta=0.1))
+
+
+class TestThinnedStart:
+    """Above _THIN_ABOVE residual points each start runs on every s-th
+    point first, then on all of them from where that run ended."""
+
+    JUST_ABOVE = fit_module._THIN_ABOVE + 100
+
+    def test_one_run_per_start_at_or_below_the_size(self, monkeypatch):
+        calls = record_starts(monkeypatch)
+        curve = pg_curve(fit_module._THIN_ABOVE)  # _THIN_ABOVE residual points
+        fit(curve, "pg", FitConfig(multistart_count=4))
+        assert calls and {size for _, size, _ in calls} == {fit_module._THIN_ABOVE}
+
+    @pytest.mark.parametrize("family", ["power", "pagb"])
+    def test_two_runs_per_start_above_the_size(self, family, monkeypatch):
+        curve = pg_curve(self.JUST_ABOVE)
+        limit_sse = fit(curve, "pareto").sse if family == "pagb" else None
+        calls = record_starts(monkeypatch)
+        fit(curve, family)
+        calls = [call for call in calls if call[0] is Family(family)]
+        assert calls and len(calls) % 2 == 0
+        thin, full = calls[::2], calls[1::2]
+        assert all(size <= fit_module._THIN_SIZE and limit is None for _, size, limit in thin)
+        assert all(size == self.JUST_ABOVE and limit == limit_sse for _, size, limit in full)
+
+    def test_failed_thin_run_falls_back_to_the_start_point(self, monkeypatch):
+        curve = pg_curve(self.JUST_ABOVE)
+        with monkeypatch.context() as patch:
+            thinning_off(patch)
+            plain = fit(curve, "power", FitConfig(multistart_count=4))
+        run_start = fit_module._run_start
+
+        def no_thin_run(family, raw0, grid, *args):
+            if grid.points.size <= fit_module._THIN_SIZE:
+                return None
+            return run_start(family, raw0, grid, *args)
+
+        monkeypatch.setattr(fit_module, "_run_start", no_thin_run)
+        assert fit(curve, "power", FitConfig(multistart_count=4)) == plain
+
+    @pytest.mark.parametrize("n", [JUST_ABOVE, 100_000], ids=["just above", "1e5"])
+    def test_keeps_the_answers_of_the_full_polygon(self, n, monkeypatch):
+        curve = pg_curve(n)
+        config = FitConfig(multistart_count=4)  # pg and pagb still get their nested starts
+        thinned = {family: fit(curve, family, config) for family in ("power", "pg", "pagb")}
+        thinning_off(monkeypatch)
+        for family, result in thinned.items():
+            plain = fit(curve, family, config)
+            assert result.sse <= plain.sse * (1.0 + 1e-10), family
+            assert result.converged == plain.converged, family
+            assert result.nested_limit is plain.nested_limit, family
+
+    @pytest.mark.parametrize("family", ["power", "gpg"])
+    def test_history_is_the_full_polygons(self, family):
+        curve = pg_curve(self.JUST_ABOVE)
+        result = fit(curve, family, FitConfig(multistart_count=4))
+        history = result.objective_history
+        assert result.iterations == len(history) - 1
+        assert all(b <= a for a, b in zip(history, history[1:]))
+        assert history[-1] == result.sse
+        r = evaluate(result.model, curve.u_values()[1:]) - curve.k_values()[1:]
+        assert result.sse == pytest.approx(float(r @ r), rel=1e-12)
+
+
 def damped_problem(rng, p, kind):
     """A random damped least-squares problem |J y + r|^2 + lam |y|^2 in
     p coordinates as (J, r, lam, A, b), |A y - b|^2 being the same.
