@@ -11,7 +11,10 @@ The digest covers, bit for bit:
   theta 3) and 500 (seed 3, theta 1.5) and pg samples of 2000 (seeds 2
   and 5, alpha 0.7, beta 0.1);
 - model_indices and a 4097-point evaluate on [0, 1] of each of the 15
-  pinned models of the benchmark's model sweep.
+  pinned models of the benchmark's model sweep;
+- leimkuhler_compare of each of the 105 pairs of those models (relation,
+  max_gap and crossing points) and the five check_proposition results
+  of the sweep, with their default grids and tolerance.
 
 Two checkouts whose digests agree give the same answers; a change meant
 to be numerically neutral (a speed-up, a refactor) should leave it as
@@ -34,6 +37,7 @@ It takes about as long as fitting all eight families twice.
 
 import argparse
 import hashlib
+import itertools
 import os
 import sys
 from pathlib import Path
@@ -57,7 +61,8 @@ from leimkuhler.empirical import (  # noqa: E402
 )
 from leimkuhler.fit import FitConfig, fit  # noqa: E402
 from leimkuhler.indices import model_indices  # noqa: E402
-from perfbench.workloads import BUNDLED, FIXED_MODELS  # noqa: E402
+from leimkuhler.order import check_proposition, leimkuhler_compare  # noqa: E402
+from perfbench.workloads import BUNDLED, FIXED_MODELS, PROPOSITIONS  # noqa: E402
 
 GRID = np.linspace(0.0, 1.0, 4097)
 NESTED_SETS = (
@@ -94,13 +99,20 @@ def answer_lines():
     yield from _fit_lines(curve, four, "bundled")
     for label, dataset in NESTED_SETS:
         yield from _fit_lines(empirical_curve(dataset()), four, label)
-    for family, params in FIXED_MODELS:
-        model = make_model(family, **params)
+    models = [make_model(family, **params) for family, params in FIXED_MODELS]
+    for (family, params), model in zip(FIXED_MODELS, models):
         report = model_indices(model)
         yield repr(_exact((family, sorted(params.items()), report.gini,
                            report.generalized_gini, report.pietra, report.pietra_argmax_u,
                            sorted(report.method_tags.items()))))
         yield evaluate(model, GRID).tobytes().hex()
+    for (i, a), (j, b) in itertools.combinations(enumerate(models), 2):
+        result = leimkuhler_compare(a, b)
+        yield repr(_exact((i, j, result.relation.value, result.max_gap,
+                           result.crossing_points)))
+    for case, params, delta in PROPOSITIONS:
+        yield repr(_exact((case, sorted(params.items()), delta,
+                           *check_proposition(case, params, delta))))
 
 
 def main():

@@ -5,7 +5,12 @@ or above the other everywhere; the higher curve describes the more
 concentrated population.  leimkuhler_compare classifies a pair of
 models as ordered, equal within tolerance, or crossing, and locates
 each crossing by refining its bracket on grids of interior points,
-each grid evaluated in one call per model.  check_proposition
+each grid evaluated in one call per model on shared points.  Rounds
+alternate between an even grid across the bracket and a grid finer
+than the tolerance around the bracket's secant root (Dekker 1969;
+Brent 1973, ch. 4), so a crossing takes about two rounds; each
+crossing is the secant root of a bracket no wider than the
+tolerance, and so within it of a sign change.  check_proposition
 verifies the known monotonicity of the mixture families in their
 mixing parameters: for the gamma mixture the curve rises pointwise in
 the shape parameter and falls in the rate parameter, for the
@@ -21,7 +26,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .curves import CurveModel, evaluate, gpg, pg, pig
+from .curves import CurveModel, _Points, evaluate, gpg, pg, pig
 
 __all__ = [
     "Relation",
@@ -33,8 +38,13 @@ __all__ = [
 ]
 
 _MIN_GRID = 16
-# interior points per round of crossing refinement
+# interior points per round of crossing refinement: an even round puts
+# them at these fractions of the bracket, a secant round at these
+# multiples of tol around the secant root, so that neighbours are
+# closer than tol
 _REFINE_POINTS = 64
+_EVEN_FRACTIONS = np.arange(1, _REFINE_POINTS + 1) / (_REFINE_POINTS + 1)
+_SECANT_STEPS = 0.999 * (np.arange(_REFINE_POINTS) - 0.5 * (_REFINE_POINTS - 1))
 # float slack for pointwise inequalities that hold with certainty in
 # exact arithmetic
 _INEQ_SLACK = 1e-12
@@ -52,8 +62,9 @@ class DominanceResult:
     """Outcome of comparing two curves.
 
     max_gap is the largest absolute vertical gap seen on the grid.
-    crossing_points holds the refined u locations of sign changes and
-    is nonempty exactly when relation is crossing.
+    crossing_points holds the u locations of sign changes, each the
+    secant root of a bracket no wider than the tolerance, and is
+    nonempty exactly when relation is crossing.
     """
 
     relation: Relation
@@ -82,23 +93,40 @@ class PropositionCheck(NamedTuple):
 
 
 def _curve_gap(a, b, u):
-    return evaluate(a, u) - evaluate(b, u)
+    points = _Points(u)
+    return evaluate(a, points) - evaluate(b, points)
 
 
-def _refine_crossing(a, b, lo, hi, sign_lo, tol):
-    # sign change of K_a - K_b is bracketed in (lo, hi); each round
-    # evaluates _REFINE_POINTS interior points in one call per model and
-    # keeps the cell of the first sign change, until the bracket is
-    # within tol
-    while hi - lo > tol:
-        u = np.linspace(lo, hi, _REFINE_POINTS + 2)
-        gap = _curve_gap(a, b, u[1:-1])
-        changed = (gap == 0.0) | ((gap > 0.0) != (sign_lo > 0))
+def _secant_root(lo, hi, gap_lo, gap_hi):
+    # in [lo, hi] for gaps of opposite signs, and bit for bit the same
+    # when both gaps are negated
+    return lo + (hi - lo) * (gap_lo / (gap_lo - gap_hi))
+
+
+def _refine_crossing(a, b, lo, hi, gap_lo, gap_hi, tol):
+    # the gap K_a - K_b changes sign from gap_lo at lo to gap_hi at hi.
+    # Rounds alternate between even and secant grids, and each keeps the
+    # first sign change.  A secant round ends the refinement when the
+    # sign change falls among its points; one that misses still trims
+    # the bracket.  A bracket that one even round ends gets an even one.
+    # Below the spacing of floats, refinement ends at adjacent floats.
+    secant = False
+    while hi - lo > tol and np.nextafter(lo, hi) < hi:
+        if secant and hi - lo > (_REFINE_POINTS + 1) * tol:
+            u = np.clip(_secant_root(lo, hi, gap_lo, gap_hi) + tol * _SECANT_STEPS, lo, hi)
+        else:
+            u = lo + (hi - lo) * _EVEN_FRACTIONS
+        gap = _curve_gap(a, b, u)
+        changed = (gap == 0.0) | ((gap > 0.0) != (gap_lo > 0.0))
         first = int(np.argmax(changed)) if changed.any() else gap.size
-        if first < gap.size and gap[first] == 0.0:
-            return float(u[first + 1])
-        lo, hi = float(u[first]), float(u[first + 1])
-    return 0.5 * (lo + hi)
+        if first < gap.size:
+            if gap[first] == 0.0:
+                return float(u[first])
+            hi, gap_hi = float(u[first]), float(gap[first])
+        if first > 0:
+            lo, gap_lo = float(u[first - 1]), float(gap[first - 1])
+        secant = not secant
+    return _secant_root(lo, hi, gap_lo, gap_hi)
 
 
 def leimkuhler_compare(a, b, grid_size=257, tol=1e-9):
@@ -112,7 +140,7 @@ def leimkuhler_compare(a, b, grid_size=257, tol=1e-9):
     tol : float
         Dead band on curve differences: gaps within tol count as
         equality.  Crossing locations are also refined to this
-        u-precision.
+        u-precision, or to adjacent floats where tol is finer.
 
     Returns
     -------
@@ -124,9 +152,18 @@ def leimkuhler_compare(a, b, grid_size=257, tol=1e-9):
 
     Notes
     -----
+    Successive grid points outside the dead band with opposite signs
+    bracket a crossing.  Its bracket is refined in rounds of 64 points:
+    even rounds space them evenly across it, secant rounds just under
+    tol apart around its secant root, which ends the refinement when
+    the sign change falls among them.  Each crossing is the secant
+    root of a final bracket no wider than tol that holds a sign change,
+    or a point where the gap is exactly 0, so it lies within tol of a
+    sign change.
+
     The classification is antisymmetric: swapping the arguments swaps
     the dominance relations and preserves max_gap and the crossing
-    locations.
+    locations, bit for bit.
     """
     if not isinstance(a, CurveModel) or not isinstance(b, CurveModel):
         raise TypeError("leimkuhler_compare expects two CurveModel values")
@@ -136,7 +173,9 @@ def leimkuhler_compare(a, b, grid_size=257, tol=1e-9):
         raise ValueError("tol must be positive")
 
     u = np.linspace(0.0, 1.0, grid_size)
-    gap = _curve_gap(a, b, u)
+    # K(0) = 0 and K(1) = 1 for every model: the gap is 0 at both ends
+    gap = np.zeros(grid_size)
+    gap[1:-1] = _curve_gap(a, b, u[1:-1])
     max_gap = float(np.max(np.abs(gap)))
 
     above = gap > tol
@@ -152,10 +191,10 @@ def leimkuhler_compare(a, b, grid_size=257, tol=1e-9):
     # bracket a crossing
     outside = np.flatnonzero(~(np.abs(gap) <= tol))
     positive = gap[outside] > 0.0
+    flips = np.flatnonzero(positive[1:] != positive[:-1])
     crossings = tuple(
-        _refine_crossing(a, b, float(u[outside[i]]), float(u[outside[i + 1]]),
-                         1 if positive[i] else -1, tol)
-        for i in np.flatnonzero(positive[1:] != positive[:-1]))
+        _refine_crossing(a, b, float(u[lo]), float(u[hi]), float(gap[lo]), float(gap[hi]), tol)
+        for lo, hi in zip(outside[flips], outside[flips + 1]))
     return DominanceResult(Relation.CROSSING, max_gap, crossings)
 
 
@@ -218,7 +257,8 @@ def check_proposition(prop, base_params, delta, grid_size=257):
     base = build(**base_kwargs)
     moved = build(**moved_kwargs)
     u = np.linspace(0.0, 1.0, grid_size)
-    k_base = evaluate(base, u)
-    k_moved = evaluate(moved, u)
+    points = _Points(u)
+    k_base = evaluate(base, points)
+    k_moved = evaluate(moved, points)
     witness = _find_violation(u, k_base, k_moved, direction)
     return PropositionCheck(witness is None, witness)

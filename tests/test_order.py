@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
+from leimkuhler import order
 from leimkuhler.curves import Family, evaluate, gp, gpg, pareto, pg, pig, power
 from leimkuhler.order import (
     DominanceResult,
@@ -17,6 +18,30 @@ from leimkuhler.order import (
     leimkuhler_compare,
 )
 from tests.test_curves import draw_model
+
+_GRID = np.linspace(0.0, 1.0, 257)
+
+
+def _brentq_roots(a, b, tol, xtol):
+    # an independent root of K_a - K_b on each bracket of the default
+    # grid where the gap changes sign outside the dead band
+    gap = lambda v: float(evaluate(a, v) - evaluate(b, v))
+    roots, last_u, last_sign = [], None, 0
+    for u, g in zip(_GRID, evaluate(a, _GRID) - evaluate(b, _GRID)):
+        if abs(g) <= tol:
+            continue
+        if last_sign and (g > 0) != (last_sign > 0):
+            roots.append(brentq(gap, last_u, float(u), xtol=xtol))
+        last_u, last_sign = float(u), g
+    return roots
+
+
+def _count_evaluate_calls(monkeypatch):
+    calls = []
+    real = order.evaluate
+    monkeypatch.setattr(order, "evaluate", lambda *args: calls.append(1) or real(*args))
+    return calls
+
 
 _MIRROR = {
     Relation.FIRST_DOMINATES: Relation.SECOND_DOMINATES,
@@ -73,11 +98,11 @@ class TestLeimkuhlerCompare:
             b = draw_model(rng, rng.choice(families))
             ab = leimkuhler_compare(a, b, grid_size=129, tol=1e-9)
             ba = leimkuhler_compare(b, a, grid_size=129, tol=1e-9)
+            # negating the gap is exact, and so is every step of the
+            # refinement under it
             assert ba.relation is _MIRROR[ab.relation]
-            assert ba.max_gap == pytest.approx(ab.max_gap, abs=1e-15)
-            assert len(ba.crossing_points) == len(ab.crossing_points)
-            for x, y in zip(ab.crossing_points, ba.crossing_points):
-                assert x == pytest.approx(y, abs=2e-9)
+            assert ba.max_gap == ab.max_gap
+            assert ba.crossing_points == ab.crossing_points
 
     def test_crossing_iff_points_located(self):
         rng = random.Random(77)
@@ -98,12 +123,12 @@ class TestLeimkuhlerCompare:
             assert left * right < 0
 
     def test_crossing_points_match_brentq(self):
-        # every crossing is refined to within tol/2 of the root, so it
-        # agrees with an independent brentq root of the gap on the same
-        # grid bracket
+        # every crossing is the secant root of a bracket within tol, so
+        # it agrees with an independent brentq root of the gap on the
+        # same grid bracket
         rng = random.Random(6060)
         families = list(Family)
-        tol, grid = 1e-9, np.linspace(0.0, 1.0, 257)
+        tol = 1e-9
         checked = with_pagb = 0
         for i in range(40):
             a = draw_model(rng, Family.PAGB if i % 2 == 0 else rng.choice(families))
@@ -111,20 +136,68 @@ class TestLeimkuhlerCompare:
             result = leimkuhler_compare(a, b, tol=tol)
             if result.relation is not Relation.CROSSING:
                 continue
-            gap = lambda v: float(evaluate(a, v) - evaluate(b, v))
-            roots, last_u, last_sign = [], None, 0
-            for u, g in zip(grid, evaluate(a, grid) - evaluate(b, grid)):
-                if abs(g) <= tol:
-                    continue
-                if last_sign and (g > 0) != (last_sign > 0):
-                    roots.append(brentq(gap, last_u, float(u), xtol=1e-14))
-                last_u, last_sign = float(u), g
+            roots = _brentq_roots(a, b, tol, xtol=1e-14)
             assert len(roots) == len(result.crossing_points), (a, b)
             for got, root in zip(result.crossing_points, roots):
                 assert got == pytest.approx(root, abs=2e-10), (a, b)
             checked += 1
             with_pagb += Family.PAGB in (a.family, b.family)
         assert checked >= 10 and with_pagb >= 5, (checked, with_pagb)
+
+    @pytest.mark.parametrize("tol", [1e-6, 1e-12])
+    def test_crossing_points_within_tol_at_other_tolerances(self, tol):
+        rng = random.Random(int(-np.log10(tol)))
+        families = list(Family)
+        checked = 0
+        for _ in range(60):
+            a = draw_model(rng, rng.choice(families))
+            b = draw_model(rng, rng.choice(families))
+            result = leimkuhler_compare(a, b, tol=tol)
+            if result.relation is not Relation.CROSSING:
+                continue
+            roots = _brentq_roots(a, b, tol, xtol=1e-15)
+            assert len(roots) == len(result.crossing_points), (a, b)
+            # where the gap is shallow at a root, its rounding, not the
+            # refinement, decides where the sign changes
+            h = 1e-6
+            slopes = [abs(float(evaluate(a, r + h) - evaluate(b, r + h))
+                          - float(evaluate(a, r - h) - evaluate(b, r - h))) / (2.0 * h)
+                      for r in roots if h < r < 1.0 - h]
+            if len(slopes) < len(roots) or min(slopes) < 1e-3:
+                continue
+            for got, root in zip(result.crossing_points, roots):
+                assert got == pytest.approx(root, abs=tol / 2), (a, b)
+            checked += 1
+        assert checked >= 15, checked
+
+    def test_crossing_takes_at_most_three_rounds(self, monkeypatch):
+        # two evaluate calls for the grid and two per round; an even
+        # round, then a secant round that lands, end this one
+        calls = _count_evaluate_calls(monkeypatch)
+        result = leimkuhler_compare(power(1.0), pareto(0.9), tol=1e-9)
+        assert len(result.crossing_points) == 1
+        assert len(calls) <= 2 + 2 * 3
+
+    def test_missed_secant_round_falls_back_to_even(self, monkeypatch):
+        # the crossing near u = 0.006 sits where the Pareto curve bends
+        # sharply, so the first secant round misses it
+        a, b = pareto(0.9), power(150.0)
+        calls = _count_evaluate_calls(monkeypatch)
+        result = leimkuhler_compare(a, b, tol=1e-9)
+        assert len(calls) > 2 + 2 * 2
+        monkeypatch.undo()
+        (root,) = _brentq_roots(a, b, 1e-9, xtol=1e-15)
+        (got,) = result.crossing_points
+        assert got == pytest.approx(root, abs=2e-10)
+
+    def test_refinement_ends_below_float_spacing(self):
+        # tol is below the spacing of floats at the crossing: refinement
+        # ends at adjacent floats
+        a, b = pareto(0.5774343932997369), power(3.820715573046934)
+        result = leimkuhler_compare(a, b, tol=1e-18)
+        (root,) = _brentq_roots(a, b, 1e-18, xtol=1e-15)
+        (got,) = result.crossing_points
+        assert got == pytest.approx(root, abs=1e-15)
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
