@@ -16,6 +16,7 @@ export-plot check the ranges of the values they use.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from dataclasses import fields
@@ -66,16 +67,20 @@ def _parse_bool(text):
     raise ValueError(f"not a boolean: {text!r}")
 
 
+def _positive_float(text):
+    value = float(text)
+    if not 0 < value < math.inf:
+        raise argparse.ArgumentTypeError(f"must be positive and finite, got {text.strip()!r}")
+    return value
+
+
 def _parse_r_list(text):
     try:
-        values = tuple(float(part) for part in text.split(",") if part.strip())
-    except ValueError:
-        raise UsageError(f"cannot parse r list {text!r}") from None
+        values = tuple(_positive_float(part) for part in text.split(",") if part.strip())
+    except (ValueError, argparse.ArgumentTypeError) as exc:
+        raise UsageError(f"bad r list {text!r}: {exc}") from None
     if not values:
         raise UsageError("empty r list")
-    for r in values:
-        if not (r > 0):
-            raise UsageError(f"r values must be positive, got {r}")
     return values
 
 
@@ -339,7 +344,7 @@ def build_parser():
                          help="comma-separated name=value pairs")
     indices.add_argument("--r", dest="r_values", type=_parse_r_list,
                          help="comma-separated generalized-Gini orders")
-    indices.add_argument("--tol", type=float, default=1e-10,
+    indices.add_argument("--tol", type=_positive_float, default=1e-10,
                          help="numeric tolerance for model indices")
     indices.set_defaults(handler=cmd_indices)
 

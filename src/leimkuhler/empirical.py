@@ -400,6 +400,10 @@ def sample_synthetic(family, n, seed, theta=None, sigma=1.0, alpha=None, beta=No
     family = Family(family)
     if n < 1:
         raise ValueError(f"n must be at least 1, got {n}")
+    given = {"theta": theta, "sigma": sigma, "alpha": alpha, "beta": beta, "scale": scale}
+    for name, value in given.items():
+        if value is not None and not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
     if scale <= 0:
         raise ValueError(f"scale must be positive, got {scale}")
     rng = np.random.default_rng(seed)

@@ -246,28 +246,33 @@ def parse_report(data):
     if isinstance(data, bytes):
         data = data.decode("utf-8")
     document = json.loads(data)
+    if not isinstance(document, dict):
+        raise ValueError(f"a report is a JSON object, got {type(document).__name__}")
     version = document.get("schema_version")
     if version != SCHEMA_VERSION:
         raise ValueError(f"unsupported schema version {version!r}, "
                          f"expected {SCHEMA_VERSION}")
-    stats_payload = document["dataset_stats"]
-    stats = DescriptiveStats(
-        n=int(stats_payload["n"]),
-        total=int(stats_payload["total"]),
-        min=int(stats_payload["min"]),
-        max=int(stats_payload["max"]),
-        mean=_decode_real(stats_payload["mean"]),
-        variance=_decode_real(stats_payload["variance"]),
-        dispersion_index=_decode_real(stats_payload["dispersion_index"]),
-    )
-    per_model = tuple(_fit_from_payload(entry) for entry in document["per_model"])
-    return AnalysisReport(
-        dataset_stats=stats,
-        empirical_indices=_index_report_from_payload(document["empirical_indices"]),
-        per_model=per_model,
-        ranking=tuple(document["ranking"]),
-        metadata=document["metadata"],
-    )
+    try:
+        stats_payload = document["dataset_stats"]
+        stats = DescriptiveStats(
+            n=int(stats_payload["n"]),
+            total=int(stats_payload["total"]),
+            min=int(stats_payload["min"]),
+            max=int(stats_payload["max"]),
+            mean=_decode_real(stats_payload["mean"]),
+            variance=_decode_real(stats_payload["variance"]),
+            dispersion_index=_decode_real(stats_payload["dispersion_index"]),
+        )
+        per_model = tuple(_fit_from_payload(entry) for entry in document["per_model"])
+        return AnalysisReport(
+            dataset_stats=stats,
+            empirical_indices=_index_report_from_payload(document["empirical_indices"]),
+            per_model=per_model,
+            ranking=tuple(document["ranking"]),
+            metadata=document["metadata"],
+        )
+    except (KeyError, TypeError, AttributeError) as exc:
+        raise ValueError(f"malformed report: {type(exc).__name__} {exc}") from None
 
 
 def render_table(report):

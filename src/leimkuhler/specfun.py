@@ -16,7 +16,8 @@ The rest is plain floating point, with working error estimates
 Gamma(a, x) for a < 1/2, negative shapes included (the convergent
 integral of t**(a-1)*exp(-t) on (x, inf), x > 0), by a Lentz continued
 fraction or a downward recurrence from a scipy route, and Kummer's 1F1
-series with its scaled form and parameter derivatives.
+series, rescaled by magnitude where it would overflow, with its
+parameter derivatives.
 """
 
 from __future__ import annotations
@@ -241,11 +242,12 @@ def regularized_incomplete_beta(a, b, x):
 # confluent hypergeometric 1F1
 
 
-# a scaled sum is multiplied by exp(-_RESCALE) whenever it passes exp(_RESCALE)
+# a sum, its last term and its magnitude sum are multiplied by
+# exp(-_RESCALE) whenever the magnitude sum passes exp(_RESCALE)
 _RESCALE = 400.0
-# exp(-x) is subnormal past x = 708.4, so a transformed sum scaled by it
-# there would lose digits, or all of them
-_SCALED_FROM = 708.4
+_BIG, _SHRINK = math.exp(_RESCALE), math.exp(-_RESCALE)
+# the log of the largest double
+_LOG_MAX = math.log(np.finfo(float).max)
 # signs that turn the derivative sums of exp(-x) S(x) into those in z = -x
 _FLIP = np.array([[-1.0], [-1.0], [1.0]])
 
@@ -269,15 +271,17 @@ def _kummer_series(a, b, z, grad=False):
     next witness and the sum goes on from there, so the stop index is
     always the one a test of every term would give.
 
+    Each element is rescaled by its own magnitude sum (see _taylor_sum),
+    so no transformed sum overflows and no value depends on the others
+    in the call; error estimates and the last bits of derivative rows
+    do, through the shared stop index.  A direct value past the double
+    range raises OverflowError rather than warning: from the witness
+    once its shift passes _LOG_MAX, which ends a far argument within a
+    few hundred terms, or else from the check of the values.
+
     Returns (values, abs error estimates); the estimate adds the last
     term and the rounding that accumulates over the n terms summed,
-    n * eps times the sum of term magnitudes.  An overflowed sum passes
-    the stop test (inf > inf is False) and raises OverflowError rather
-    than warning.  In the transformed class, an element whose x is past
-    _SCALED_FROM, where exp(-x) is subnormal, or whose sum overflows, is
-    summed in scaled form by _kummer_scaled_transform instead; only
-    those elements go there, so no element's value depends on the
-    others in the call.
+    n * eps times the sum of term magnitudes.
 
     With grad, which needs a > 0 and b - a > 0, a third array holds in
     its rows, for each value F, dF/dz - m F and the derivatives of F with
@@ -290,34 +294,28 @@ def _kummer_series(a, b, z, grad=False):
     err = np.empty_like(z)
     deriv = np.empty((3, z.size)) if grad else None
     neg = z < 0
-    scaled = z < -_SCALED_FROM
-    for mask, sa, sign in ((~neg, a, 1.0), (neg & ~scaled, b - a, -1.0)):
+    for mask, sa, sign in ((~neg, a, 1.0), (neg, b - a, -1.0)):
         if not mask.any():
             continue
         x = sign * z[mask]
-        total, term, total_abs, n, dsum = _taylor_sum(sa, b, x, grad)
-        finite = np.isfinite(total)
-        if sign > 0 and not finite.all():
-            raise OverflowError("1F1 series overflowed")
+        total, term, total_abs, n, shift, dsum = _taylor_sum(
+            sa, b, x, grad, _LOG_MAX if sign > 0 else math.inf)
         series_err = np.abs(term) + (n * _EPS) * total_abs
-        if sign > 0:
-            value[mask], err[mask] = total, series_err
-        else:
-            scale = np.exp(-x)
-            value[mask] = scale * total
-            err[mask] = scale * series_err + _EPS * np.abs(value[mask])
+        # a direct sum that never rescaled is its own value
+        if sign < 0 or np.ndim(shift):
+            scale = np.exp(shift - x if sign < 0 else shift)
+            total, series_err = scale * total, scale * series_err
             dsum = scale * dsum if grad else None
-            scaled[np.flatnonzero(mask)[~finite]] = True
+        if sign < 0:
+            # the rounding of exp(-x)
+            series_err += _EPS * np.abs(total)
+        elif not np.isfinite(total).all():
+            raise OverflowError("1F1 series overflowed")
+        value[mask], err[mask] = total, series_err
         if grad:
             # exp(-x) S(x) with x = -z has slope m F - exp(-x) (S' - (1 - m) S)
             # in z, its series in the mean 1 - m
             deriv[:, mask] = dsum if sign > 0 else dsum * _FLIP
-    if scaled.any():
-        # the value and the derivative sums both come scaled by exp(-x)
-        value[scaled], err[scaled], *rest = _kummer_scaled_transform(
-            b - a, b, -z[scaled], grad)
-        if grad:
-            deriv[:, scaled] = rest[0] * _FLIP
     return (value, err, deriv) if grad else (value, err)
 
 
@@ -380,20 +378,31 @@ class _TermSums:
         return self.sums
 
 
-def _taylor_sum(sa, b, x, grad=False):
+def _taylor_sum(sa, b, x, grad=False, log_limit=math.inf):
     """Taylor series of 1F1(sa; b; x_i), x_i >= 0, stopped by the witness
-    rule of _kummer_series.  Returns (sums, last terms, sums of term
-    magnitudes, terms summed, derivatives); the last are the rows of
-    _TermSums.derivatives with grad, else None."""
+    rule of _kummer_series, with each element's term, sum, magnitude sum
+    and derivative sums multiplied by exp(-_RESCALE), and _RESCALE added
+    to its shift, whenever its magnitude sum passes exp(_RESCALE); the
+    series is the sum times exp(shift), an exponent exact in floating
+    point.  As |term_j| grows with x, the arrays are tested for that
+    only once a witness has rescaled, and a witness whose own rescalings
+    pass log_limit raises OverflowError.  Returns (sums, last terms,
+    sums of term magnitudes, terms summed, shifts, derivatives); the
+    shifts are the scalar 0.0 until something rescales, and the
+    derivatives are the rows of _TermSums.derivatives with grad, else
+    None."""
     term = np.ones_like(x)
     total = np.ones_like(x)
     signed = sa < 0
     # without negative terms the sum is its own magnitude sum
     total_abs = total.copy() if signed else total
+    shift = 0.0
     sums = _TermSums(sa, b, x.size) if grad else None
-    k, w = 0, int(np.argmax(x))
+    k, w, rescaling = 0, int(np.argmax(x)), False
     while True:
-        stop = _witness_stop(sa, b, float(x[w]), float(term[w]), float(total[w]), k)
+        carried = map(float, (x[w], term[w], total[w], total_abs[w]))
+        stop, passed = _witness_stop(sa, b, k, *carried, log_limit)
+        rescaling |= passed
         for j in range(k, stop + 1):
             term *= (sa + j) / ((b + j) * (j + 1.0))
             term *= x
@@ -402,63 +411,40 @@ def _taylor_sum(sa, b, x, grad=False):
                 total_abs += np.abs(term)
             if grad:
                 sums.add(term)
+            if rescaling and (big := total_abs > _BIG).any():
+                for part in (term, total, total_abs) if signed else (term, total):
+                    part[big] *= _SHRINK
+                shift = shift + _RESCALE * big
+                if grad:
+                    sums.scale(big, _SHRINK)
         k = stop + 1
         running = np.abs(term) > 1e-17 * np.abs(total)
         if not running.any():
-            return total, term, total_abs, k, sums.derivatives() if grad else None
+            return total, term, total_abs, k, shift, sums.derivatives() if grad else None
         w = int(np.flatnonzero(running)[np.argmax(x[running])])
 
 
-def _witness_stop(sa, b, x, term, total, k):
+def _witness_stop(sa, b, k, x, term, total, total_abs, log_limit=math.inf):
     """First index from k on, and past 2, at which the scalar series at x,
-    carried into index k as (term, total), meets the stop test."""
+    carried into index k as (term, total, total_abs) and rescaled as in
+    _taylor_sum, meets the stop test; and whether it rescaled.  Raises
+    OverflowError once its rescalings add up to more than log_limit."""
+    signed = sa < 0
+    passed = False
     for k in range(k, _MAX_ITER):
         term = term * ((sa + k) / ((b + k) * (k + 1.0))) * x
         total = total + term
+        # without negative terms the sum is its own magnitude sum
+        total_abs = total_abs + abs(term) if signed else total
+        if total_abs > _BIG:
+            log_limit -= _RESCALE
+            if log_limit < 0:
+                raise OverflowError("1F1 series overflowed")
+            term, total, total_abs = term * _SHRINK, total * _SHRINK, total_abs * _SHRINK
+            passed = True
         if k > 2 and not abs(term) > 1e-17 * abs(total):
-            return k
+            return k, passed
     raise ConvergenceError("1F1 series did not converge")
-
-
-def _kummer_scaled_transform(sa, b, x, grad=False):
-    """exp(-x) * 1F1(sa; b; x) for large x, where the sum alone
-    overflows.
-
-    The Taylor series runs as in _kummer_series, but the partial sum
-    and the current term are multiplied by exp(-_RESCALE) whenever the
-    sum passes exp(_RESCALE), and each element counts its rescalings m.
-    The result is the scaled sum times exp(m * _RESCALE - x), whose
-    exponent is exact in floating point.  With grad, the derivative sums
-    of _TermSums are rescaled with the terms and returned third.
-    """
-    shrink = math.exp(-_RESCALE)
-    term = np.ones_like(x)
-    total = np.ones_like(x)
-    total_abs = np.ones_like(x)
-    rescales = np.zeros_like(x)
-    sums = _TermSums(sa, b, x.size) if grad else None
-    for k in range(_MAX_ITER):
-        term = term * ((sa + k) / ((b + k) * (k + 1.0))) * x
-        total = total + term
-        total_abs = total_abs + np.abs(term)
-        if grad:
-            sums.add(term)
-        big = total_abs > math.exp(_RESCALE)
-        if big.any():
-            term[big] *= shrink
-            total[big] *= shrink
-            total_abs[big] *= shrink
-            rescales[big] += 1.0
-            if grad:
-                sums.scale(big, shrink)
-        if k > 2 and not (np.abs(term) > 1e-17 * np.abs(total)).any():
-            break
-    else:
-        raise ConvergenceError("1F1 series did not converge")
-    scale = np.exp(rescales * _RESCALE - x)
-    value = scale * total
-    err = scale * (np.abs(term) + ((k + 1) * _EPS) * total_abs) + _EPS * np.abs(value)
-    return (value, err, scale * sums.derivatives()) if grad else (value, err)
 
 
 def kummer_1f1(a, b, z):

@@ -234,6 +234,12 @@ class TestIndices:
         assert main(["indices", "--model", "power", "--params", "theta=2",
                      "--r=-1"]) == 1
 
+    @pytest.mark.parametrize("flag", ["--r=inf", "--r=1,nan", "--tol=nan", "--tol=-1",
+                                      "--tol=inf", "--tol=0"])
+    def test_non_finite_or_nonpositive_flag_is_a_usage_error(self, flag, capsys):
+        assert main(["indices", "--model", "power", "--params", "theta=2", flag]) == 1
+        assert "positive and finite" in capsys.readouterr().err
+
 
 class TestSimulate:
     def test_deterministic(self, tmp_path):
@@ -280,6 +286,15 @@ class TestSimulate:
         lines = capsys.readouterr().out.splitlines()
         assert len(lines) == 6
         assert all(line.isdigit() for line in lines)
+
+    @pytest.mark.parametrize("extra", [["--theta", "inf"], ["--theta", "nan"],
+                                       ["--theta", "2", "--scale", "inf"],
+                                       ["--theta", "2", "--scale", "nan"]])
+    def test_non_finite_parameter_usage_error(self, tmp_path, capsys, extra):
+        rc = main(["simulate", "--family", "power", "--n", "10",
+                   "--out", str(tmp_path / "x.txt")] + extra)
+        assert rc == 1
+        assert "must be finite" in capsys.readouterr().err
 
     def test_scale_changes_counts(self, capsys):
         flags = ["simulate", "--family", "power", "--n", "20", "--seed", "4",
@@ -334,6 +349,14 @@ class TestExportPlot:
         rc = main(["export-plot", counts_file, "--models-from", str(bad_path)])
         assert rc == 2
         assert "schema" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("document", [{"schema_version": 1}, [1, 2]])
+    def test_malformed_report_exit_2(self, counts_file, tmp_path, capsys, document):
+        bad_path = tmp_path / "bad.json"
+        bad_path.write_text(json.dumps(document), encoding="utf-8")
+        rc = main(["export-plot", counts_file, "--models-from", str(bad_path)])
+        assert rc == 2
+        assert "data error" in capsys.readouterr().err
 
     def test_missing_report_exit_2(self, counts_file, tmp_path):
         rc = main(["export-plot", counts_file,

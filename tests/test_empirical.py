@@ -442,3 +442,16 @@ class TestSampleSynthetic:
             sample_synthetic("pg", 10, seed=1, alpha=1.0)
         with pytest.raises(ValueError):
             sample_synthetic("gpig", 10, seed=1, alpha=1.0, beta=1.0)
+
+    @pytest.mark.parametrize("family, params, name", [
+        ("power", {"theta": math.nan}, "theta"),
+        ("power", {"theta": math.inf}, "theta"),
+        ("pareto", {"theta": 0.5, "sigma": math.inf}, "sigma"),
+        ("pg", {"alpha": math.inf, "beta": 1.0}, "alpha"),
+        ("pig", {"alpha": 1.0, "beta": math.nan}, "beta"),
+        ("power", {"theta": 2.0, "scale": math.inf}, "scale"),
+        ("power", {"theta": 2.0, "scale": math.nan}, "scale"),
+    ])
+    def test_rejects_non_finite_parameters(self, family, params, name):
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            sample_synthetic(family, 10, seed=1, **params)

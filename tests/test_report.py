@@ -180,6 +180,14 @@ class TestRoundTrip:
         with pytest.raises(ValueError):
             parse_report(json.dumps(document))
 
+    def test_malformed_documents_rejected(self):
+        document = json.loads(render_json(make_report()))
+        del document["dataset_stats"]["total"]
+        for bad, named in (({"schema_version": SCHEMA_VERSION}, "dataset_stats"),
+                           ([1, 2], "JSON object"), (document, "total")):
+            with pytest.raises(ValueError, match=named):
+                parse_report(json.dumps(bad))
+
     def test_accepts_str_and_bytes(self):
         blob = render_json(make_report())
         assert parse_report(blob.decode("utf-8")).ranking == ("power",)

@@ -298,9 +298,10 @@ class TestKummer1F1:
                 assert abs(res.value - ref) <= 1e-12 * abs(ref), (a, b, z)
 
     def test_element_values_do_not_depend_on_the_call(self):
-        # an element that needs the scaled sum takes no other element
-        # with it, so each value is the one it has alone
-        z = np.array([-3.0, -300.0, -700.0, -720.0, -800.0, 2.0])
+        # an element rescales at the term where its own magnitude sum
+        # passes exp(_RESCALE), whatever else is in the call, so each
+        # value is the one it has alone
+        z = np.array([-3.0, -300.0, -420.0, -550.0, -700.0, -720.0, -800.0, 2.0])
         for a, b in ((1.0, 2.0), (60.0, 100.0), (7.3, 2.1), (0.2, 0.3)):
             together, _ = specfun._kummer_series(a, b, z)
             alone = [specfun._kummer_series(a, b, z[i:i + 1])[0][0] for i in range(z.size)]
@@ -311,6 +312,19 @@ class TestKummer1F1:
         for a, b, z in ((1.0, 2.0, 800.0), (-2.5, 1.0, 800.0)):
             with pytest.raises(OverflowError):
                 specfun.kummer_1f1(a, b, z)
+        # the witness raises where the magnitude sum passes the double
+        # range, long before the 25,000 terms the sum would need
+        with pytest.raises(OverflowError):
+            specfun.kummer_1f1(1.0, 2.0, 25000.0)
+        with pytest.raises(OverflowError):
+            specfun._kummer_series(1.0, 2.0, np.array([25000.0, 1.0]))
+
+    def test_direct_sums_rescale_up_to_the_double_range(self):
+        # 1F1(1; 2; z) = (e^z - 1) / z
+        for z in (450.0, 700.0, 715.0):
+            res = specfun.kummer_1f1(1.0, 2.0, z)
+            exact = mpmath.expm1(z) / z
+            assert abs(res.value - exact) <= min(res.abs_error_estimate, 1e-14 * exact), z
 
     def test_domain_errors(self):
         with pytest.raises(ValueError):
@@ -329,15 +343,66 @@ class TestKummer1F1:
                 assert error <= res.abs_error_estimate <= 1e3 * error, (a, b, z)
 
 
+# the cut below which the transformed sum was summed in scaled form,
+# where exp(-x) is subnormal
+SCALED_FROM = 708.4
+
+
+def scaled_transform(sa, b, x, grad=False):
+    """exp(-x) * 1F1(sa; b; x) for large x, where the sum alone
+    overflows.
+
+    The Taylor series runs as in _kummer_series, but the partial sum
+    and the current term are multiplied by exp(-_RESCALE) whenever the
+    sum passes exp(_RESCALE), and each element counts its rescalings m.
+    The result is the scaled sum times exp(m * _RESCALE - x), whose
+    exponent is exact in floating point.  With grad, the derivative sums
+    of _TermSums are rescaled with the terms and returned third.
+    """
+    shrink = math.exp(-specfun._RESCALE)
+    term = np.ones_like(x)
+    total = np.ones_like(x)
+    total_abs = np.ones_like(x)
+    rescales = np.zeros_like(x)
+    sums = specfun._TermSums(sa, b, x.size) if grad else None
+    for k in range(specfun._MAX_ITER):
+        term = term * ((sa + k) / ((b + k) * (k + 1.0))) * x
+        total = total + term
+        total_abs = total_abs + np.abs(term)
+        if grad:
+            sums.add(term)
+        big = total_abs > math.exp(specfun._RESCALE)
+        if big.any():
+            term[big] *= shrink
+            total[big] *= shrink
+            total_abs[big] *= shrink
+            rescales[big] += 1.0
+            if grad:
+                sums.scale(big, shrink)
+        if k > 2 and not (np.abs(term) > 1e-17 * np.abs(total)).any():
+            break
+    else:
+        raise specfun.ConvergenceError("1F1 series did not converge")
+    scale = np.exp(rescales * specfun._RESCALE - x)
+    value = scale * total
+    err = scale * (np.abs(term) + ((k + 1) * specfun._EPS) * total_abs) + specfun._EPS * np.abs(value)
+    return (value, err, scale * sums.derivatives()) if grad else (value, err)
+
+
 @np.errstate(over="ignore", invalid="ignore")
-def per_term_series(a, b, z):
+def per_term_series(a, b, z, grad=False):
     """_kummer_series with the stop test applied to every element after
-    every term: the reference its witness stop rule must reproduce."""
+    every term, and the transformed sum scaled by exp(-x) below
+    SCALED_FROM or summed by scaled_transform beyond it or where it
+    overflows: the reference its witness stop rule and its rescaling
+    by magnitude must reproduce wherever no magnitude sum passes
+    exp(_RESCALE)."""
     z = np.asarray(z, dtype=float)
     value = np.empty_like(z)
     err = np.empty_like(z)
+    deriv = np.empty((3, z.size))
     neg = z < 0
-    scaled = z < -specfun._SCALED_FROM
+    scaled = z < -SCALED_FROM
     for mask, sa, sign in ((~neg, a, 1.0), (neg & ~scaled, b - a, -1.0)):
         if not mask.any():
             continue
@@ -345,10 +410,13 @@ def per_term_series(a, b, z):
         term = np.ones_like(x)
         total = np.ones_like(x)
         total_abs = np.ones_like(x)
+        sums = specfun._TermSums(sa, b, x.size)
         for k in range(specfun._MAX_ITER):
             term = term * ((sa + k) / ((b + k) * (k + 1.0))) * x
             total = total + term
             total_abs = total_abs + np.abs(term)
+            if grad:
+                sums.add(term)
             if k > 2 and not (np.abs(term) > 1e-17 * np.abs(total)).any():
                 break
         else:
@@ -357,16 +425,28 @@ def per_term_series(a, b, z):
         if sign > 0 and not finite.all():
             raise OverflowError("1F1 series overflowed")
         series_err = np.abs(term) + ((k + 1) * specfun._EPS) * total_abs
+        dsum = sums.derivatives()
         if sign > 0:
-            value[mask], err[mask] = total, series_err
+            value[mask], err[mask], deriv[:, mask] = total, series_err, dsum
         else:
             scale = np.exp(-x)
             value[mask] = scale * total
             err[mask] = scale * series_err + specfun._EPS * np.abs(value[mask])
+            deriv[:, mask] = scale * dsum * specfun._FLIP
             scaled[np.flatnonzero(mask)[~finite]] = True
     if scaled.any():
-        value[scaled], err[scaled] = specfun._kummer_scaled_transform(b - a, b, -z[scaled])
-    return value, err
+        value[scaled], err[scaled], scaled_deriv = scaled_transform(b - a, b, -z[scaled], True)
+        deriv[:, scaled] = scaled_deriv * specfun._FLIP
+    return (value, err, deriv) if grad else (value, err)
+
+
+def rescaling_shifts(a, b, z):
+    """Each element's shift in _taylor_sum, _RESCALE times its rescalings."""
+    shifts = np.zeros_like(z)
+    for mask, sa, sign in ((z >= 0, a, 1.0), (z < 0, b - a, -1.0)):
+        if mask.any():
+            shifts[mask] = specfun._taylor_sum(sa, b, sign * z[mask])[4]
+    return shifts
 
 
 def pagb_arguments(u, alpha, beta, shift):
@@ -375,11 +455,11 @@ def pagb_arguments(u, alpha, beta, shift):
 
 
 class TestKummerSeriesStopRule:
-    def assert_matches_reference(self, a, b, z):
-        value, err = specfun._kummer_series(a, b, z)
-        ref_value, ref_err = per_term_series(a, b, z)
-        assert np.array_equal(value, ref_value), (a, b)
-        assert np.array_equal(err, ref_err), (a, b)
+    def assert_matches_reference(self, a, b, z, grad=False):
+        result = specfun._kummer_series(a, b, z, grad)
+        reference = per_term_series(a, b, z, grad)
+        for got, ref in zip(result, reference):
+            assert np.array_equal(got, ref), (a, b)
 
     def test_pagb_on_the_bundled_polygon(self):
         u = empirical_curve(ingest(BUNDLED)).u_values()[1:]
@@ -415,8 +495,58 @@ class TestKummerSeriesStopRule:
                 specfun._kummer_series(1.0, 2.0, np.array(z))
             with pytest.raises(OverflowError):
                 per_term_series(1.0, 2.0, np.array(z))
+        z = np.array([-3.0, -800.0, -5000.0, 2.0])
         for a, b in ((1.0, 2.0), (0.2, 0.3), (7.3, 2.1)):
-            self.assert_matches_reference(a, b, np.array([-3.0, -800.0, -5000.0, 2.0]))
+            value, err = specfun._kummer_series(a, b, z)
+            ref_value, ref_err = per_term_series(a, b, z)
+            assert np.array_equal(value, ref_value), (a, b)
+            # -3 is now summed with -800 and -5000 and shares their term
+            # count, so only its estimate moves, and it still covers the error
+            assert np.array_equal(err[1:], ref_err[1:]), (a, b)
+            assert ref_err[0] < err[0], (a, b)
+            assert abs(mpmath.mpf(value[0]) - mpmath.hyp1f1(a, b, z[0])) <= err[0], (a, b)
+
+    def test_values_and_derivative_rows_of_seeded_pagb_draws(self):
+        # pagb-like shifts keep every magnitude sum below exp(_RESCALE), so
+        # nothing rescales and values, estimates and grad rows are the
+        # reference's bit for bit
+        rng = np.random.default_rng(29)
+        for _ in range(20):
+            u = np.concatenate((rng.random(200), 10.0 ** rng.uniform(-30, -1, 20)))
+            alpha, beta = rng.uniform(0.2, 50.0, 2)
+            a, b, z = pagb_arguments(u, alpha, beta, rng.uniform(-200.0, 100.0))
+            assert not rescaling_shifts(a, b, z).any()
+            self.assert_matches_reference(a, b, z, grad=True)
+
+    def test_witness_rescales_as_the_arrays_do(self, monkeypatch):
+        # its stop index is then the final one: with sa >= 0 one witness
+        # run serves the call, however far the sum passes the double range
+        runs = []
+        witness = specfun._witness_stop
+        monkeypatch.setattr(specfun, "_witness_stop",
+                            lambda *args: runs.append(args) or witness(*args))
+        for z in (-420.0, -5000.0, -12000.0):
+            runs.clear()
+            specfun._kummer_series(1.0, 2.0, np.array([z, -3.0]))
+            assert len(runs) == 1, z
+
+    def test_rescaled_elements_against_mpmath(self):
+        # the pairs of the scaled-form tests, plus (-40.5, 1.5), whose
+        # transformed sum 1F1(42; 1.5; x) passes the double range near
+        # x = 400, above the old cut at -708.4
+        z = np.array([-405.0, -700.0, -709.0, -2000.0, -9000.0])
+        pairs = ((1.0, 2.0), (0.5, 3.5), (14.0, 25.1), (3.0, 7.0), (-2.5, 1.0),
+                 (60.0, 100.0), (7.3, 2.1), (0.2, 0.3), (-40.5, 1.5))
+        for a, b in pairs:
+            value, err = specfun._kummer_series(a, b, z)
+            shift = rescaling_shifts(a, b, z)
+            assert (shift[z <= -709.0] > 0).all(), (a, b)
+            for zi, v, e, rescaled in zip(z, value, err, shift > 0):
+                ref = mpmath.hyp1f1(a, b, zi)
+                if rescaled:
+                    assert abs(v - ref) <= 1e-13 * abs(ref), (a, b, zi)
+                assert abs(v - ref) <= e, (a, b, zi)
+        assert specfun._taylor_sum(42.0, 1.5, np.array([700.0]))[4][0] >= 800.0
 
 
 class TestLogGamma:
