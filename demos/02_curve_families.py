@@ -15,15 +15,14 @@ Run:  python3 demos/02_curve_families.py
 import math
 
 import numpy as np
+from scipy.integrate import quad
 
 from leimkuhler import (
-    Family,
     evaluate,
     gamma_mixing_density,
     gp,
     gpg,
     gpig,
-    mixture_curve_numeric,
     pagb,
     pareto,
     pg,
@@ -77,7 +76,10 @@ def main():
     alpha, beta = 0.701, 0.102
     density = gamma_mixing_density(alpha, beta)
     closed = float(evaluate(pg(alpha, beta), 0.3))
-    numeric = mixture_curve_numeric(Family.POWER, density, (0.0, math.inf), 0.3)
+    # the power curve 1 - (1 - u)**(1 + theta) at u = 0.3, averaged over
+    # the gamma density of theta
+    numeric, _ = quad(lambda theta: -math.expm1((1.0 + theta) * math.log1p(-0.3))
+                      * density(theta), 0.0, math.inf, epsabs=5e-10, epsrel=1e-12, limit=400)
     print(f"pg({alpha}, {beta}) at u=0.3:    closed form {closed:.12f}")
     print(f"gamma-average of power curves:   quadrature  {numeric:.12f}")
     print(f"difference {abs(closed - numeric):.2e}: the closed form is exactly")

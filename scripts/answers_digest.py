@@ -60,7 +60,7 @@ from leimkuhler.empirical import (  # noqa: E402
     sample_synthetic,
 )
 from leimkuhler.fit import FitConfig, fit  # noqa: E402
-from leimkuhler.indices import model_indices  # noqa: E402
+from leimkuhler.indices import empirical_indices, model_indices  # noqa: E402
 from leimkuhler.order import check_proposition, leimkuhler_compare  # noqa: E402
 from perfbench.workloads import BUNDLED, FIXED_MODELS, PROPOSITIONS  # noqa: E402
 
@@ -72,6 +72,11 @@ NESTED_SETS = (
     ("pg-2000 seed 2", lambda: sample_synthetic("pg", 2000, 2, alpha=0.7, beta=0.1)),
     ("pg-2000 seed 5", lambda: sample_synthetic("pg", 2000, 5, alpha=0.7, beta=0.1)),
 )
+INDEX_SETS = (
+    ("(7, 3, 2, 1)", lambda: CitationDataset((7, 3, 2, 1))),
+    ("pg-100000 seed 1", lambda: sample_synthetic("pg", 10**5, 1, alpha=0.7, beta=0.1)),
+)
+INDEX_R = (0.3, 0.5, 1.0, 2.0, 2.5)
 
 
 def _exact(value):
@@ -81,6 +86,11 @@ def _exact(value):
     if isinstance(value, (float, np.floating)):
         return float(value).hex()
     return value
+
+
+def _index_line(label, report):
+    return repr(_exact((*label, report.gini, report.generalized_gini, report.pietra,
+                       report.pietra_argmax_u, sorted(report.method_tags.items()))))
 
 
 def _fit_lines(curve, config, *label):
@@ -99,12 +109,12 @@ def answer_lines():
     yield from _fit_lines(curve, four, "bundled")
     for label, dataset in NESTED_SETS:
         yield from _fit_lines(empirical_curve(dataset()), four, label)
+    yield _index_line(("bundled",), empirical_indices(curve, INDEX_R))
+    for label, dataset in INDEX_SETS:
+        yield _index_line((label,), empirical_indices(empirical_curve(dataset()), INDEX_R))
     models = [make_model(family, **params) for family, params in FIXED_MODELS]
     for (family, params), model in zip(FIXED_MODELS, models):
-        report = model_indices(model)
-        yield repr(_exact((family, sorted(params.items()), report.gini,
-                           report.generalized_gini, report.pietra, report.pietra_argmax_u,
-                           sorted(report.method_tags.items()))))
+        yield _index_line((family, sorted(params.items())), model_indices(model))
         yield evaluate(model, GRID).tobytes().hex()
     for (i, a), (j, b) in itertools.combinations(enumerate(models), 2):
         result = leimkuhler_compare(a, b)

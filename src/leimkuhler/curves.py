@@ -23,7 +23,6 @@ from enum import Enum
 import numpy as np
 
 from . import specfun
-from .specfun import ConvergenceError
 
 __all__ = [
     "Family",
@@ -42,9 +41,6 @@ __all__ = [
     "pagb",
     "make_model",
     "evaluate",
-    "leimkuhler_from_quantile",
-    "lorenz_to_leimkuhler",
-    "mixture_curve_numeric",
     "validate_curve",
     "gamma_mixing_density",
     "inverse_gaussian_mixing_density",
@@ -423,122 +419,6 @@ def evaluate(model, u, grad=False):
         return out
     shape = np.shape(u)
     return float(out[0]) if shape == () else out.reshape(shape)
-
-
-# ---------------------------------------------------------------------------
-# generic constructions
-
-
-def leimkuhler_from_quantile(quantile, mean, u, tol=1e-10):
-    """Leimkuhler curve value from a distribution's quantile function.
-
-    Computes K(u) = (1/mean) * integral of quantile(y) dy over
-    (1-u, 1) by adaptive quadrature.
-
-    Parameters
-    ----------
-    quantile : callable
-        Quantile function F^{-1}(y) of the citation distribution,
-        defined on (0, 1); an integrable endpoint singularity at y = 1
-        is handled.
-    mean : float
-        Mean of the distribution; must be positive.
-    u : float
-        Point in [0, 1].
-    tol : float
-        Absolute error target for the integral.
-
-    Returns
-    -------
-    float
-    """
-    from scipy.integrate import quad
-
-    if not (mean > 0) or not math.isfinite(mean):
-        raise ValueError(f"mean must be positive and finite, got {mean}")
-    if not (0.0 <= u <= 1.0):
-        raise ValueError(f"u must lie in [0, 1], got {u}")
-    if u == 0.0:
-        return 0.0
-    value, err = quad(quantile, 1.0 - u, 1.0, epsabs=tol * 0.5, epsrel=1e-12, limit=400)
-    if not math.isfinite(value):
-        raise ValueError("quantile integral is not finite")
-    if err > tol:
-        raise ConvergenceError(
-            f"quantile integral error estimate {err:.3e} exceeds tol {tol:.3e}",
-            value / mean,
-            err / mean,
-        )
-    return value / mean
-
-
-def lorenz_to_leimkuhler(lorenz, u):
-    """Convert a Lorenz curve value to the dual Leimkuhler value,
-    K(u) = 1 - L(1-u)."""
-    return 1.0 - lorenz(1.0 - u)
-
-
-def _base_curve_value(base_family, u, theta, kappa):
-    base_family = Family(base_family)
-    if base_family is Family.POWER:
-        return -math.expm1((1.0 + theta) * math.log1p(-u))
-    if base_family is Family.PARETO:
-        return math.exp((1.0 - theta) * math.log(u))
-    if base_family is Family.GP:
-        if kappa is None:
-            raise ValueError("GP base needs the fixed kappa argument")
-        return 1.0 + math.expm1(kappa * math.log(u)) * math.exp(theta * math.log1p(-u))
-    raise ValueError(f"unsupported base family {base_family!r}")
-
-
-def mixture_curve_numeric(base_family, mixing_density, support, u, tol=1e-9, kappa=None):
-    """Numeric mixture curve: integrate K_base(u; theta) against a
-    mixing density over theta.
-
-    This is the slow reference construction the closed-form mixture
-    families are tested against.
-
-    Parameters
-    ----------
-    base_family : Family or str
-        One of power, gp, pareto.  GP also needs `kappa`.
-    mixing_density : callable
-        Density g(theta); must integrate to 1 over `support`.
-    support : tuple of float
-        Integration interval (lo, hi); hi may be inf.
-    u : float
-        Point in [0, 1].
-    tol : float
-        Absolute error target.
-    kappa : float, optional
-        Fixed kappa for a GP base curve.
-
-    Returns
-    -------
-    float
-    """
-    from scipy.integrate import quad
-
-    if not (0.0 <= u <= 1.0):
-        raise ValueError(f"u must lie in [0, 1], got {u}")
-    lo, hi = support
-    norm, norm_err = quad(mixing_density, lo, hi, epsabs=tol * 0.1, epsrel=1e-12, limit=400)
-    if abs(norm - 1.0) > max(10.0 * tol, 1e-8):
-        raise ValueError(f"mixing density integrates to {norm!r}, not 1, over {support}")
-    if u == 0.0:
-        return 0.0
-    if u == 1.0:
-        return 1.0
-
-    def integrand(theta):
-        return _base_curve_value(base_family, u, theta, kappa) * mixing_density(theta)
-
-    value, err = quad(integrand, lo, hi, epsabs=tol * 0.5, epsrel=1e-12, limit=400)
-    if err > tol:
-        raise ConvergenceError(
-            f"mixture integral error estimate {err:.3e} exceeds tol {tol:.3e}", value, err
-        )
-    return value
 
 
 # ---------------------------------------------------------------------------

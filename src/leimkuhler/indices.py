@@ -75,10 +75,10 @@ class IndexReport:
 
     generalized_gini is a tuple of (r, value) pairs.  Construction
     checks the defining invariants: gini and pietra lie in [0, 1] and
-    any r = 1 entry agrees with gini to 1e-9.  model_indices takes the
-    Gini from its r = 1 entry, so there the check holds by construction;
-    it is the check on empirical reports and on reports parsed back
-    from JSON.
+    any r = 1 entry agrees with gini to 1e-9.  model_indices and
+    empirical_indices give the r = 1 entry and the Gini one value, so
+    there the check holds by construction; it is the check on reports
+    parsed back from JSON.
     """
 
     gini: float
@@ -104,6 +104,11 @@ class IndexReport:
 def _check_tol(tol):
     if not (tol > 0) or not math.isfinite(tol):
         raise ValueError(f"tol must be positive and finite, got {tol}")
+
+
+def _check_r(r):
+    if not (r > 0) or not math.isfinite(r):
+        raise ValueError(f"r must be positive and finite, got {r}")
 
 
 def _range_check(value, lo, hi, tol, what):
@@ -263,8 +268,7 @@ def generalized_gini(model, r, tol=1e-10, method="auto"):
         (value, method) with value in [0, r].
     """
     _check_tol(tol)
-    if not (r > 0) or not math.isfinite(r):
-        raise ValueError(f"r must be positive and finite, got {r}")
+    _check_r(r)
     value, tag = _dispatch(model, method, QUADRATURE, _GENERALIZED_GINI_CLOSED,
                            lambda: _generalized_gini_quadrature(model, r, tol), r)
     return IndexValue(_range_check(value, 0.0, r, tol, "generalized gini"), tag)
@@ -435,19 +439,26 @@ def model_indices(model, r_values=DEFAULT_R_VALUES, tol=1e-10):
     )
 
 
-def _segment_weighted_integral(u, k, r):
-    # exact integral of (1-u)**(r-1) * K(u) over each segment [u_i, u_i+1]
-    # of the polygon through the vertices (u, k), K(u) = a + b u on it, via
-    # the substitution t = 1 - u; each power is taken once per vertex, and
-    # one at a time, as the vertices may number 10^6
-    b = np.diff(k) / np.diff(u)
-    a = k[:-1] - b * u[:-1]
+def _polygon_generalized_ginis(u, k, r_values, gini):
+    # G_r of the polygon through the vertices (u, k) for each r, integrated
+    # by parts in t = 1 - u: with the slope b_i = dk/dt of each segment,
+    #   r(r+1) int (1-u)**(r-1) K du
+    #     = sum_i b_i (t_(i+1)**(r+1) - t_i**(r+1)) + (r+1)(t_0**r k_0 - t_n**r k_n),
+    # one power per vertex.  The slopes, shared by every r, are taken
+    # against the same rounded t as the powers (against u they lose
+    # digits); G_1 is the trapezoid Gini
     t = 1.0 - u
-    w = t**r
-    term1 = (a + b) * (w[:-1] - w[1:]) / r
-    w = t ** (r + 1.0)
-    term2 = b * (w[:-1] - w[1:]) / (r + 1.0)
-    return term1 - term2
+    slopes = np.diff(k) / np.diff(t)
+    values = []
+    for r in r_values:
+        if r == 1.0:
+            values.append(gini)
+            continue
+        weighted = np.diff(t ** (r + 1.0))
+        weighted *= slopes
+        ends = (r + 1.0) * (t[0] ** r * k[0] - t[-1] ** r * k[-1])
+        values.append(float(np.sum(weighted) + ends - 1.0))
+    return values
 
 
 def _polygon_gini(u, k):
@@ -462,9 +473,11 @@ def empirical_indices(curve, r_values=DEFAULT_R_VALUES):
     The Gini uses the trapezoid rule, which is exact on the polygon;
     the Pietra is the exact vertex maximum of K - u (the maximum of a
     piecewise-linear function over each segment is attained at an
-    endpoint); the generalized Gini integrates the weighted integrand
-    segment by segment in closed form, which remains exact for r < 1
-    where the weight (1-u)**(r-1) is unbounded at u = 1.
+    endpoint).  The generalized Gini integrates the weighted polygon by
+    parts in closed form, which stays exact for r < 1, where the weight
+    (1-u)**(r-1) is unbounded at u = 1: the slopes of the segments are
+    computed once, and each r takes one power of 1 - u per vertex.  Its
+    r = 1 entry is the trapezoid Gini itself.
 
     Parameters
     ----------
@@ -479,24 +492,20 @@ def empirical_indices(curve, r_values=DEFAULT_R_VALUES):
     u, k = curve.u_values(), curve.k_values()
     if u.size < 2:
         raise ValueError("empirical curve needs at least 2 points")
-    gini_value = _polygon_gini(u, k)
+    r_values = [float(r) for r in r_values]
+    for r in r_values:
+        _check_r(r)
+    gini_value = min(max(_polygon_gini(u, k), 0.0), 1.0)
 
     # the first largest gap; the origin vertex has gap 0, so a polygon
     # that never rises above the diagonal reports (0, 0)
     gaps = k - u
     top = int(np.argmax(gaps))
 
-    gen = []
-    for r in r_values:
-        r = float(r)
-        if not (r > 0) or not math.isfinite(r):
-            raise ValueError(f"r must be positive and finite, got {r}")
-        total = float(np.sum(_segment_weighted_integral(u, k, r)))
-        gen.append((r, r * (r + 1.0) * total - 1.0))
-
+    gen = _polygon_generalized_ginis(u, k, r_values, gini_value)
     return IndexReport(
-        gini=min(max(gini_value, 0.0), 1.0),
-        generalized_gini=tuple(gen),
+        gini=gini_value,
+        generalized_gini=tuple(zip(r_values, gen)),
         pietra=float(gaps[top]),
         pietra_argmax_u=float(u[top]),
         method_tags={"gini": QUADRATURE, "generalized_gini": QUADRATURE, "pietra": SEARCH},

@@ -87,7 +87,7 @@ def _gamma_q_cf(a, x):
     """Upper Q(a, x)*Gamma(a) = Gamma(a, x) by Lentz continued fraction.
 
     Serves the shapes scipy lacks, a < 1/2 (negative included) at
-    x >= 1/4, and a >= 1/2 far above the diagonal x = a + 1, where Q
+    x >= 1/2, and a >= 1/2 far above the diagonal x = a + 1, where Q
     itself falls below the normal double range.
     """
     b = x + 1.0 - a
@@ -158,15 +158,19 @@ def upper_incomplete_gamma(a, x):
     where Gamma(a) overflows) on both sides of the diagonal x = a + 1,
     save far above it, where Q falls below the normal double range and
     the continued fraction below takes over; at a = 0 it is scipy's
-    E1(x).  For smaller (including negative) shapes the continued fraction is
-    evaluated directly at a whenever x >= 1/4; it stays accurate there
+    E1(x).  For smaller (including negative) shapes the continued
+    fraction is evaluated directly at a whenever x >= 1/2, and from
+    x = 1/4 up within 1/64 of an integer shape; it stays accurate there
     while the downward recurrence
 
         Gamma(a, x) = (Gamma(a + 1, x) - x**a * exp(-x)) / a
 
-    amplifies rounding by roughly x/|a| per step.  Below x = 1/4 the
-    recurrence is the stable route and is seeded with an evaluation at
-    a pivot shape in [1/2, 3/2), never at a tiny positive shape where
+    amplifies rounding by roughly x/|a| per step, and by about
+    1/|a - round(a)| at its step through the shape nearest zero.
+    Elsewhere below x = 1/2 the recurrence is the more accurate route
+    (on [1/4, 1/2) it keeps about one more digit than the continued
+    fraction) and is seeded with an evaluation at a pivot shape in
+    [1/2, 3/2), never at a tiny positive shape where
     Gamma(a)*(1 - P(a, x)) would cancel catastrophically.  A chain
     through an integer shape pivots on Gamma(0, x) = E1(x) instead,
     where the recurrence would divide by zero.  Conditioning cliff:
@@ -186,11 +190,11 @@ def upper_incomplete_gamma(a, x):
         value = float(exp1(x))
         return SpecFunResult(value, _E1_RTOL * value, "scipy")
 
-    if x >= 0.25:
+    if x >= 0.5 or (x >= 0.25 and abs(a - round(a)) < 1.0 / 64.0):
         value, err = _gamma_q_cf(a, x)
         return SpecFunResult(value, err, "continued_fraction")
 
-    # x < 1/4, a < 1/2: walk the recurrence down from a pivot shape in
+    # x < 1/2, a < 1/2: walk the recurrence down from a pivot shape in
     # [1/2, 3/2), or from E1(x) when a is a negative integer.
     pivot = 0.0 if a == math.floor(a) else a + math.ceil(0.5 - a)
     res = upper_incomplete_gamma(pivot, x)

@@ -29,8 +29,6 @@ from leimkuhler.curves import (
     gpg,
     gpig,
     inverse_gaussian_mixing_density,
-    leimkuhler_from_quantile,
-    mixture_curve_numeric,
     pagb,
     pareto,
     pg,
@@ -49,6 +47,7 @@ from leimkuhler.empirical import (
 from leimkuhler.fit import FitConfig, fit
 from leimkuhler.indices import empirical_indices, generalized_gini, gini, gini_via_mixture, pietra
 from leimkuhler.order import check_proposition
+from tests.oracles import leimkuhler_from_quantile, mixture_curve_numeric
 from tests.test_curves import draw_model
 from tests.test_indices import quad_gini
 

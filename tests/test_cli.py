@@ -534,7 +534,7 @@ def test_import_leaves_scipy_integrate_unloaded():
 
 
 def test_pig_indices_command_in_a_fresh_process():
-    # only the pg closed form below (1 + r) beta = 1/4 reaches scipy.special;
+    # only the pg closed form below (1 + r) beta = 1/2 reaches scipy.special;
     # pig's indices are summed by the package's own quadrature
     done = fresh_python(
         "import sys; from leimkuhler.cli import main; "

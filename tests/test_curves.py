@@ -21,10 +21,7 @@ from leimkuhler.curves import (
     gpg,
     gpig,
     inverse_gaussian_mixing_density,
-    leimkuhler_from_quantile,
-    lorenz_to_leimkuhler,
     make_model,
-    mixture_curve_numeric,
     pagb,
     pareto,
     pg,
@@ -33,6 +30,7 @@ from leimkuhler.curves import (
     tilted_beta_mixing_density,
     validate_curve,
 )
+from tests.oracles import leimkuhler_from_quantile, lorenz_to_leimkuhler, mixture_curve_numeric
 
 ALL_FAMILY_EXAMPLES = [
     power(3.832),

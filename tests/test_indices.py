@@ -3,6 +3,7 @@
 import math
 import random
 import warnings
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -11,14 +12,19 @@ from scipy.integrate import IntegrationWarning, quad
 
 from leimkuhler import indices
 from leimkuhler.curves import Family, evaluate, gp, gpg, gpig, pagb, pareto, pg, pig, power
-from leimkuhler.empirical import CitationDataset, empirical_curve
+from leimkuhler.empirical import (
+    CitationDataset,
+    EmpiricalCurve,
+    empirical_curve,
+    ingest,
+    sample_synthetic,
+)
 from leimkuhler.indices import (
     CLOSED_FORM,
     QUADRATURE,
     SEARCH,
     IndexReport,
     _de_integrate,
-    _segment_weighted_integral,
     empirical_indices,
     generalized_gini,
     gini,
@@ -27,6 +33,8 @@ from leimkuhler.indices import (
     pietra,
 )
 from tests.test_curves import draw_model
+
+BUNDLED = Path(__file__).resolve().parents[1] / "demos" / "data" / "citations_synthetic.txt"
 
 
 def quad_gini(model):
@@ -41,6 +49,41 @@ def quad_gini(model):
     if 2.0 * err <= 1e-10:
         return 2.0 * area - 1.0
     return gini_via_mixture(model, tol=1e-10)
+
+
+# the per-segment reference for the empirical G_r: each segment's integral
+# in closed form from its own intercept and slope
+def _segment_weighted_integral(u, k, r):
+    # exact integral of (1-u)**(r-1) * K(u) over each segment [u_i, u_i+1]
+    # of the polygon through the vertices (u, k), K(u) = a + b u on it, via
+    # the substitution t = 1 - u; each power is taken once per vertex, and
+    # one at a time, as the vertices may number 10^6
+    b = np.diff(k) / np.diff(u)
+    a = k[:-1] - b * u[:-1]
+    t = 1.0 - u
+    w = t**r
+    term1 = (a + b) * (w[:-1] - w[1:]) / r
+    w = t ** (r + 1.0)
+    term2 = b * (w[:-1] - w[1:]) / (r + 1.0)
+    return term1 - term2
+
+
+def rank_weight_generalized_gini(counts, r):
+    """G_r of the polygon of `counts` to 40 digits, summed over the runs
+    of equal counts, on each of which the polygon is one straight line:
+    G_r + 1 = sum over runs of c n/s ((n - i)**(r+1) - (n - j)**(r+1)) / n**(r+1)
+    for a run of count c over the ranks i <= rank < j (from 0, counts
+    descending) and the total s."""
+    counts = np.sort(np.asarray(counts, dtype=np.int64))[::-1]
+    n, total = counts.size, int(counts.sum())
+    negated, starts = np.unique(-counts, return_index=True)
+    ends = [*starts[1:], n]
+    with mpmath.workdps(40):
+        r = mpmath.mpf(r)
+        acc = mpmath.mpf(0)
+        for c, i, j in zip(-negated, starts, ends):
+            acc += int(c) * (mpmath.mpf(n - int(i)) ** (r + 1) - mpmath.mpf(n - int(j)) ** (r + 1))
+        return acc * n / (total * mpmath.mpf(n) ** (r + 1)) - 1
 
 
 class TestGini:
@@ -405,7 +448,7 @@ class TestEmpiricalIndices:
             counts[0] += 1
             report = empirical_indices(empirical_curve(CitationDataset(tuple(counts))),
                                        r_values=(1.0,))
-            assert abs(report.generalized_gini[0][1] - report.gini) <= 1e-9
+            assert report.generalized_gini[0][1] == report.gini
 
     def test_matches_vertex_loop_reference(self):
         # per-vertex loops as the reference; only the summation order
@@ -432,6 +475,34 @@ class TestEmpiricalIndices:
                             for p0, p1 in zip(points, points[1:]))
                 assert value == pytest.approx(r * (r + 1.0) * total - 1.0, abs=1e-12)
 
+    @pytest.mark.parametrize("dataset", [
+        lambda: ingest(BUNDLED),
+        lambda: sample_synthetic("pg", 10**5, 1, alpha=0.7, beta=0.1),
+        lambda: sample_synthetic("pg", 10**5, 2, alpha=0.7, beta=0.1),
+        lambda: sample_synthetic("pareto", 20000, 0, theta=0.5),
+    ], ids=["bundled", "pg-1e5-seed-1", "pg-1e5-seed-2", "pareto-2e4-seed-0"])
+    def test_matches_rank_weight_reference(self, dataset):
+        counts = dataset().counts_desc
+        report = empirical_indices(empirical_curve(CitationDataset(counts)),
+                                   r_values=(0.3, 0.5, 1.0, 2.0, 2.5))
+        for r, value in report.generalized_gini:
+            ref = rank_weight_generalized_gini(counts, r)
+            assert abs((value - ref) / ref) <= 1e-12, r
+
+    def test_polygon_off_the_corners_matches_segment_reference(self):
+        # a slice of a polygon starts above (0, 0) and ends below (1, 1),
+        # so the end terms of the sum by parts do not vanish
+        rng = random.Random(113)
+        counts = sorted((rng.randint(0, 500) for _ in range(400)), reverse=True)
+        points = empirical_curve(CitationDataset(tuple(counts))).points[40:-60]
+        curve = EmpiricalCurve(points=points, source_n=points.size - 1)
+        u, k = curve.u_values(), curve.k_values()
+        assert u[0] > 0.0 and k[0] > 0.0 and u[-1] < 1.0 and k[-1] < 1.0
+        report = empirical_indices(curve, r_values=(0.3, 0.5, 1.0, 2.0, 2.5))
+        for r, value in report.generalized_gini:
+            total = float(np.sum(_segment_weighted_integral(u, k, r)))
+            assert value == pytest.approx(r * (r + 1.0) * total - 1.0, abs=1e-12)
+
     def test_even_counts_give_zero(self):
         report = empirical_indices(empirical_curve(CitationDataset((1, 1, 1, 1))))
         assert report.gini == 0.0
@@ -442,6 +513,12 @@ class TestEmpiricalIndices:
         assert report.gini == pytest.approx(0.75, abs=1e-15)
         assert report.pietra == pytest.approx(0.75, abs=1e-15)
         assert report.pietra_argmax_u == pytest.approx(0.25, abs=1e-15)
+
+    @pytest.mark.parametrize("r_values", [(0.5, 0.0), (-1.0,), (2.0, math.nan), (math.inf,)])
+    def test_rejects_bad_r(self, r_values):
+        curve = empirical_curve(CitationDataset((4, 3, 2, 1)))
+        with pytest.raises(ValueError, match="positive and finite"):
+            empirical_indices(curve, r_values)
 
     def test_rejects_degenerate_curve(self):
         curve = empirical_curve(CitationDataset((5,)))

@@ -56,6 +56,24 @@ class TestUpperIncompleteGamma:
         assert res.method == "recurrence"
         assert res.value == pytest.approx(mp_gamma(-2.5, 0.1), rel=1e-11)
 
+    def test_routes_between_a_quarter_and_a_half(self):
+        # below x = 1/2 the recurrence keeps more digits than the continued
+        # fraction, save within 1/64 of an integer shape, where the
+        # continued fraction serves
+        rng = random.Random(24)
+        routed, cf = [], []
+        for _ in range(600):
+            a, x = rng.uniform(-3.0, 0.5), rng.uniform(0.25, 0.5)
+            ref = mpmath.gammainc(a, x, mpmath.inf)
+            res = specfun.upper_incomplete_gamma(a, x)
+            assert abs(mpmath.mpf(res.value) - ref) <= res.abs_error_estimate
+            assert res.method == ("continued_fraction" if abs(a - round(a)) < 1.0 / 64.0
+                                  else "recurrence")
+            routed.append(float(abs(mpmath.mpf(res.value) / ref - 1)))
+            cf.append(float(abs(mpmath.mpf(specfun._gamma_q_cf(a, x)[0]) / ref - 1)))
+        assert max(routed) <= max(cf)
+        assert sum(routed) <= sum(cf) / 4.0
+
     def test_recurrence_identity_sweep(self):
         # a*Gamma(a,x) + x**a*exp(-x) == Gamma(a+1,x)
         rng = random.Random(42)
@@ -205,7 +223,7 @@ class TestScipyRoutesAgainstMpmath:
     @pytest.mark.parametrize("alpha, beta", [(0.701, 0.102), (0.392, 0.055)])
     def test_pg_closed_form_generalized_gini(self, alpha, beta):
         # G_r = r alpha x**alpha Gamma(-alpha, x) e**x at x = (1 + r) beta;
-        # the x below 1/4 take the recurrence from a scipy pivot
+        # the x below 1/2 take the recurrence from a scipy pivot
         for r in (0.5, 1.0, 2.0):
             res = generalized_gini(pg(alpha, beta), r, method="closed_form")
             x = (1.0 + r) * beta
