@@ -30,7 +30,7 @@ def relative_offset(curve, model):
     of its Jacobian's columns: the rms of the part a Gauss-Newton step
     could still remove over the rms of the rest.  fit reads a fit
     converged when it is at most 1e-3 (or the fit is exact)."""
-    u, k = curve.u_values()[1:], curve.k_values()[1:]
+    u, k = curve.u[1:], curve.k[1:]
     values, columns = evaluate(model, u, grad=True)  # at u inside (0, 1)
     J, r = np.column_stack(columns), values - k[u < 1.0]
     n, p = J.shape

@@ -10,6 +10,9 @@ The digest covers, bit for bit:
   bundled data, the counts (7, 3, 2, 1), power samples of 2000 (seed 1,
   theta 3) and 500 (seed 3, theta 1.5) and pg samples of 2000 (seeds 2
   and 5, alpha 0.7, beta 0.1);
+- the empirical polygon's interpolate at its knots i/n, for the bundled
+  data, the counts (7, 3, 2, 1) and (2**60, 3, 1) (a total above 2**53,
+  summed in Python ints) and the pg sample of 100000 (seed 1);
 - model_indices and a 4097-point evaluate on [0, 1] of each of the 15
   pinned models of the benchmark's model sweep;
 - leimkuhler_compare of each of the 105 pairs of those models (relation,
@@ -77,6 +80,10 @@ INDEX_SETS = (
     ("pg-100000 seed 1", lambda: sample_synthetic("pg", 10**5, 1, alpha=0.7, beta=0.1)),
 )
 INDEX_R = (0.3, 0.5, 1.0, 2.0, 2.5)
+POLYGON_SETS = (
+    *INDEX_SETS,
+    ("(2**60, 3, 1)", lambda: CitationDataset((2**60, 3, 1))),
+)
 
 
 def _exact(value):
@@ -93,6 +100,11 @@ def _index_line(label, report):
                        report.pietra_argmax_u, sorted(report.method_tags.items()))))
 
 
+def _knot_line(label, dataset):
+    knots = np.arange(dataset.n + 1) / dataset.n
+    return repr((label, empirical_curve(dataset).interpolate(knots).tobytes().hex()))
+
+
 def _fit_lines(curve, config, *label):
     for family in Family:
         result = fit(curve, family, config)
@@ -103,7 +115,8 @@ def _fit_lines(curve, config, *label):
 
 def answer_lines():
     """One line per answer."""
-    curve = empirical_curve(ingest(ROOT / BUNDLED))
+    bundled = ingest(ROOT / BUNDLED)
+    curve = empirical_curve(bundled)
     yield from _fit_lines(curve, FitConfig())
     four = FitConfig(multistart_count=4)
     yield from _fit_lines(curve, four, "bundled")
@@ -112,6 +125,9 @@ def answer_lines():
     yield _index_line(("bundled",), empirical_indices(curve, INDEX_R))
     for label, dataset in INDEX_SETS:
         yield _index_line((label,), empirical_indices(empirical_curve(dataset()), INDEX_R))
+    yield _knot_line("bundled", bundled)
+    for label, dataset in POLYGON_SETS:
+        yield _knot_line(label, dataset())
     models = [make_model(family, **params) for family, params in FIXED_MODELS]
     for (family, params), model in zip(FIXED_MODELS, models):
         yield _index_line((family, sorted(params.items())), model_indices(model))

@@ -28,7 +28,6 @@ __all__ = [
     "Family",
     "ParamVector",
     "CurveModel",
-    "CurvePoint",
     "Violation",
     "ValidationReport",
     "power",
@@ -96,18 +95,6 @@ class ParamVector:
 def _check_positive(name, value):
     if not (value > 0) or not math.isfinite(value):
         raise ValueError(f"{name} must be positive and finite, got {value}")
-
-
-@dataclass(frozen=True)
-class CurvePoint:
-    """A point (u, K(u)) on a Leimkuhler curve; both coordinates in [0, 1]."""
-
-    u: float
-    k_value: float
-
-    def __post_init__(self):
-        if not (0.0 <= self.u <= 1.0) or not (0.0 <= self.k_value <= 1.0):
-            raise ValueError(f"curve point ({self.u}, {self.k_value}) outside the unit square")
 
 
 @dataclass(frozen=True)

@@ -50,13 +50,22 @@ class DataError(ValueError):
         self.line_number = line_number
 
 
+def _as_int(value):
+    if isinstance(value, (float, np.floating)) and float(value).is_integer():
+        return int(value)
+    if not isinstance(value, (int, np.integer)):
+        raise DataError(f"count {value!r} is not an integer")
+    return int(value)
+
+
 @dataclass(frozen=True, eq=False)
 class CitationDataset:
     """Citation counts sorted descending, with the total precomputed.
 
     counts_desc is a read-only 1-D numpy array: int64, or object
     holding Python ints when any count is at least 2**63.  Any sequence
-    of integers (or an integer array) is accepted and copied.  total is
+    of integers or integer-valued floats (or an array of them) is
+    accepted and copied; any other value raises DataError.  total is
     the exact sum as a Python int.  Two datasets are equal when their
     labels and their sorted counts are.
     """
@@ -70,8 +79,8 @@ class CitationDataset:
         if not (isinstance(values, np.ndarray) and values.ndim == 1
                 and np.can_cast(values.dtype, np.int64)):
             # np.array makes floats of ints at or above 2**63, so each
-            # count goes through int(), and those counts keep Python ints
-            values = [int(c) for c in values]
+            # count becomes a Python int first, and those counts keep them
+            values = [_as_int(c) for c in values]
         try:
             counts = np.array(values, dtype=np.int64)
         except OverflowError:
@@ -107,50 +116,45 @@ class CitationDataset:
         return len(self.counts_desc)
 
 
-_POINT = np.dtype([("u", float), ("k_value", float)])
-
-
 @dataclass(frozen=True, eq=False)
 class EmpiricalCurve:
     """Polygon through (i/n, s_i/s_n), i = 0..n.
 
-    points is a read-only numpy record array with fields u and k_value,
-    the attribute names of CurvePoint; a sequence of CurvePoint objects
-    passed to the constructor is converted once.  Two curves are equal
-    when their source_n and all their vertices are equal.
+    u and k are read-only 1-D float64 arrays of one length, the
+    abscissas and ordinates of the vertices; any sequences or arrays
+    passed in are copied.  Every vertex lies in the unit square.  Two
+    curves are equal when all their vertices are.
     """
 
-    points: np.recarray
-    source_n: int
+    u: np.ndarray
+    k: np.ndarray
 
     def __post_init__(self):
-        points = self.points
-        if not (isinstance(points, np.recarray) and points.dtype == _POINT):
-            points = np.rec.fromrecords([(p.u, p.k_value) for p in points], dtype=_POINT)
-        points = points.view()
-        points.flags.writeable = False
-        object.__setattr__(self, "points", points)
+        u, k = np.array(self.u, dtype=float), np.array(self.k, dtype=float)
+        if u.ndim != 1 or u.shape != k.shape:
+            raise ValueError(f"u and k must be 1-D and of one length, got {u.shape}, {k.shape}")
+        for values in (u, k):
+            # NaN fails both comparisons
+            if not (values.min(initial=0.0) >= 0.0 and values.max(initial=1.0) <= 1.0):
+                raise ValueError("curve vertices must lie in the unit square")
+            values.flags.writeable = False
+        object.__setattr__(self, "u", u)
+        object.__setattr__(self, "k", k)
 
     def __eq__(self, other):
         if not isinstance(other, EmpiricalCurve):
             return NotImplemented
-        return self.source_n == other.source_n and np.array_equal(self.points, other.points)
+        return np.array_equal(self.u, other.u) and np.array_equal(self.k, other.k)
 
     def __hash__(self):
-        return hash((self.source_n, self.points.tobytes()))
-
-    def u_values(self):
-        return self.points.u.copy()
-
-    def k_values(self):
-        return self.points.k_value.copy()
+        return hash((self.u.tobytes(), self.k.tobytes()))
 
     def interpolate(self, u):
         """Piecewise-linear K at arbitrary u in [0, 1]; exact at knots."""
         arr = np.asarray(u, dtype=float)
         if not np.all((arr >= 0.0) & (arr <= 1.0)):
             raise ValueError("u must lie in [0, 1]")
-        out = np.interp(arr, self.points.u, self.points.k_value)
+        out = np.interp(arr, self.u, self.k)
         return float(out) if np.ndim(u) == 0 else out
 
 
@@ -323,11 +327,8 @@ def empirical_curve(dataset):
     # int64 sums convert to float exactly below 2**53, so s / total rounds
     # as it does for Python ints; larger totals take Python ints
     counts = dataset.counts_desc if total < 2**53 else dataset.counts_desc.astype(object)
-    points = np.recarray(n + 1, dtype=_POINT)
-    points.u = np.arange(n + 1) / n
-    points.k_value[0] = 0.0
-    points.k_value[1:] = np.cumsum(counts) / total
-    return EmpiricalCurve(points, source_n=n)
+    k = np.concatenate(([0.0], np.cumsum(counts) / total))
+    return EmpiricalCurve(np.arange(n + 1) / n, k)
 
 
 def dispersion_index(variance, mean):

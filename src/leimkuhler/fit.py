@@ -745,7 +745,7 @@ def _metrics(r):
 def fit_metrics(curve, model):
     """MSE, maximum absolute error, and MAE of a model against the
     polygon vertices (the fixed origin vertex excluded)."""
-    return _metrics(evaluate(model, curve.u_values()[1:]) - curve.k_values()[1:])
+    return _metrics(evaluate(model, curve.u[1:]) - curve.k[1:])
 
 
 def fit(curve, family, config=FitConfig(), *, _fitted=None):
@@ -774,16 +774,15 @@ def fit(curve, family, config=FitConfig(), *, _fitted=None):
     """
     # _fitted: the fits made so far in this call of compare_models (see _fit_once)
     family = Family(family)
-    u_all, k_all = curve.u_values(), curve.k_values()
     # residuals skip the fixed origin vertex
-    u, k_emp = u_all[1:], k_all[1:]
+    u, k_emp = curve.u[1:], curve.k[1:]
     p = len(PARAM_NAMES[family])
     if u.size < p + 1:
         raise ValueError(f"need at least {p + 1} residual points to fit "
                          f"{family.value!r}, got {u.size}")
     grid = _Grid(u, k_emp)
 
-    gini_emp = min(max(_polygon_gini(u_all, k_all), 1e-6), 1.0 - 1e-6)
+    gini_emp = min(max(_polygon_gini(curve.u, curve.k), 1e-6), 1.0 - 1e-6)
     starts = _multistart_points(family, gini_emp, config)
     nested, limit_sse = [], None
     if family in _NESTED and config.multistart_count > 1:

@@ -29,6 +29,7 @@ import numpy as np
 from . import specfun
 from .curves import (
     Family,
+    ParamVector,
     evaluate,
     gamma_mixing_density,
     inverse_gaussian_mixing_density,
@@ -179,9 +180,9 @@ _GENERALIZED_GINI_CLOSED = {
 
 # tanh-sinh nodes on (0, 1): t runs over [-_DE_T, _DE_T] and
 # u = 1 / (1 + exp(-pi sinh t)).  The smallest node, about 6e-38, puts
-# pagb's 1F1 argument shift + log u only 86 below its shift: for the
-# fit's shifts (down to -200) far above -708.4, below which the Kummer
-# series is summed in scaled form.
+# pagb's 1F1 argument shift + log u only 86 below its shift, so with the
+# fit's shifts (down to -200) the argument stays at or above -286,
+# where _taylor_sum never rescales the Kummer series.
 _DE_T = 4.0
 _DE_MIN_LEVELS = 3
 _DE_MAX_LEVEL = 8
@@ -350,23 +351,14 @@ def pietra(model, tol=1e-10, method="auto"):
     return PietraValue(_range_check(value, 0.0, 1.0, tol, "pietra"), argmax, tag)
 
 
-def _power_gini(theta, kappa):
-    return theta / (2.0 + theta)
-
-
-def _gp_gini(theta, kappa):
-    return _gp_generalized_gini(theta, kappa, 1.0)
-
-
-# each mixture family's mixing density constructor, and the Gini of its
-# base family at the exponent theta that the density mixes (and, for gp,
-# the mixture's kappa)
+# each mixture family's mixing density constructor, and the base family
+# whose exponent theta the density mixes (gp's kappa is the mixture's)
 _MIXTURES = {
-    Family.PG: (gamma_mixing_density, _power_gini),
-    Family.PIG: (inverse_gaussian_mixing_density, _power_gini),
-    Family.GPG: (gamma_mixing_density, _gp_gini),
-    Family.GPIG: (inverse_gaussian_mixing_density, _gp_gini),
-    Family.PAGB: (tilted_beta_mixing_density, lambda theta, kappa: theta / (2.0 - theta)),
+    Family.PG: (gamma_mixing_density, Family.POWER),
+    Family.PIG: (inverse_gaussian_mixing_density, Family.POWER),
+    Family.GPG: (gamma_mixing_density, Family.GP),
+    Family.GPIG: (inverse_gaussian_mixing_density, Family.GP),
+    Family.PAGB: (tilted_beta_mixing_density, Family.PARETO),
 }
 
 
@@ -396,12 +388,15 @@ def gini_via_mixture(model, tol=1e-8):
     _check_tol(tol)
     if model.family not in _MIXTURES:
         raise ValueError(f"family {model.family.value!r} is not a mixture family")
-    mixing_density, base_gini = _MIXTURES[model.family]
+    mixing_density, base = _MIXTURES[model.family]
     p = model.params
+
+    def base_gini(theta):
+        return _GENERALIZED_GINI_CLOSED[base](ParamVector(theta=theta, kappa=p.kappa), 1.0)
 
     if mixing_density is tilted_beta_mixing_density:
         density = mixing_density(p.alpha, p.beta, p.shift)
-        value, err = quad(lambda t: base_gini(t, p.kappa) * density(t), 0.0, 1.0,
+        value, err = quad(lambda t: base_gini(t) * density(t), 0.0, 1.0,
                           epsabs=tol / 2.0, epsrel=1e-12, limit=400)
     else:
         density = mixing_density(p.alpha, p.beta)
@@ -409,7 +404,7 @@ def gini_via_mixture(model, tol=1e-8):
         # map (0, inf) to (0, 1) through theta = t/(1-t)
         def integrand(t):
             theta = t / (1.0 - t)
-            return base_gini(theta, p.kappa) * density(theta) / (1.0 - t) ** 2
+            return base_gini(theta) * density(theta) / (1.0 - t) ** 2
 
         value, err = quad(integrand, 0.0, 1.0, epsabs=tol / 2.0, epsrel=1e-12, limit=400)
 
@@ -489,7 +484,7 @@ def empirical_indices(curve, r_values=DEFAULT_R_VALUES):
     -------
     IndexReport
     """
-    u, k = curve.u_values(), curve.k_values()
+    u, k = curve.u, curve.k
     if u.size < 2:
         raise ValueError("empirical curve needs at least 2 points")
     r_values = [float(r) for r in r_values]

@@ -21,7 +21,6 @@ from scipy.integrate import IntegrationWarning
 
 from leimkuhler import specfun
 from leimkuhler.curves import (
-    CurvePoint,
     Family,
     evaluate,
     gamma_mixing_density,
@@ -247,10 +246,7 @@ def test_fit_recovers_generating_parameters_and_descends_monotonically():
     for truth, n_points in cases:
         u = np.linspace(0.0, 1.0, n_points + 1)
         k = evaluate(truth, u)
-        curve = EmpiricalCurve(
-            tuple(CurvePoint(float(a), float(b)) for a, b in zip(u, k)),
-            source_n=n_points,
-        )
+        curve = EmpiricalCurve(u, k)
         result = fit(curve, truth.family, FIT_CONFIG)
         assert result.sse <= 1e-12, (truth.family.value, truth.param_values(), result.sse)
         for est, true in zip(result.model.param_values(), truth.param_values()):
@@ -271,10 +267,10 @@ def test_small_dataset_pipeline_and_dispersion_arithmetic():
     dataset = ingest(io.StringIO("4\n3\n2\n1\n"))
     curve = empirical_curve(dataset)
     expected = [(0.0, 0.0), (0.25, 0.4), (0.5, 0.7), (0.75, 0.9), (1.0, 1.0)]
-    assert len(curve.points) == len(expected)
-    for point, (eu, ek) in zip(curve.points, expected):
-        assert point.u == pytest.approx(eu, abs=1e-15)
-        assert point.k_value == pytest.approx(ek, abs=1e-15)
+    assert curve.u.size == curve.k.size == len(expected)
+    for u, k, (eu, ek) in zip(curve.u, curve.k, expected):
+        assert u == pytest.approx(eu, abs=1e-15)
+        assert k == pytest.approx(ek, abs=1e-15)
 
     report = empirical_indices(curve)
     assert report.pietra == pytest.approx(0.2, abs=1e-12)

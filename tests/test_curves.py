@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 from leimkuhler import curves, specfun
 from leimkuhler.curves import (
     CurveModel,
-    CurvePoint,
     Family,
     ParamVector,
     evaluate,
@@ -104,14 +103,6 @@ class TestCurveModel:
 
     def test_param_vector_present(self):
         assert ParamVector(theta=2.0).present() == {"theta": 2.0}
-
-    def test_curve_point_bounds(self):
-        point = CurvePoint(0.25, 0.4)
-        assert (point.u, point.k_value) == (0.25, 0.4)
-        with pytest.raises(ValueError, match="unit square"):
-            CurvePoint(0.5, 1.2)
-        with pytest.raises(ValueError, match="unit square"):
-            CurvePoint(-0.1, 0.0)
 
 
 def masked_evaluate(model, u):

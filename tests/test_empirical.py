@@ -5,6 +5,7 @@ import gzip
 import io
 import math
 import random
+import re
 import tempfile
 import warnings
 from pathlib import Path
@@ -18,6 +19,7 @@ from leimkuhler.curves import evaluate, power
 from leimkuhler.empirical import (
     CitationDataset,
     DataError,
+    EmpiricalCurve,
     descriptive_stats,
     dispersion_index,
     _read_lines,
@@ -288,6 +290,31 @@ class TestCitationDataset:
             ds.counts_desc = np.array([0])
         assert not CitationDataset((2**63, 1)).counts_desc.flags.writeable
 
+    @pytest.mark.parametrize("counts, bad", [
+        ([2.7, 1.2], "2.7"),
+        (np.array([2.0, 2.7]), "2.7"),
+        ([3, math.nan], "nan"),
+        ([math.inf], "inf"),
+        (["3", "2"], "'3'"),
+        ([3, "2"], "'2'"),
+    ])
+    def test_rejects_non_integral_counts(self, counts, bad):
+        with pytest.raises(DataError, match=f"count .*{re.escape(bad)}.* is not an integer"):
+            CitationDataset(counts)
+
+    @pytest.mark.parametrize("counts, expected, dtype", [
+        ([2.0, 5.0], [5, 2], np.int64),
+        (np.array([1.0, 3.0]), [3, 1], np.int64),
+        ([np.int32(4), np.uint8(7), np.int64(1)], [7, 4, 1], np.int64),
+        ([np.uint64(2**63), 1], [2**63, 1], object),
+        ([float(2**64), 2**63, 1.0], [2**64, 2**63, 1], object),
+    ])
+    def test_accepts_integral_counts(self, counts, expected, dtype):
+        ds = CitationDataset(counts)
+        assert ds.counts_desc.tolist() == expected
+        assert ds.counts_desc.dtype == dtype
+        assert ds.total == sum(expected)
+
     def test_total_is_an_exact_int(self):
         ds = CitationDataset(np.array([4, 3, 2, 1], dtype=np.int32))
         assert ds.counts_desc.dtype == np.int64
@@ -297,17 +324,18 @@ class TestCitationDataset:
 class TestEmpiricalCurve:
     def test_known_polygon(self):
         curve = empirical_curve(CitationDataset((4, 3, 2, 1)))
-        coords = [(p.u, p.k_value) for p in curve.points]
+        coords = list(zip(curve.u.tolist(), curve.k.tolist()))
         assert coords == [(0.0, 0.0), (0.25, 0.4), (0.5, 0.7), (0.75, 0.9), (1.0, 1.0)]
-        assert curve.source_n == 4
+        assert curve.u.size - 1 == 4  # one segment per source
 
     def test_single_source(self):
         curve = empirical_curve(CitationDataset((5,)))
-        assert [(p.u, p.k_value) for p in curve.points] == [(0.0, 0.0), (1.0, 1.0)]
+        assert list(zip(curve.u.tolist(), curve.k.tolist())) == [(0.0, 0.0), (1.0, 1.0)]
 
     def test_equal_counts_give_diagonal(self):
         curve = empirical_curve(CitationDataset((2, 2)))
-        assert [(p.u, p.k_value) for p in curve.points] == [(0.0, 0.0), (0.5, 0.5), (1.0, 1.0)]
+        assert list(zip(curve.u.tolist(), curve.k.tolist())) == [
+            (0.0, 0.0), (0.5, 0.5), (1.0, 1.0)]
 
     def test_zero_total_rejected(self):
         with pytest.raises(DataError, match="total is zero"):
@@ -321,8 +349,8 @@ class TestEmpiricalCurve:
             if sum(counts) == 0:
                 counts[0] = 1
             curve = empirical_curve(CitationDataset(tuple(counts)))
-            k = curve.k_values()
-            u = curve.u_values()
+            k = curve.k
+            u = curve.u
             assert k[0] == 0.0 and k[-1] == 1.0
             assert np.all(np.diff(k) >= -1e-15)
             # slopes nonincreasing because counts are sorted descending
@@ -341,8 +369,8 @@ class TestEmpiricalCurve:
 
     def test_interpolate_exact_at_knots(self):
         curve = empirical_curve(CitationDataset((4, 3, 2, 1)))
-        for p in curve.points:
-            assert curve.interpolate(p.u) == p.k_value
+        for u, k in zip(curve.u.tolist(), curve.k.tolist()):
+            assert curve.interpolate(u) == k
 
     def test_interpolate_midpoints(self):
         curve = empirical_curve(CitationDataset((4, 3, 2, 1)))
@@ -356,6 +384,38 @@ class TestEmpiricalCurve:
             curve.interpolate(1.5)
         with pytest.raises(ValueError):
             curve.interpolate(float("nan"))
+
+    def test_vertices_must_be_two_columns_in_the_unit_square(self):
+        curve = EmpiricalCurve([0.0, 0.25, 1.0], [0.0, 0.4, 1.0])
+        assert (curve.u.dtype, curve.k.dtype) == (np.float64, np.float64)
+        assert (curve.u.tolist(), curve.k.tolist()) == ([0.0, 0.25, 1.0], [0.0, 0.4, 1.0])
+        with pytest.raises(ValueError, match="one length"):
+            EmpiricalCurve([0.0, 0.5, 1.0], [0.0, 1.0])
+        with pytest.raises(ValueError, match="1-D"):
+            EmpiricalCurve([[0.0, 1.0]], [[0.0, 1.0]])
+        for u, k in (([0.5], [1.2]), ([-0.1], [0.0]), ([0.5], [math.nan]), ([math.nan], [0.5])):
+            with pytest.raises(ValueError, match="unit square"):
+                EmpiricalCurve(u, k)
+
+    def test_vertices_cannot_be_written(self):
+        u, k = np.array([0.0, 0.5, 1.0]), np.array([0.0, 0.75, 1.0])
+        curve = EmpiricalCurve(u, k)
+        u[1], k[1] = 0.25, 0.5
+        assert (curve.u.tolist(), curve.k.tolist()) == ([0.0, 0.5, 1.0], [0.0, 0.75, 1.0])
+        for values in (curve.u, curve.k):
+            assert not values.flags.writeable
+            with pytest.raises(ValueError):
+                values[1] = 0.0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            curve.u = u
+
+    def test_equal_vertices_give_equal_curves(self):
+        curve = empirical_curve(CitationDataset((4, 3, 2, 1)))
+        same = EmpiricalCurve([0.0, 0.25, 0.5, 0.75, 1.0], (0.0, 0.4, 0.7, 0.9, 1.0))
+        assert curve == same and hash(curve) == hash(same)
+        assert len({curve, same, EmpiricalCurve(curve.u, curve.k)}) == 1
+        assert curve != EmpiricalCurve(curve.u, [0.0, 0.4, 0.7, 0.95, 1.0])
+        assert curve != EmpiricalCurve(curve.u[:-1], curve.k[:-1])
 
 
 class TestDescriptiveStats:
@@ -421,8 +481,7 @@ class TestSampleSynthetic:
         # parametric curve as n grows
         ds = sample_synthetic("power", 100_000, seed=31, theta=2.0)
         curve = empirical_curve(ds)
-        u = curve.u_values()
-        sup = np.max(np.abs(curve.k_values() - evaluate(power(2.0), u)))
+        sup = np.max(np.abs(curve.k - evaluate(power(2.0), curve.u)))
         assert sup < 0.01
 
     def test_mixture_families_sample(self):

@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 from scipy.stats import qmc
 
 from leimkuhler.curves import (
-    CurvePoint,
     Family,
     evaluate,
     gp,
@@ -54,9 +53,7 @@ fit_module = importlib.import_module("leimkuhler.fit")
 def model_polygon(model, n):
     """Noiseless polygon with vertices on the model curve."""
     u = np.arange(0, n + 1) / n
-    k = evaluate(model, u)
-    points = tuple(CurvePoint(float(a), float(b)) for a, b in zip(u, k))
-    return EmpiricalCurve(points=points, source_n=n)
+    return EmpiricalCurve(u, evaluate(model, u))
 
 
 class TestLatinHypercube:
@@ -264,7 +261,7 @@ class TestConvergedFlag:
         # level, as on (5, 5, 5, 5)
         for counts in (ingest(BUNDLED), CitationDataset((5, 5, 5, 5))):
             curve = empirical_curve(counts)
-            u, k_emp = curve.u_values()[1:], curve.k_values()[1:]
+            u, k_emp = curve.u[1:], curve.k[1:]
             for family in Family:
                 result = fit(curve, family, FitConfig(multistart_count=4, seed=0))
                 r = evaluate(result.model, u) - k_emp
@@ -543,7 +540,7 @@ class TestLimitStop:
         # makes one step and stops)
         curve = empirical_curve(ingest(BUNDLED))
         power_fit = fit(curve, "power")
-        grid = fit_module._Grid(curve.u_values()[1:], curve.k_values()[1:])
+        grid = fit_module._Grid(curve.u[1:], curve.k[1:])
         start = fit_module._point_mass(Family.PIG, *power_fit.model.param_values())
         raw, history = fit_module._run_start(Family.PIG, start, grid, FitConfig(), power_fit.sse)
         assert fit_module._ends_at_limit(Family.PIG, start, history[0], power_fit.sse)
@@ -642,7 +639,7 @@ class TestThinnedStart:
         assert result.iterations == len(history) - 1
         assert all(b <= a for a, b in zip(history, history[1:]))
         assert history[-1] == result.sse
-        r = evaluate(result.model, curve.u_values()[1:]) - curve.k_values()[1:]
+        r = evaluate(result.model, curve.u[1:]) - curve.k[1:]
         assert result.sse == pytest.approx(float(r @ r), rel=1e-12)
 
 
@@ -722,7 +719,7 @@ class TestBoundedStep:
     def test_start_at_a_box_corner_stays_feasible(self, monkeypatch):
         # gpg from the corner kappa = 1, alpha at its floor, beta at its cap
         curve = empirical_curve(sample_synthetic("pg", n=300, seed=4, alpha=0.7, beta=0.3))
-        grid = fit_module._Grid(curve.u_values()[1:], curve.k_values()[1:])
+        grid = fit_module._Grid(curve.u[1:], curve.k[1:])
         lm_step, steps = fit_module._lm_step, []
 
         def stepping(M, z, radius, lo, hi):
@@ -807,8 +804,8 @@ class TestRawCoordinateAgreement:
         # golden-section search and compare fitted curves
         dataset = sample_synthetic("power", n=1200, seed=23, theta=1.8)
         curve = empirical_curve(dataset)
-        u = curve.u_values()[1:]
-        k_emp = curve.k_values()[1:]
+        u = curve.u[1:]
+        k_emp = curve.k[1:]
 
         def sse_of(theta):
             return float(np.sum((evaluate(power(theta), u) - k_emp) ** 2))
@@ -991,11 +988,11 @@ class TestCompressedProblem:
         curve = empirical_curve(sample_synthetic(generator, 10_000, 5, **params))
         # with two starts, gpg also fits pg, gp and power for its nested starts
         result = fit(curve, family, FitConfig(multistart_count=2))
-        n = curve.u_values().size - 2  # the vertices inside (0, 1)
+        n = curve.u.size - 2  # the vertices inside (0, 1)
         assert rows and set(rows) == {n}
         assert sizes and all(m == (z[0], z[0]) and z[0] <= 3 for m, z in sizes)
         # the SSE is still that of the full residuals
-        r = evaluate(result.model, curve.u_values()[1:]) - curve.k_values()[1:]
+        r = evaluate(result.model, curve.u[1:]) - curve.k[1:]
         assert result.sse == pytest.approx(float(r @ r), rel=1e-12)
 
     def test_pig_at_its_unnamed_alpha_limit(self):
@@ -1044,14 +1041,7 @@ class TestCaic:
 class TestFitMetrics:
     def test_hand_computed_residuals(self):
         model = power(1.0)
-        points = (
-            CurvePoint(0.0, 0.0),
-            CurvePoint(0.25, 0.5),
-            CurvePoint(0.5, 0.8),
-            CurvePoint(0.75, 0.95),
-            CurvePoint(1.0, 1.0),
-        )
-        curve = EmpiricalCurve(points=points, source_n=4)
+        curve = EmpiricalCurve([0.0, 0.25, 0.5, 0.75, 1.0], [0.0, 0.5, 0.8, 0.95, 1.0])
         # K(u) = 2u - u^2 at the four vertices past the origin
         fitted = np.array([0.4375, 0.75, 0.9375, 1.0])
         observed = np.array([0.5, 0.8, 0.95, 1.0])
@@ -1070,7 +1060,7 @@ class TestFitMetrics:
         assert result.mse == pytest.approx(metrics.mse, rel=1e-12)
         assert result.max_abs == pytest.approx(metrics.max_abs, rel=1e-12)
         assert result.mae == pytest.approx(metrics.mae, rel=1e-12)
-        n = len(curve.points) - 1
+        n = curve.u.size - 1
         assert result.mse == pytest.approx(result.sse / n, rel=1e-12)
 
 

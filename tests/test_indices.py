@@ -459,20 +459,19 @@ class TestEmpiricalIndices:
             counts[0] += 1
             curve = empirical_curve(CitationDataset(tuple(counts)))
             report = empirical_indices(curve, r_values=(0.3, 1.0, 2.5))
-            points = curve.points
+            points = list(zip(curve.u.tolist(), curve.k.tolist()))
             area = 0.0
-            for p0, p1 in zip(points, points[1:]):
-                area += (p1.u - p0.u) * (p0.k_value + p1.k_value) / 2.0
+            for (u0, k0), (u1, k1) in zip(points, points[1:]):
+                area += (u1 - u0) * (k0 + k1) / 2.0
             assert report.gini == pytest.approx(min(max(2.0 * area - 1.0, 0.0), 1.0), abs=1e-12)
             best, best_u = 0.0, 0.0
-            for p in points:
-                if p.k_value - p.u > best:
-                    best, best_u = p.k_value - p.u, p.u
+            for u, k in points:
+                if k - u > best:
+                    best, best_u = k - u, u
             assert (report.pietra, report.pietra_argmax_u) == (best, best_u)
             for r, value in report.generalized_gini:
-                total = sum(_segment_weighted_integral(np.array([p0.u, p1.u]),
-                                                       np.array([p0.k_value, p1.k_value]), r)[0]
-                            for p0, p1 in zip(points, points[1:]))
+                total = sum(_segment_weighted_integral(np.array([u0, u1]), np.array([k0, k1]), r)[0]
+                            for (u0, k0), (u1, k1) in zip(points, points[1:]))
                 assert value == pytest.approx(r * (r + 1.0) * total - 1.0, abs=1e-12)
 
     @pytest.mark.parametrize("dataset", [
@@ -494,9 +493,9 @@ class TestEmpiricalIndices:
         # so the end terms of the sum by parts do not vanish
         rng = random.Random(113)
         counts = sorted((rng.randint(0, 500) for _ in range(400)), reverse=True)
-        points = empirical_curve(CitationDataset(tuple(counts))).points[40:-60]
-        curve = EmpiricalCurve(points=points, source_n=points.size - 1)
-        u, k = curve.u_values(), curve.k_values()
+        whole = empirical_curve(CitationDataset(tuple(counts)))
+        curve = EmpiricalCurve(whole.u[40:-60], whole.k[40:-60])
+        u, k = curve.u, curve.k
         assert u[0] > 0.0 and k[0] > 0.0 and u[-1] < 1.0 and k[-1] < 1.0
         report = empirical_indices(curve, r_values=(0.3, 0.5, 1.0, 2.0, 2.5))
         for r, value in report.generalized_gini:
@@ -522,6 +521,6 @@ class TestEmpiricalIndices:
 
     def test_rejects_degenerate_curve(self):
         curve = empirical_curve(CitationDataset((5,)))
-        trimmed = type(curve)(points=curve.points[:1], source_n=1)
+        trimmed = type(curve)(curve.u[:1], curve.k[:1])
         with pytest.raises(ValueError, match="at least 2"):
             empirical_indices(trimmed)

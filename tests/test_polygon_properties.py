@@ -24,15 +24,15 @@ def test_vertices_are_correctly_rounded_ratios(counts):
     desc = sorted(counts, reverse=True)
     n, total = len(desc), sum(desc)
     # Python int division is correctly rounded at any size
-    assert curve.u_values().tolist() == [i / n for i in range(n + 1)]
-    assert curve.k_values().tolist() == [0.0] + [s / total for s in accumulate(desc)]
+    assert curve.u.tolist() == [i / n for i in range(n + 1)]
+    assert curve.k.tolist() == [0.0] + [s / total for s in accumulate(desc)]
 
 
 @settings(deadline=None)
 @given(COUNTS)
 def test_polygon_and_index_invariants(counts):
     curve = empirical_curve(CitationDataset(tuple(counts)))
-    u, k = curve.u_values(), curve.k_values()
+    u, k = curve.u, curve.k
     assert (k[0], k[-1]) == (0.0, 1.0)
     # slopes are at most n, each vertex carries one rounding, and n <= 60
     slopes = np.diff(k) / np.diff(u)
@@ -59,7 +59,7 @@ def test_int64_edge_stays_exact(counts, dtype):
     assert dataset.counts_desc.tolist() == desc
     assert all(type(c) is int for c in dataset.counts_desc.tolist())
     assert type(dataset.total) is int and dataset.total == sum(counts)
-    assert empirical_curve(dataset).k_values().tolist() == (
+    assert empirical_curve(dataset).k.tolist() == (
         [0.0] + [s / sum(desc) for s in accumulate(desc)])
 
 
@@ -72,5 +72,5 @@ def test_int64_edge_ingest_stays_exact(tmp_path):
     assert dataset.counts_desc.tolist() == desc
     assert dataset.total == 2**63 + 4
     assert dataset == CitationDataset(desc, label="counts.txt")
-    assert empirical_curve(dataset).k_values().tolist() == (
+    assert empirical_curve(dataset).k.tolist() == (
         [0.0] + [s / sum(desc) for s in accumulate(desc)])

@@ -480,7 +480,7 @@ class TestKummerSeriesStopRule:
             assert np.array_equal(got, ref), (a, b)
 
     def test_pagb_on_the_bundled_polygon(self):
-        u = empirical_curve(ingest(BUNDLED)).u_values()[1:]
+        u = empirical_curve(ingest(BUNDLED)).u[1:]
         for params in ((1e4, 6692.0, -200.0), (2.0, 3.0, -5.0)):
             self.assert_matches_reference(*pagb_arguments(u, *params))
 
