@@ -26,13 +26,19 @@ repository root:
     PYTHONPATH=src python3 scripts/multistart_gate.py [--draws N]
         [--save PATH] [--against PATH]
 
+It also counts the residual evaluations (calls of the fit module's
+`_residuals`) of each fit as `fit` runs it, and prints their total per
+family over all sets.
+
 --save writes one JSON record per fit as `fit` runs it: the SSE, the
 converged flag, the nested limit, whether standard errors are given,
-and the failure, if any.  --against compares the fits with records
-saved by another checkout (say, the parent commit): it prints the worst
-relative SSE rise over those records and every change of a flag, a
-nested limit, the presence of standard errors or a failure, and exits 1
-when an SSE is higher than the saved one by more than 1e-10 relative.
+the failure, if any, and the residual evaluations.  --against compares
+the fits with records saved by another checkout (say, the parent
+commit): it prints the worst relative SSE rise over those records,
+every change of a flag, a nested limit, the presence of standard errors
+or a failure, and each family's residual evaluations next to the saved
+ones (n/a where the records hold none), and exits 1 when an SSE is
+higher than the saved one by more than 1e-10 relative.
 
 It sets OPENBLAS_NUM_THREADS, OMP_NUM_THREADS and MKL_NUM_THREADS to 1
 before numpy loads, as a fit's last bits depend on the BLAS thread
@@ -113,19 +119,32 @@ def gate_sets(draws):
 
 
 def fit_all(curve, config):
-    """family -> FitResult, or the failure's type and message.
+    """family -> FitResult, or the failure's type and message, and
+    family -> the residual evaluations of its fit.
 
     As in compare_models, each family is fitted once in a call, and the
-    mixtures take the fits they nest from the same call.
+    mixtures take the fits they nest from the same call.  Family lists
+    every nested family before the mixtures that nest it, so each count
+    is that of the family's own fit.
     """
-    results = {}
-    fitted = {}
-    for family in Family:
-        try:
-            results[family] = fit_module._fit_once(curve, family, config, fitted)
-        except (ValueError, RuntimeError, ArithmeticError) as exc:
-            results[family] = f"{type(exc).__name__}: {exc}"
-    return results
+    results, calls, fitted = {}, {}, {}
+    residuals = fit_module._residuals
+    count = 0
+
+    def counted(*args):
+        nonlocal count
+        count += 1
+        return residuals(*args)
+
+    with mock.patch.object(fit_module, "_residuals", counted):
+        for family in Family:
+            count = 0
+            try:
+                results[family] = fit_module._fit_once(curve, family, config, fitted)
+            except (ValueError, RuntimeError, ArithmeticError) as exc:
+                results[family] = f"{type(exc).__name__}: {exc}"
+            calls[family] = count
+    return results, calls
 
 
 def rise(sse, reference):
@@ -135,15 +154,28 @@ def rise(sse, reference):
     return 0.0 if sse == 0 else math.inf
 
 
-def record(label, family, result):
+def record(label, family, result, calls):
     """The saved record of one fit, as --save writes it."""
     if isinstance(result, str):
         return {"set": label, "family": family.value, "sse": None, "converged": None,
-                "nested_limit": None, "std_errors": None, "failure": result}
+                "nested_limit": None, "std_errors": None, "failure": result,
+                "calls": calls}
     limit = result.nested_limit
     return {"set": label, "family": family.value, "sse": result.sse,
             "converged": result.converged, "nested_limit": limit and limit.value,
-            "std_errors": result.std_errors is not None, "failure": None}
+            "std_errors": result.std_errors is not None, "failure": None,
+            "calls": calls}
+
+
+def calls_per_family(records):
+    """family tag -> total residual evaluations of the records, or None
+    where a record holds no count (saved by an older script)."""
+    totals = {}
+    for r in records:
+        calls = r.get("calls")
+        total = totals.get(r["family"], 0)
+        totals[r["family"]] = None if calls is None or total is None else total + calls
+    return totals
 
 
 def compare_records(records, saved):
@@ -182,18 +214,18 @@ def main():
     for label, dataset, config in gate_sets(args.draws):
         curve = empirical_curve(dataset)
         start = time.perf_counter()
-        early = fit_all(curve, config)
+        early, calls = fit_all(curve, config)
         early_s = time.perf_counter() - start
         with mock.patch.object(fit_module, "_starts_agree", lambda *args: False), \
                 mock.patch.object(fit_module, "_ends_at_limit", lambda *args: False):
             start = time.perf_counter()
-            full = fit_all(curve, config)
+            full, _ = fit_all(curve, config)
             full_s = time.perf_counter() - start
         set_worst = -math.inf
         for family in Family:
             a, b = early[family], full[family]
             fits += 1
-            records.append(record(label, family, a))
+            records.append(record(label, family, a, calls[family]))
             if isinstance(a, str) or isinstance(b, str):
                 if a != b:
                     mismatches.append(f"{label} {family.value}: {a!r} vs full {b!r}")
@@ -209,6 +241,9 @@ def main():
               flush=True)
 
     print(f"{fits} fits; worst relative SSE excess {worst[0]:+.3e} ({worst[1]})")
+    totals = calls_per_family(records)
+    print(f"residual calls: {sum(totals.values())};",
+          ", ".join(f"{family} {calls}" for family, calls in totals.items()))
     for line in mismatches:
         print("flag mismatch:", line)
     breach = worst[0] > SSE_RTOL or mismatches
@@ -216,9 +251,14 @@ def main():
     if args.save:
         args.save.write_text(json.dumps(records, indent=1) + "\n", encoding="utf-8")
     if args.against:
-        worst_rise, changes = compare_records(records, json.loads(args.against.read_text()))
+        saved = json.loads(args.against.read_text())
+        worst_rise, changes = compare_records(records, saved)
         print(f"against {args.against}: worst relative SSE rise "
               f"{worst_rise[0]:+.3e} ({worst_rise[1]})")
+        saved_totals = calls_per_family(saved)
+        print("residual calls (saved):", ", ".join(
+            f"{family} {calls} ({'n/a' if saved_totals.get(family) is None else saved_totals[family]})"
+            for family, calls in totals.items()))
         for line in changes:
             print("changed:", line)
         against_breach = worst_rise[0] > SSE_RTOL

@@ -76,6 +76,11 @@ class CitationDataset:
 
     def __post_init__(self):
         values = self.counts_desc
+        if (isinstance(values, np.ndarray) and values.ndim == 1 and values.dtype.kind == "f"
+                and np.all((values == np.trunc(values)) & (abs(values) < 2.0**63))):
+            # integral floats below 2**63, checked in one pass: nan and inf
+            # fail it, and take the path below for its message
+            values = values.astype(np.int64)
         if not (isinstance(values, np.ndarray) and values.ndim == 1
                 and np.can_cast(values.dtype, np.int64)):
             # np.array makes floats of ints at or above 2**63, so each

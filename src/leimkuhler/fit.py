@@ -62,7 +62,12 @@ collapses to a point mass: pagb nests pareto as lam -> 0, pg and pig
 nest power as their alpha and beta grow with the mean fixed, and gpg
 and gpig nest gp the same way.  alpha and beta run up to 1e14 so that
 these limits lie inside the box, and with more than one start the
-fits of the nested families seed further starts there.  A fit whose
+fits of the nested families seed further starts there.  pig's start
+at the power fit and gpig's at the gp fit sit one heterogeneity step
+off the point mass (_heterogeneity_step), or on it where the step
+does not fit, so a mixture still reaches its limit; pg and gpg stay
+on it, as the same step with a gamma law made their fits take more
+residual evaluations.  A fit whose
 mixing law has a squared coefficient of variation of at most 1e-12
 sits at its nested limit: FitResult.nested_limit names that family,
 converged is False and std_errors is None.  Given those fits, a start
@@ -403,9 +408,43 @@ def _point_mass(family, theta):
     return (theta, _MIX.hi)  # inverse Gaussian with mean alpha
 
 
-def _nested_starts(family, curve, config, fitted):
+def _heterogeneity_step(family, nested, params, grid):
+    """pig's or gpig's start one heterogeneity step off the point mass
+    at params, the fit of nested (power or gp) on grid, or None where
+    the step does not fit.
+
+    A law of mean theta and small variance s2 mixes K into about
+    K(theta) + s2/2 d2K/dtheta2 (Cox 1983).  For power and gp,
+    dK/dtheta = (K - 1) log(1 - u), so d2K/dtheta2 is dK/dtheta log(1 - u),
+    and s2 solves the one-column least squares r + s2/2 d2K/dtheta2 ~ 0
+    on the nested fit's residuals r.  The inverse Gaussian of mean theta
+    and variance s2 has shape theta^3/s2.  There is no step where s2 is
+    not positive, the shape leaves the _MIX box, or the mixture's SSE is
+    above the nested fit's.
+    """
+    got = _residuals(nested, params, grid.points, grid.k)
+    if got is None:
+        return None
+    r, (d_theta, *_) = got
+    h = d_theta * grid.points.log1m_u
+    hh = float(h @ h)
+    s2 = -2.0 * float(r @ h) / hh if hh > 0.0 else 0.0
+    if not s2 > 0.0:
+        return None
+    theta, *kappa = params
+    start = (*kappa, theta, theta**3 / s2)
+    if not _MIX.lo <= start[-1] <= _MIX.hi:
+        return None
+    mixed = _residuals(family, start, grid.points, grid.k)
+    if mixed is None or mixed[0] @ mixed[0] > r @ r:
+        return None
+    return start
+
+
+def _nested_starts(family, curve, config, fitted, grid):
     """Starts at the fits of the families nested in family, taken from
-    fitted or made there (see _fit_once)."""
+    fitted or made there (see _fit_once); grid holds the fit's residual
+    points."""
     starts = []
     for nested in _NESTED[family]:
         try:
@@ -416,11 +455,12 @@ def _nested_starts(family, curve, config, fitted):
             # pagb on the lam floor, its mean exponent at 1 - theta
             scale = 1.0 / _PAGB_SEARCH[1].lo
             starts.append((params[0] * scale, (1.0 - params[0]) * scale, 0.0))
-        elif nested is Family.POWER:
-            starts.append(_point_mass(family, *params))
-        elif nested is Family.GP:
-            theta, kappa = params
-            starts.append((kappa, *_point_mass(family, theta)))
+        elif nested in (Family.POWER, Family.GP):
+            # the gamma step raised pg's and gpg's calls: they keep the point mass
+            step = family in (Family.PIG, Family.GPIG) and _heterogeneity_step(
+                family, nested, params, grid)
+            theta, *kappa = params
+            starts.append(step or (*kappa, *_point_mass(family, theta)))
         else:
             # pg and pig are gpg and gpig on the kappa cap
             starts += [(kappa, *params) for kappa in (0.35, 0.65, 0.9, 0.999)]
@@ -787,7 +827,7 @@ def fit(curve, family, config=FitConfig(), *, _fitted=None):
     nested, limit_sse = [], None
     if family in _NESTED and config.multistart_count > 1:
         fitted = {} if _fitted is None else _fitted
-        nested = _nested_starts(family, curve, config, fitted)
+        nested = _nested_starts(family, curve, config, fitted, grid)
         starts[1:1] = nested
         limit = fitted[_NESTED[family][-1]]
         if not isinstance(limit, Exception):

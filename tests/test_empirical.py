@@ -315,6 +315,39 @@ class TestCitationDataset:
         assert ds.counts_desc.dtype == dtype
         assert ds.total == sum(expected)
 
+    def test_integral_float_array_matches_int_array(self):
+        counts = np.random.default_rng(0).integers(0, 2**52, size=1000)
+        floats = CitationDataset(counts.astype(float))
+        ints = CitationDataset(counts)
+        assert floats.counts_desc.dtype == np.int64
+        assert np.array_equal(floats.counts_desc, ints.counts_desc)
+        assert floats.total == ints.total
+
+    @pytest.mark.parametrize("bad, error", [
+        (2.7, "is not an integer"),
+        (np.nan, "is not an integer"),
+        (np.inf, "is not an integer"),
+        (-1.0, "must be non-negative"),
+        (2.0**63, None),
+    ])
+    def test_float_array_checked_as_each_count(self, bad, error):
+        # a float array that fails the one-pass check takes the per-count
+        # path of a list of the same numpy floats, message and all
+        def outcome(counts):
+            try:
+                ds = CitationDataset(counts)
+            except DataError as exc:
+                return str(exc)
+            return ds.counts_desc.tolist(), ds.counts_desc.dtype, ds.total
+
+        array = np.array([3.0, bad])
+        got = outcome(array)
+        assert got == outcome(list(array))
+        if error is None:
+            assert got == ([2**63, 3], object, 2**63 + 3)
+        else:
+            assert error in got
+
     def test_total_is_an_exact_int(self):
         ds = CitationDataset(np.array([4, 3, 2, 1], dtype=np.int32))
         assert ds.counts_desc.dtype == np.int64

@@ -559,6 +559,76 @@ class TestLimitStop:
         assert fit_fields(result) == fit_fields(fit(curve, "gpig", config))
 
 
+def count_residuals(monkeypatch):
+    """Count the calls of fit_module._residuals, the fit's evaluations."""
+    calls = [0]
+    residuals = fit_module._residuals
+
+    def counting(*args):
+        calls[0] += 1
+        return residuals(*args)
+
+    monkeypatch.setattr(fit_module, "_residuals", counting)
+    return calls
+
+
+class TestHeterogeneityStep:
+    """pig and gpig start one step of inverse-Gaussian heterogeneity off
+    the point mass at the power or gp fit (Cox 1983): the mixture of mean
+    theta and variance s2 is about K(theta) + s2/2 d2K/dtheta2."""
+
+    U = np.linspace(0.01, 0.99, 99)
+
+    @pytest.mark.parametrize("base, mixture", [
+        (lambda theta: power(theta), lambda theta, beta: pig(theta, beta)),
+        (lambda theta: gp(theta, 0.6), lambda theta, beta: gpig(0.6, theta, beta)),
+    ], ids=["pig", "gpig"])
+    def test_mixture_matches_the_expansion_to_second_order(self, base, mixture):
+        # d2K/dtheta2 = dK/dtheta log(1 - u) for power and gp, and the
+        # inverse Gaussian of mean theta and variance s2 has shape
+        # theta^3/s2: the gap is O(s2^2), a quarter at half the s2
+        theta = 3.0
+        k, (d_theta, *_) = evaluate(base(theta), self.U, grad=True)
+        h = d_theta * np.log1p(-self.U)
+        gaps = []
+        for s2 in (1e-3, 5e-4):
+            gap = np.abs(evaluate(mixture(theta, theta**3 / s2), self.U) - (k + 0.5 * s2 * h))
+            assert gap.max() <= 1e-2 * s2**2, (s2, gap.max())
+            gaps.append(gap.max())
+        assert 3.5 < gaps[0] / gaps[1] < 4.5, gaps
+
+    def test_no_step_keeps_the_point_mass(self):
+        # on the gate's power draw of seed 2 the power fit's residuals
+        # leave s2 <= 0: pig starts at the point mass and ends at its limit
+        theta = float(np.random.default_rng(2).uniform(0.5, 5.0))
+        curve = empirical_curve(sample_synthetic("power", n=500, seed=2, theta=theta))
+        fitted = {}
+        params = fit_module._fit_once(curve, Family.POWER, FitConfig(), fitted).model.param_values()
+        u = curve.u[1:-1]
+        k, (d_theta,) = evaluate(power(*params), u, grad=True)
+        assert (k - curve.k[1:-1]) @ (d_theta * np.log1p(-u)) >= 0.0  # s2 <= 0
+        grid = fit_module._Grid(curve.u[1:], curve.k[1:])
+        starts = fit_module._nested_starts(Family.PIG, curve, FitConfig(), fitted, grid)
+        assert starts == [fit_module._point_mass(Family.PIG, *params)]
+        result = fit_module._fit_once(curve, Family.PIG, FitConfig(), fitted)
+        assert result.nested_limit is Family.POWER
+
+    def test_bundled_pig_fits_in_fewer_calls(self, monkeypatch):
+        # 86 residual calls from the point mass alone; the bound was set
+        # before measuring the step
+        curve = empirical_curve(ingest(BUNDLED))
+        fitted = {Family.POWER: fit(curve, "power")}
+        calls = count_residuals(monkeypatch)
+        result = fit(curve, "pig", _fitted=dict(fitted))
+        step_calls = calls[0]
+        monkeypatch.setattr(fit_module, "_heterogeneity_step", lambda *args: None)
+        calls[0] = 0
+        point_mass = fit(curve, "pig", _fitted=dict(fitted))
+        assert step_calls <= 60 < calls[0]
+        assert result.sse == pytest.approx(point_mass.sse, rel=1e-10)
+        assert result.converged and point_mass.converged
+
+
 def record_starts(monkeypatch):
     """Record (family, residual points, limit SSE) of every _run_start."""
     calls = []
