@@ -17,6 +17,11 @@ end, and compares:
 - the benchmark's smoke input, every 20th line of the bundled data, with
   FitConfig(multistart_count=2).
 
+Above 2^15 points both runs let a start whose thinned run ends on an
+earlier start's minimum share that start's full-polygon run
+(`_same_minimum`); tests/test_fit.py compares fits with that sharing
+off, and --against can compare them with records saved without it.
+
 It prints one line per set, the worst relative SSE excess of the early
 stops over the full run, and every fit whose converged flag, nested
 limit or failure differs.  It exits 1 when an SSE exceeds the full
@@ -27,18 +32,20 @@ repository root:
         [--save PATH] [--against PATH]
 
 It also counts the residual evaluations (calls of the fit module's
-`_residuals`) of each fit as `fit` runs it, and prints their total per
+`_residuals`) of each fit as `fit` runs it, split into those on a
+thinned polygon and those on the full one, and prints their totals per
 family over all sets.
 
 --save writes one JSON record per fit as `fit` runs it: the SSE, the
 converged flag, the nested limit, whether standard errors are given,
-the failure, if any, and the residual evaluations.  --against compares
-the fits with records saved by another checkout (say, the parent
-commit): it prints the worst relative SSE rise over those records,
-every change of a flag, a nested limit, the presence of standard errors
-or a failure, and each family's residual evaluations next to the saved
-ones (n/a where the records hold none), and exits 1 when an SSE is
-higher than the saved one by more than 1e-10 relative.
+the failure, if any, and the residual evaluations: in all, on the
+thinned polygon and on the full one.  --against compares the fits with
+records saved by another checkout (say, the parent commit): it prints
+the worst relative SSE rise over those records, every change of a flag,
+a nested limit, the presence of standard errors or a failure, and each
+family's residual evaluations, in all, thinned and full, next to the
+saved ones (n/a where the records hold none), and exits 1 when an SSE
+is higher than the saved one by more than 1e-10 relative.
 
 It sets OPENBLAS_NUM_THREADS, OMP_NUM_THREADS and MKL_NUM_THREADS to 1
 before numpy loads, as a fit's last bits depend on the BLAS thread
@@ -81,6 +88,8 @@ from perfbench.workloads import BUNDLED, SMOKE_STRIDE  # noqa: E402
 fit_module = importlib.import_module("leimkuhler.fit")
 
 SSE_RTOL = 1e-10
+# the residual evaluations of a record: in all, on a thinned polygon, on the full one
+CALL_KEYS = ("calls", "thin_calls", "full_calls")
 SAMPLE_N = 500
 LARGE_N = 100_000  # above the size from which fit thins the polygon
 # parameter ranges of the synthetic draws, sampled uniformly
@@ -120,7 +129,8 @@ def gate_sets(draws):
 
 def fit_all(curve, config):
     """family -> FitResult, or the failure's type and message, and
-    family -> the residual evaluations of its fit.
+    family -> the residual evaluations of its fit, as a dict of their
+    number in all, on a thinned polygon and on the full one.
 
     As in compare_models, each family is fitted once in a call, and the
     mixtures take the fits they nest from the same call.  Family lists
@@ -129,21 +139,22 @@ def fit_all(curve, config):
     """
     results, calls, fitted = {}, {}, {}
     residuals = fit_module._residuals
-    count = 0
+    full_size = curve.u.size - 1  # the residual points, the origin left out
+    count = {}
 
-    def counted(*args):
-        nonlocal count
-        count += 1
-        return residuals(*args)
+    def counted(family, raw, points, k_emp):
+        key = "full_calls" if points.size == full_size else "thin_calls"
+        count[key] += 1
+        return residuals(family, raw, points, k_emp)
 
     with mock.patch.object(fit_module, "_residuals", counted):
         for family in Family:
-            count = 0
+            count = {"thin_calls": 0, "full_calls": 0}
             try:
                 results[family] = fit_module._fit_once(curve, family, config, fitted)
             except (ValueError, RuntimeError, ArithmeticError) as exc:
                 results[family] = f"{type(exc).__name__}: {exc}"
-            calls[family] = count
+            calls[family] = {"calls": count["thin_calls"] + count["full_calls"], **count}
     return results, calls
 
 
@@ -158,21 +169,20 @@ def record(label, family, result, calls):
     """The saved record of one fit, as --save writes it."""
     if isinstance(result, str):
         return {"set": label, "family": family.value, "sse": None, "converged": None,
-                "nested_limit": None, "std_errors": None, "failure": result,
-                "calls": calls}
+                "nested_limit": None, "std_errors": None, "failure": result, **calls}
     limit = result.nested_limit
     return {"set": label, "family": family.value, "sse": result.sse,
             "converged": result.converged, "nested_limit": limit and limit.value,
-            "std_errors": result.std_errors is not None, "failure": None,
-            "calls": calls}
+            "std_errors": result.std_errors is not None, "failure": None, **calls}
 
 
-def calls_per_family(records):
-    """family tag -> total residual evaluations of the records, or None
-    where a record holds no count (saved by an older script)."""
+def calls_per_family(records, key):
+    """family tag -> total residual evaluations of the records under key
+    (calls, thin_calls or full_calls), or None where a record holds no
+    such count (saved by an older script)."""
     totals = {}
     for r in records:
-        calls = r.get("calls")
+        calls = r.get(key)
         total = totals.get(r["family"], 0)
         totals[r["family"]] = None if calls is None or total is None else total + calls
     return totals
@@ -241,9 +251,10 @@ def main():
               flush=True)
 
     print(f"{fits} fits; worst relative SSE excess {worst[0]:+.3e} ({worst[1]})")
-    totals = calls_per_family(records)
-    print(f"residual calls: {sum(totals.values())};",
-          ", ".join(f"{family} {calls}" for family, calls in totals.items()))
+    for key in CALL_KEYS:
+        totals = calls_per_family(records, key)
+        print(f"residual {key.replace('_', ' ')}: {sum(totals.values())};",
+              ", ".join(f"{family} {calls}" for family, calls in totals.items()))
     for line in mismatches:
         print("flag mismatch:", line)
     breach = worst[0] > SSE_RTOL or mismatches
@@ -255,10 +266,11 @@ def main():
         worst_rise, changes = compare_records(records, saved)
         print(f"against {args.against}: worst relative SSE rise "
               f"{worst_rise[0]:+.3e} ({worst_rise[1]})")
-        saved_totals = calls_per_family(saved)
-        print("residual calls (saved):", ", ".join(
-            f"{family} {calls} ({'n/a' if saved_totals.get(family) is None else saved_totals[family]})"
-            for family, calls in totals.items()))
+        for key in CALL_KEYS:
+            totals, saved_totals = calls_per_family(records, key), calls_per_family(saved, key)
+            print(f"residual {key.replace('_', ' ')} (saved):", ", ".join(
+                f"{family} {calls} ({'n/a' if saved_totals.get(family) is None else saved_totals[family]})"
+                for family, calls in totals.items()))
         for line in changes:
             print("changed:", line)
         against_breach = worst_rise[0] > SSE_RTOL

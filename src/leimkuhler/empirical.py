@@ -135,7 +135,16 @@ class EmpiricalCurve:
     k: np.ndarray
 
     def __post_init__(self):
-        u, k = np.array(self.u, dtype=float), np.array(self.k, dtype=float)
+        self._own(np.array(self.u, dtype=float), np.array(self.k, dtype=float))
+
+    @classmethod
+    def _of(cls, u, k):
+        # a curve that takes over the new float arrays u and k, uncopied
+        curve = object.__new__(cls)
+        curve._own(u, k)
+        return curve
+
+    def _own(self, u, k):
         if u.ndim != 1 or u.shape != k.shape:
             raise ValueError(f"u and k must be 1-D and of one length, got {u.shape}, {k.shape}")
         for values in (u, k):
@@ -332,8 +341,10 @@ def empirical_curve(dataset):
     # int64 sums convert to float exactly below 2**53, so s / total rounds
     # as it does for Python ints; larger totals take Python ints
     counts = dataset.counts_desc if total < 2**53 else dataset.counts_desc.astype(object)
-    k = np.concatenate(([0.0], np.cumsum(counts) / total))
-    return EmpiricalCurve(np.arange(n + 1) / n, k)
+    k = np.concatenate(([0.0], np.cumsum(counts) / total)).astype(float, copy=False)
+    u = np.arange(n + 1, dtype=float)
+    u /= n  # in place: one array of each at 10^6 vertices
+    return EmpiricalCurve._of(u, k)
 
 
 def dispersion_index(variance, mean):

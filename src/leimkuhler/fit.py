@@ -16,10 +16,14 @@ those residuals stay out of the search.
 The solver sees the Jacobian J and the residuals r only through the
 Gram of [J r], reduced to a p x p R and a p-vector z (_compress; Bjorck
 1996, ch. 2), so a step costs O(p^3), not O(n p^2); the SSE and the
-history come from the full residuals.  The convergence test below
-takes one thin SVD of the n x p Jacobian, once per fit: its rank cut,
-a singular-value ratio of 100 n eps (1.5e-10 at n = 6826), lies below
-the square root of eps to which one Gram resolves that ratio.
+history come from the full residuals.  The convergence test below and
+the standard errors read the Gram of the winning start's last point,
+R mapped into the parameters by the chain rule of _jacobian; only the
+error metrics take one more, values-only, evaluation.  Their rank cut,
+a singular-value ratio of 100 n eps (1.5e-10 at n = 6826), holds on R
+as on J: one Gram resolves a ratio only to the square root of eps, but
+below 1e-4 _compress turns J onto its eigenvectors first, so that each
+singular value of R keeps its own digits, as an SVD of J gives them.
 
 Each fit is restarted from a deterministic seeded Latin-hypercube of
 initial points plus a method-of-moments start; the best final
@@ -31,17 +35,21 @@ point in every search coordinate, or at a nested limit with it.  So
 FitConfig.multistart_count is an upper bound on the sampled starts.
 The answer is the end point of the start with the lowest SSE.
 
-On more than 2^15 residual points each start runs twice: first on a
-thinned polygon, every s-th vertex with s = ceil(m / 2^12) for m
-points, then on the full polygon from where the first run ended (a
-coarse-to-fine start, after Gratton, Sartenaer & Toint 2008).  The
-thinned minimum lies within the rounding of the full polygon's SSE
-or a few steps from it, so the full run, at s times the cost per
-evaluation, makes few steps.  Both runs are the same
-solver with the same budget; the limit stop below acts only in the
-full run, as it compares full-polygon SSEs, and a start whose thinned
-run fails runs from its own start point.  Every rule that follows
-reads the full runs alone.
+On more than 2^15 residual points each start runs first on a thinned
+polygon, every s-th vertex with s = ceil(m / 2^12) for m points, then
+on the full polygon from where the first run ended (a coarse-to-fine
+start, after Gratton, Sartenaer & Toint 2008).  The thinned minimum
+lies within the rounding of the full polygon's SSE or a few steps from
+it, so the full run, at s times the cost per evaluation, makes few
+steps.  Both runs are the same solver with the same budget; the limit
+stop below acts only in the full run, as it compares full-polygon
+SSEs, and a start whose thinned run fails runs from its own start
+point.  A start whose thinned run ends on the minimum of an earlier
+start's thinned run that went on to the full polygon, within 1e-10
+relative of its SSE and within 1e-6 of its end point in every search
+coordinate (_same_minimum), takes that start's full run as its own and
+makes none, as the two would start on one minimum.  Every rule that
+follows reads the full runs alone.
 
 A fit is converged when it is exact, its SSE at most n (4 eps)^2 for n
 residuals (each within the rounding of a K of at most 1), or when the
@@ -252,7 +260,8 @@ _FIT_ERRORS = (ValueError, RuntimeError, OverflowError)
 
 # the multistart stops once its starts keep landing on one minimum (after
 # Boender & Rinnooy Kan 1987): see _starts_agree; _AGREE_RTOL also bounds
-# the limit stop, _ends_at_limit
+# the limit stop, _ends_at_limit, and both bound the sharing of full runs,
+# _same_minimum
 _AGREE_MIN_STARTS = 4
 _AGREE_COUNT = 3
 _AGREE_RTOL = 1e-10
@@ -317,11 +326,9 @@ class _Grid:
     def __init__(self, u, k_emp):
         self.points = _Points(u)
         self.k = k_emp[self.points.inside]
-        self.r_ends = self.points.k_ends - k_emp[self.points.ends]
-        self.sse_ends = float(self.r_ends @ self.r_ends)
-
-    def all_residuals(self, r):
-        return self.points.join(r, self.r_ends)
+        r_ends = self.points.k_ends - k_emp[self.points.ends]
+        self.sse_ends = float(r_ends @ r_ends)
+        self.firsts = {}  # start point -> its first Gram, made before its run
 
 
 def _residuals(family, raw, points, k_emp):
@@ -340,6 +347,12 @@ def _residuals(family, raw, points, k_emp):
     return r, dk
 
 
+def _log_scale(family, raw):
+    # d value / d t of each search coordinate t: the value where t is its log, else 1
+    values = _search_values(family, raw)
+    return [v if b.log else 1.0 for v, b in zip(values, _search_bounds(family))]
+
+
 def _jacobian(family, raw, dk, search):
     """Residual Jacobian at raw from the derivative columns dk of
     evaluate: in search coordinates if search, else in the parameters.
@@ -349,15 +362,15 @@ def _jacobian(family, raw, dk, search):
     alpha and beta by the chain rule without cancelling at small lam.
     In search coordinates a single column of dk is scaled in place and
     returned as a view, as a fit may hold 10^6 points: dk then serves
-    this Jacobian alone.
+    this Jacobian alone.  fit maps the R of a Gram in search coordinates
+    into the parameters the same way, from its columns over _log_scale.
     """
-    values = _search_values(family, raw)
     if search:
         J = np.array(dk).T if len(dk) > 1 else dk[0][:, np.newaxis]
-        J *= [v if b.log else 1.0 for v, b in zip(values, _search_bounds(family))]
+        J *= _log_scale(family, raw)
         return J
     if family is Family.PAGB:
-        m, lam, _ = values
+        m, lam, _ = _search_values(family, raw)
         d_m, d_lam, d_shift = dk
         # m = beta lam and lam = 1/(alpha + beta)
         dk = (-lam * (m * d_m + lam * d_lam), lam * ((1.0 - m) * d_m - lam * d_lam), d_shift)
@@ -420,7 +433,8 @@ def _heterogeneity_step(family, nested, params, grid):
     on the nested fit's residuals r.  The inverse Gaussian of mean theta
     and variance s2 has shape theta^3/s2.  There is no step where s2 is
     not positive, the shape leaves the _MIX box, or the mixture's SSE is
-    above the nested fit's.
+    above the nested fit's.  The mixture's Gram there goes into
+    grid.firsts, so that the start's run does not evaluate it again.
     """
     got = _residuals(nested, params, grid.points, grid.k)
     if got is None:
@@ -435,9 +449,10 @@ def _heterogeneity_step(family, nested, params, grid):
     start = (*kappa, theta, theta**3 / s2)
     if not _MIX.lo <= start[-1] <= _MIX.hi:
         return None
-    mixed = _residuals(family, start, grid.points, grid.k)
-    if mixed is None or mixed[0] @ mixed[0] > r @ r:
+    first = _gram(family, _raw_of(family, _start_t(family, start)), grid)
+    if first is None or first[2] > r @ r:
         return None
+    grid.firsts[start] = first
     return start
 
 
@@ -470,7 +485,7 @@ def _nested_starts(family, curve, config, fitted, grid):
 def _starts_agree(family, outcomes):
     """The multistart stop rule.
 
-    outcomes holds the (raw, history) of each start that produced
+    outcomes holds the (raw, history, ...) of each start that produced
     residuals.  The rule holds once there are at least _AGREE_MIN_STARTS
     of them and _AGREE_COUNT end on the best one's minimum: their SSE
     within _AGREE_RTOL relative of the best, and their end point within
@@ -482,19 +497,33 @@ def _starts_agree(family, outcomes):
     """
     if len(outcomes) < _AGREE_MIN_STARTS:
         return False
-    best_raw, best_history = min(outcomes, key=lambda outcome: outcome[1][-1])
+    best_raw, best_history, *_ = min(outcomes, key=lambda outcome: outcome[1][-1])
     cut = best_history[-1] * (1.0 + _AGREE_RTOL)
     at_limit = _nested_limit(_make_model(family, best_raw)) is not None
-    best_point = _search_values(family, best_raw)
 
     def on_best_minimum(raw):
         if at_limit:
             return _nested_limit(_make_model(family, raw)) is not None
-        return all(_gap(b, x, y) <= _AGREE_SPREAD for b, x, y in
-                   zip(_search_bounds(family), _search_values(family, raw), best_point))
+        return _same_point(family, raw, best_raw)
 
     return sum(history[-1] <= cut and on_best_minimum(raw)
-               for raw, history in outcomes) >= _AGREE_COUNT
+               for raw, history, *_ in outcomes) >= _AGREE_COUNT
+
+
+def _same_point(family, raw, other):
+    # within _AGREE_SPREAD of other in every search coordinate, by _gap
+    return all(_gap(b, x, y) <= _AGREE_SPREAD for b, x, y in zip(
+        _search_bounds(family), _search_values(family, raw), _search_values(family, other)))
+
+
+def _same_minimum(family, outcome, other):
+    """The sharing rule: the (raw, history, ...) outcome ends on other's
+    minimum, its SSE within _AGREE_RTOL relative of other's and its end
+    point _same_point as other's.  fit shares a full-polygon run between
+    starts whose thinned runs end on one minimum."""
+    sse = other[1][-1]
+    return abs(outcome[1][-1] - sse) <= _AGREE_RTOL * sse and _same_point(
+        family, outcome[0], other[0])
 
 
 def _compress(J, r, turn=True):
@@ -593,13 +622,45 @@ def _ends_at_limit(family, raw, sse, limit_sse):
             and _nested_limit(_make_model(family, raw)) is not None)
 
 
+def _to_t(family, values):
+    # search coordinates of searched values (_search_values): each value or its log
+    return np.array([math.log(x) if b.log else x for b, x in zip(_search_bounds(family), values)])
+
+
+def _start_t(family, raw0):
+    # the search coordinates of raw0 clipped into the parameter box, then the search box
+    raw_lo, raw_hi, _ = np.array(_BOUNDS[family]).T
+    lo, hi, _ = np.array(_search_bounds(family)).T
+    t = _to_t(family, _search_values(family, np.clip(raw0, raw_lo, raw_hi)))
+    return np.clip(t, _to_t(family, lo), _to_t(family, hi))
+
+
+def _raw_of(family, t):
+    # the parameters at search coordinates t, clipped into the parameter box
+    values = np.where([b.log for b in _search_bounds(family)], np.exp(t), t)
+    if family is Family.PAGB:
+        m, lam, shift = values
+        values = ((1.0 - m) / lam, m / lam, shift)
+    raw_lo, raw_hi, _ = np.array(_BOUNDS[family]).T
+    return tuple(map(float, np.clip(values, raw_lo, raw_hi)))
+
+
+def _gram(family, raw, grid):
+    # _compress's Gram at raw on grid in search coordinates, or None where it fails
+    got = _residuals(family, raw, grid.points, grid.k)
+    return got and _compress(_jacobian(family, raw, got[1], search=True), got[0])
+
+
 def _run_start(family, raw0, grid, config, limit_sse):
     """Bounded Levenberg-Marquardt least squares from raw0 (Moré 1978)
     on the residual points of grid: all of a fit's, or every s-th of
     them for a start's thinned first run, which fit gives no limit_sse.
 
-    Returns (raw, history), history being the SSE of the start point and
-    of each accepted step, or None when the start point has no residuals.
+    Returns (raw, history, gram), history being the SSE of the start
+    point and of each accepted step and gram _compress's (R, z, r^T r) at
+    raw in search coordinates, from which fit takes its convergence test
+    and standard errors; or None when the start point has no residuals.
+    A start whose point is in grid.firsts takes its first Gram from there.
     Each step is _lm_step's on the Gram of _compress, in the search
     coordinates t scaled by D, the largest column norms of J met so far;
     the trust radius starts at |D t0| and follows the ratio of each
@@ -616,28 +677,10 @@ def _run_start(family, raw0, grid, config, limit_sse):
     - given limit_sse, the SSE of the fit of family's nested limit, at
       its first accepted step that meets _ends_at_limit.
     """
-    bounds = _search_bounds(family)
-    lo, hi, is_log = np.array(bounds).T
-    raw_lo, raw_hi, _ = np.array(_BOUNDS[family]).T
-
-    def to_t(values):
-        return np.array([math.log(x) if b.log else x for b, x in zip(bounds, values)])
-
-    def raw_of(t):
-        values = np.where(is_log > 0, np.exp(t), t)
-        if family is Family.PAGB:
-            m, lam, shift = values
-            values = ((1.0 - m) / lam, m / lam, shift)
-        return tuple(map(float, np.clip(values, raw_lo, raw_hi)))
-
-    def gram(t):
-        raw = raw_of(t)
-        got = _residuals(family, raw, grid.points, grid.k)
-        return got and _compress(_jacobian(family, raw, got[1], search=True), got[0])
-
-    t_lo, t_hi = to_t(lo), to_t(hi)
-    t = np.clip(to_t(_search_values(family, np.clip(raw0, raw_lo, raw_hi))), t_lo, t_hi)
-    got = gram(t)
+    lo, hi, _ = np.array(_search_bounds(family)).T
+    t_lo, t_hi = _to_t(family, lo), _to_t(family, hi)
+    t = _start_t(family, raw0)
+    got = grid.firsts.get(tuple(raw0)) or _gram(family, _raw_of(family, t), grid)
     if got is None:
         return None
     history = [got[2] + grid.sse_ends]
@@ -658,7 +701,7 @@ def _run_start(family, raw0, grid, config, limit_sse):
         # a step onto a face of the box lands on its bounds exactly
         t_new = np.where(y <= lo_y, t_lo, np.where(y >= hi_y, t_hi,
                                                    np.clip(t + step, t_lo, t_hi)))
-        new = gram(t_new)
+        new = _gram(family, _raw_of(family, t_new), grid)
         size = float(np.linalg.norm(y))
         gain = -math.inf if new is None else rr - new[2]
         if gain < 0.25 * drop:
@@ -669,10 +712,10 @@ def _run_start(family, raw0, grid, config, limit_sse):
             t, got = t_new, new
             history.append(new[2] + grid.sse_ends)
             done = done or (limit_sse is not None
-                            and _ends_at_limit(family, raw_of(t), history[-1], limit_sse))
+                            and _ends_at_limit(family, _raw_of(family, t), history[-1], limit_sse))
         if done:
             break
-    return raw_of(t), tuple(history)
+    return _raw_of(family, t), tuple(history), got
 
 
 def _gap(bound, value, edge):
@@ -682,6 +725,10 @@ def _gap(bound, value, edge):
 
 def standard_errors(jacobian, sse, n, p, variance_divisor="n_minus_p"):
     """Parameter standard errors from the Jacobian at the optimum.
+
+    As in fit, the Jacobian is reduced to the p x p R of its Gram (R^T R
+    = J^T J, see _compress), and an SVD of R gives the rank cut and the
+    covariance diagonal.
 
     Parameters
     ----------
@@ -698,13 +745,17 @@ def standard_errors(jacobian, sse, n, p, variance_divisor="n_minus_p"):
     -------
     tuple of float, or None
         Square roots of the covariance diagonal, or None when the
-        Jacobian is rank deficient.
+        Jacobian is rank deficient: its smallest singular value at most
+        100 eps times its row count times its largest.
     """
     sigma2 = _residual_variance(sse, n, p, variance_divisor)
     J = np.asarray(jacobian, dtype=float)
     if J.ndim != 2 or J.shape[0] < J.shape[1]:
         raise ValueError("jacobian must have at least as many rows as columns")
-    return _standard_errors(_thin_svd(J), sigma2)
+    gram = _compress(J, np.zeros(J.shape[0]))
+    if gram is None:
+        raise ValueError("the Gram of the jacobian must be finite")
+    return _standard_errors(_reduced_svd(gram[0], J.shape[0]), sigma2)
 
 
 def _residual_variance(sse, n, p, variance_divisor):
@@ -717,41 +768,35 @@ def _residual_variance(sse, n, p, variance_divisor):
     return sse / divisor
 
 
-class _Svd(NamedTuple):
-    u: np.ndarray
-    s: np.ndarray
-    vt: np.ndarray
-    full_rank: bool  # every singular value above the rounding of the largest
-
-
-def _thin_svd(J):
-    u, s, vt = np.linalg.svd(J, full_matrices=False)
-    return _Svd(u, s, vt, bool(s[-1] > s[0] * max(J.shape) * _EPS * 100.0))
+def _reduced_svd(R, m):
+    """The singular values and right singular vectors of the p x p R of
+    an m-row Jacobian J's Gram (_compress), which are J's, or None where
+    J is rank deficient: its smallest singular value at most 100 m eps
+    of its largest, within the rounding of the largest."""
+    _, s, vt = np.linalg.svd(R)
+    return (s, vt) if s[-1] > s[0] * max(m, s.size) * _EPS * 100.0 else None
 
 
 def _standard_errors(svd, sigma2):
-    if not svd.full_rank:
+    if svd is None:
         return None
-    cov_diag = (svd.vt.T**2 / svd.s**2).sum(axis=1) * sigma2
+    s, vt = svd
+    cov_diag = (vt.T**2 / s**2).sum(axis=1) * sigma2
     return tuple(float(math.sqrt(max(c, 0.0))) for c in cov_diag)
 
 
-def _relative_offset(svd, r):
-    """Relative offset (Bates & Watts 1981) of the residuals r to the
-    span of the p columns of the Jacobian whose thin SVD is svd: the rms
-    of r's p components along the columns of U over the rms of its n - p
-    components across them, n = r.size.  It is inf where the Jacobian is
-    rank deficient, with no p-dimensional tangent plane to judge by, or
-    where n = p leaves no room across it."""
-    n, p = r.size, svd.s.size
-    if not svd.full_rank or n == p:
+def _relative_offset(svd, z, rr, m):
+    """Relative offset (Bates & Watts 1981) of m residuals r to the span
+    of the p columns of their Jacobian, from its Gram (R, z, rr = r^T r)
+    and _reduced_svd's svd of R: the rms of r's p components z along an
+    orthonormal basis of that span over the rms of its m - p components
+    across it, whose squares sum to rr - z^T z.  It is inf where the
+    Jacobian is rank deficient, with no p-dimensional tangent plane to
+    judge by, or where m = p leaves no room across it."""
+    p, zz = z.size, float(z @ z)
+    if svd is None or m == p or not rr > zz:
         return math.inf
-    along = svd.u.T @ r
-    across = svd.u @ along
-    across -= r  # minus the part of r outside the span
-    offset = math.sqrt(float(along @ along) / p)
-    spread = math.sqrt(float(across @ across) / (n - p))
-    return offset / spread if spread > 0.0 else math.inf
+    return math.sqrt(zz / p) / math.sqrt((rr - zz) / (m - p))
 
 
 def caic(sse, n, p, count_variance_param=False):
@@ -832,16 +877,24 @@ def fit(curve, family, config=FitConfig(), *, _fitted=None):
         limit = fitted[_NESTED[family][-1]]
         if not isinstance(limit, Exception):
             limit_sse = limit.sse
-    outcomes = []  # (raw, history) of each start that produced residuals
-    # each start runs on a thinned polygon first (see the module docstring)
+    outcomes = []  # (raw, history, gram) of each start that produced residuals
+    # each start runs on a thinned polygon first, with no limit stop as that
+    # compares full-polygon SSEs, and then on the full polygon unless an
+    # earlier start's thinned run ended on the same minimum (see the module
+    # docstring)
     stride = -(-u.size // _THIN_SIZE)
     thin = _Grid(u[::stride], k_emp[::stride]) if u.size > _THIN_ABOVE else None
+    full_runs = []  # (thinned outcome, full outcome) of each start run on both
     for i, start in enumerate(starts):
-        if thin is not None:
-            # no limit stop: it compares SSEs of the full polygon
-            coarse = _run_start(family, start, thin, config, None)
-            start = start if coarse is None else coarse[0]
-        outcome = _run_start(family, start, grid, config, limit_sse)
+        coarse = thin is not None and _run_start(family, start, thin, config, None)
+        shared = [full for ends, full in full_runs
+                  if coarse and _same_minimum(family, coarse, ends)]
+        if shared:
+            outcome = shared[0]
+        else:
+            outcome = _run_start(family, coarse[0] if coarse else start, grid, config, limit_sse)
+            if coarse:
+                full_runs.append((coarse, outcome))
         if outcome is None:
             continue
         outcomes.append(outcome)
@@ -852,19 +905,20 @@ def fit(curve, family, config=FitConfig(), *, _fitted=None):
     if not outcomes:
         raise RuntimeError(f"all fit starts failed for family {family.value!r}")
 
-    raw, history = min(outcomes, key=lambda outcome: outcome[1][-1])
+    raw, history, (R, z, rr) = min(outcomes, key=lambda outcome: outcome[1][-1])
     sse = history[-1]
     model = _make_model(family, raw)
-    r, dk = _residuals(family, raw, grid.points, grid.k)
-    metrics = _metrics(grid.all_residuals(r))
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        metrics = _metrics(evaluate(model, grid.points) - k_emp)
     converged, errors = False, None
     if _nested_limit(model) is None:
-        # one thin SVD of the Jacobian in parameter coordinates gives the
-        # relative offset and the standard errors; a nested limit has
-        # neither, as its mixing parameters are not identified
-        svd = _thin_svd(_jacobian(family, raw, dk, search=False))
+        # the winner's last Gram gives the relative offset and, with R in
+        # the parameters, the rank cut and the standard errors; a nested
+        # limit has neither, as its mixing parameters are not identified
+        R = _jacobian(family, raw, tuple((R / _log_scale(family, raw)).T), search=False)
+        svd = _reduced_svd(R, grid.k.size)
         converged = (sse <= u.size * (4.0 * _EPS) ** 2
-                     or _relative_offset(svd, r) <= _RELATIVE_OFFSET_CUT)
+                     or _relative_offset(svd, z, rr, grid.k.size) <= _RELATIVE_OFFSET_CUT)
         if converged:
             errors = _standard_errors(
                 svd, _residual_variance(sse, u.size, p, config.variance_divisor))

@@ -4,9 +4,13 @@ The tests check the library's closed forms against these: a curve from
 a quantile function by adaptive quadrature, the Lorenz-to-Leimkuhler
 duality, and a mixture curve as a quadrature of its base curve over
 the mixing density.  They share no code with `leimkuhler.curves.evaluate`.
+The fit's convergence test and standard errors, which it takes from a
+p x p Gram, are checked against a thin SVD of the n x p Jacobian.
 """
 
 import math
+
+import numpy as np
 
 from leimkuhler.curves import Family
 from leimkuhler.specfun import ConvergenceError
@@ -122,3 +126,34 @@ def mixture_curve_numeric(base_family, mixing_density, support, u, tol=1e-9, kap
             f"mixture integral error estimate {err:.3e} exceeds tol {tol:.3e}", value, err
         )
     return value
+
+
+def svd_convergence_test(jacobian, r, variance):
+    """Relative offset, rank decision and standard errors of a
+    least-squares fit from one thin SVD of its n x p Jacobian.
+
+    The relative offset (Bates & Watts 1981) is the rms of the p
+    components of the residuals r along the left singular vectors over
+    the rms of the n - p components across them, projected out of r; it
+    is inf where the Jacobian is rank deficient (a singular-value ratio
+    of at most 100 n eps) or n = p, or no residual lies across.  The
+    standard errors are the square roots of variance times the diagonal
+    of (J^T J)^-1, or None where the rank is deficient.
+
+    Returns
+    -------
+    (float, bool, tuple or None)
+        The offset, whether J has full rank, and the standard errors.
+    """
+    J, r = np.asarray(jacobian, dtype=float), np.asarray(r, dtype=float)
+    n, p = J.shape
+    u, s, vt = np.linalg.svd(J, full_matrices=False)
+    full_rank = bool(s[-1] > s[0] * n * np.finfo(float).eps * 100.0)
+    if not full_rank:
+        return math.inf, False, None
+    along = u.T @ r
+    across = r - u @ along
+    spread = math.sqrt(across @ across / (n - p)) if n > p else 0.0
+    offset = math.sqrt(along @ along / p) / spread if spread > 0.0 else math.inf
+    errors = tuple(float(x) for x in np.sqrt(variance * (vt.T**2 / s**2).sum(axis=1)))
+    return offset, True, errors

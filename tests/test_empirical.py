@@ -7,6 +7,7 @@ import math
 import random
 import re
 import tempfile
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -449,6 +450,21 @@ class TestEmpiricalCurve:
         assert len({curve, same, EmpiricalCurve(curve.u, curve.k)}) == 1
         assert curve != EmpiricalCurve(curve.u, [0.0, 0.4, 0.7, 0.95, 1.0])
         assert curve != EmpiricalCurve(curve.u[:-1], curve.k[:-1])
+
+    def test_polygon_is_built_without_a_second_copy(self):
+        # empirical_curve hands the arrays it builds to the curve: at its
+        # peak it holds about one u and one k, where copies would add two
+        dataset = CitationDataset(np.arange(200_000) % 97)
+        empirical_curve(dataset)
+        tracemalloc.start()
+        try:
+            curve = empirical_curve(dataset)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5 * curve.u.nbytes
+        assert not (curve.u.flags.writeable or curve.k.flags.writeable)
+        assert curve == EmpiricalCurve(np.arange(dataset.n + 1) / dataset.n, curve.k)
 
 
 class TestDescriptiveStats:

@@ -43,6 +43,7 @@ from leimkuhler.fit import (
     _latin_hypercube,
 )
 from leimkuhler.indices import empirical_indices
+from tests.oracles import svd_convergence_test
 from tests.test_curves import draw_model
 
 FAST = FitConfig(multistart_count=4, seed=11)
@@ -542,7 +543,7 @@ class TestLimitStop:
         power_fit = fit(curve, "power")
         grid = fit_module._Grid(curve.u[1:], curve.k[1:])
         start = fit_module._point_mass(Family.PIG, *power_fit.model.param_values())
-        raw, history = fit_module._run_start(Family.PIG, start, grid, FitConfig(), power_fit.sse)
+        raw, history, _ = fit_module._run_start(Family.PIG, start, grid, FitConfig(), power_fit.sse)
         assert fit_module._ends_at_limit(Family.PIG, start, history[0], power_fit.sse)
         assert history[-1] < 0.1 * power_fit.sse
         assert fit_module._nested_limit(fit_module._make_model(Family.PIG, raw)) is None
@@ -613,6 +614,24 @@ class TestHeterogeneityStep:
         result = fit_module._fit_once(curve, Family.PIG, FitConfig(), fitted)
         assert result.nested_limit is Family.POWER
 
+    @pytest.mark.parametrize("family", [Family.PIG, Family.GPIG])
+    def test_step_evaluation_is_the_first_of_its_run(self, family, monkeypatch):
+        # the run from the step takes the mixture's evaluation there as its
+        # first: one residual evaluation fewer, the same outcome
+        curve = empirical_curve(ingest(BUNDLED))
+        fitted = {}
+        grid = fit_module._Grid(curve.u[1:], curve.k[1:])
+        starts = fit_module._nested_starts(family, curve, FitConfig(), fitted, grid)
+        (step,) = [start for start in starts if start in grid.firsts]
+        limit_sse = fitted[fit_module._NESTED[family][-1]].sse
+        calls = count_residuals(monkeypatch)
+        handed = fit_module._run_start(family, step, grid, FitConfig(), limit_sse)
+        handed_calls, calls[0] = calls[0], 0
+        fresh_grid = fit_module._Grid(curve.u[1:], curve.k[1:])
+        fresh = fit_module._run_start(family, step, fresh_grid, FitConfig(), limit_sse)
+        assert handed_calls == calls[0] - 1
+        assert handed[:2] == fresh[:2]
+
     def test_bundled_pig_fits_in_fewer_calls(self, monkeypatch):
         # 86 residual calls from the point mass alone; the bound was set
         # before measuring the step
@@ -663,16 +682,82 @@ class TestThinnedStart:
         assert calls and {size for _, size, _ in calls} == {fit_module._THIN_ABOVE}
 
     @pytest.mark.parametrize("family", ["power", "pagb"])
-    def test_two_runs_per_start_above_the_size(self, family, monkeypatch):
+    def test_thinned_run_per_start_above_the_size(self, family, monkeypatch):
+        # each start runs on the thinned polygon, then on the full one from
+        # where that run ended, unless an earlier start's thinned run that
+        # went on to the full polygon ended on the same minimum
+        family = Family(family)
         curve = pg_curve(self.JUST_ABOVE)
-        limit_sse = fit(curve, "pareto").sse if family == "pagb" else None
-        calls = record_starts(monkeypatch)
+        limit_sse = fit(curve, "pareto").sse if family is Family.PAGB else None
+        starts = []  # [thinned outcome, full outcome if run] of each start
+        run_start = fit_module._run_start
+
+        def recording(run_family, raw0, grid, config, limit):
+            outcome = run_start(run_family, raw0, grid, config, limit)
+            if run_family is family and grid.points.size <= fit_module._THIN_SIZE:
+                assert limit is None
+                starts.append([outcome])
+            elif run_family is family:
+                assert grid.points.size == self.JUST_ABOVE and limit == limit_sse
+                assert starts and len(starts[-1]) == 1  # after its own thinned run
+                starts[-1].append(outcome)
+            return outcome
+
+        monkeypatch.setattr(fit_module, "_run_start", recording)
         fit(curve, family)
-        calls = [call for call in calls if call[0] is Family(family)]
-        assert calls and len(calls) % 2 == 0
-        thin, full = calls[::2], calls[1::2]
-        assert all(size <= fit_module._THIN_SIZE and limit is None for _, size, limit in thin)
-        assert all(size == self.JUST_ABOVE and limit == limit_sse for _, size, limit in full)
+        ends = []  # the thinned outcomes of the starts that ran on
+        for thinned, *full in starts:
+            shared = thinned is not None and any(
+                fit_module._same_minimum(family, thinned, end) for end in ends)
+            assert len(full) == (0 if shared else 1)
+            if thinned is not None and not shared:
+                ends.append(thinned)
+        assert starts and (family is Family.PAGB or len(ends) < len(starts))
+
+    def test_one_full_run_per_thinned_minimum(self, monkeypatch):
+        # power's four starts on 40,000 points end on one thinned minimum:
+        # only the first of them runs on, and every full-polygon
+        # evaluation is that run's
+        curve = empirical_curve(sample_synthetic("power", n=40_000, seed=1, theta=3.0))
+        full_size = curve.u.size - 1
+        sizes, thinned, full_runs = [], [], []
+        residuals, run_start = fit_module._residuals, fit_module._run_start
+
+        def counting(family, raw, points, k_emp):
+            sizes.append(points.size)
+            return residuals(family, raw, points, k_emp)
+
+        def recording(family, raw0, grid, *args):
+            before = sizes.count(full_size)
+            outcome = run_start(family, raw0, grid, *args)
+            if grid.points.size <= fit_module._THIN_SIZE:
+                thinned.append(outcome)
+            else:
+                full_runs.append(sizes.count(full_size) - before)
+            return outcome
+
+        monkeypatch.setattr(fit_module, "_residuals", counting)
+        monkeypatch.setattr(fit_module, "_run_start", recording)
+        fit(curve, "power", FitConfig(multistart_count=4))
+        minima = []
+        for outcome in thinned:
+            if not any(fit_module._same_minimum(Family.POWER, outcome, end) for end in minima):
+                minima.append(outcome)
+        assert len(thinned) == 4 and None not in thinned and len(minima) == 1
+        assert len(full_runs) == len(minima) and sizes.count(full_size) == sum(full_runs)
+
+    @pytest.mark.parametrize("generator, params", [("power", {"theta": 3.0}),
+                                                   ("pg", {"alpha": 0.7, "beta": 0.1})])
+    def test_shared_runs_keep_the_sse(self, generator, params, monkeypatch):
+        curve = empirical_curve(sample_synthetic(generator, self.JUST_ABOVE, 2, **params))
+        config = FitConfig(multistart_count=4)
+        shared = {family: fit(curve, family, config) for family in ("power", "gp", "pg")}
+        monkeypatch.setattr(fit_module, "_same_minimum", lambda *args: False)
+        for family, result in shared.items():
+            alone = fit(curve, family, config)
+            assert result.sse == pytest.approx(alone.sse, rel=1e-10), family
+            assert result.converged == alone.converged, family
+            assert result.nested_limit is alone.nested_limit, family
 
     def test_failed_thin_run_falls_back_to_the_start_point(self, monkeypatch):
         curve = pg_curve(self.JUST_ABOVE)
@@ -799,7 +884,7 @@ class TestBoundedStep:
 
         monkeypatch.setattr(fit_module, "_lm_step", stepping)
         corner = (1.0, 1e-8, 1e14)
-        raw, history = fit_module._run_start(Family.GPG, corner, grid, FitConfig(), None)
+        raw, history, _ = fit_module._run_start(Family.GPG, corner, grid, FitConfig(), None)
         assert steps and all(steps)
         assert all(b.lo <= x <= b.hi for b, x in zip(fit_module._BOUNDS[Family.GPG], raw))
         assert all(a >= b for a, b in zip(history, history[1:]))
@@ -821,7 +906,7 @@ class TestBoundedStep:
         monkeypatch.setattr(fit_module, "_residuals", linear)
         u = np.arange(1, 51) / 51.0
         grid = fit_module._Grid(u, u)
-        raw, history = fit_module._run_start(Family.PARETO, (0.5,), grid, FitConfig(), None)
+        raw, history, _ = fit_module._run_start(Family.PARETO, (0.5,), grid, FitConfig(), None)
         assert len(calls) == 2 and len(history) == 2
         assert raw[0] == pytest.approx((a @ b) / (a @ a), rel=1e-12)
 
@@ -944,13 +1029,57 @@ class TestStandardErrors:
         assert result.std_errors[0] <= 1e-9
 
 
+class TestConvergenceFromTheGram:
+    """fit reads its relative offset, rank cut and standard errors off the
+    winning start's last Gram, R mapped into the parameters."""
+
+    def test_bundled_fits_match_an_svd_of_the_jacobian(self, monkeypatch):
+        curve = empirical_curve(ingest(BUNDLED))
+        offsets, ranks = [], []
+        relative_offset, reduced_svd = fit_module._relative_offset, fit_module._reduced_svd
+
+        def recording_offset(*args):
+            offsets.append(relative_offset(*args))
+            return offsets[-1]
+
+        def recording_svd(*args):
+            svd = reduced_svd(*args)
+            ranks.append(svd is not None)
+            return svd
+
+        monkeypatch.setattr(fit_module, "_relative_offset", recording_offset)
+        monkeypatch.setattr(fit_module, "_reduced_svd", recording_svd)
+        grid = fit_module._Grid(curve.u[1:], curve.k[1:])
+        fitted = {}
+        for family in Family:  # nested families first: each records its own fit
+            offsets.clear()
+            ranks.clear()
+            result = fit_module._fit_once(curve, family, FitConfig(), fitted)
+            raw = result.model.param_values()
+            r, dk = fit_module._residuals(family, raw, grid.points, grid.k)
+            n, p = curve.u.size - 1, len(raw)
+            offset, full_rank, errors = svd_convergence_test(
+                fit_module._jacobian(family, raw, dk, search=False), r, result.sse / (n - p))
+            assert result.converged == (result.nested_limit is None and offset <= 1e-3), family
+            if result.nested_limit is not None:
+                assert not full_rank and not ranks and not offsets, family
+                continue
+            assert ranks == [full_rank], family
+            # below the cut, both offsets hold J^T r to its rounding alone,
+            # and the flag compares them with the cut
+            assert offsets == [pytest.approx(offset, rel=1e-9, abs=1e-12)], family
+            assert result.std_errors == pytest.approx(errors, rel=1e-9), family
+
+
 class TestRelativeOffset:
     """Bates & Watts's relative offset of residuals r to the span of J."""
 
     @staticmethod
     def offset(J, r):
-        return fit_module._relative_offset(fit_module._thin_svd(np.asarray(J, float)),
-                                           np.asarray(r, float))
+        J = np.asarray(J, float)
+        R, z, rr = fit_module._compress(J, np.asarray(r, float))
+        return fit_module._relative_offset(fit_module._reduced_svd(R, J.shape[0]), z, rr,
+                                           J.shape[0])
 
     def test_orthogonal_residuals_give_zero(self):
         J = np.zeros((5, 2))
@@ -975,7 +1104,7 @@ class TestRelativeOffset:
         # the two parameters, however small the residuals across it
         v = np.ones(6)
         J = np.column_stack([v, 2.0 * v])
-        assert not fit_module._thin_svd(J).full_rank
+        assert fit_module._reduced_svd(fit_module._compress(J, np.zeros(6))[0], 6) is None
         assert self.offset(J, [2.0, -2.0, 2.0, -2.0, 0.0, 1e-9]) == math.inf
         assert self.offset(np.zeros((4, 2)), [1.0, 0.0, 0.0, 0.0]) == math.inf
         # n = p leaves no room across the span
@@ -1229,7 +1358,7 @@ def check_fit_jacobian(family, raw, n):
     _, dk_again = fit_module._residuals(family, raw, grid.points, grid.k)
     # the residual at u = 1 is constant, and its Jacobian row 0, so it is
     # left out of the least-squares problem
-    assert r.size == n - 1 and grid.all_residuals(r)[-1] == 0.0
+    assert r.size == n - 1 and grid.sse_ends == 0.0
     inside = u[:-1]
     bounds = fit_module._search_bounds(family)
     values = fit_module._search_values(family, raw)
