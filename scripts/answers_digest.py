@@ -10,6 +10,8 @@ The digest covers, bit for bit:
   bundled data, the counts (7, 3, 2, 1), power samples of 2000 (seed 1,
   theta 3) and 500 (seed 3, theta 1.5) and pg samples of 2000 (seeds 2
   and 5, alpha 0.7, beta 0.1);
+- the same for the pg sample of 100000 (seed 1, alpha 0.7, beta 0.1),
+  above the 2**15 points from which fit fits a thinned polygon first;
 - the empirical polygon's interpolate at its knots i/n, for the bundled
   data, the counts (7, 3, 2, 1) and (2**60, 3, 1) (a total above 2**53,
   summed in Python ints) and the pg sample of 100000 (seed 1);
@@ -75,9 +77,10 @@ NESTED_SETS = (
     ("pg-2000 seed 2", lambda: sample_synthetic("pg", 2000, 2, alpha=0.7, beta=0.1)),
     ("pg-2000 seed 5", lambda: sample_synthetic("pg", 2000, 5, alpha=0.7, beta=0.1)),
 )
+LARGE_SET = ("pg-100000 seed 1", lambda: sample_synthetic("pg", 10**5, 1, alpha=0.7, beta=0.1))
 INDEX_SETS = (
     ("(7, 3, 2, 1)", lambda: CitationDataset((7, 3, 2, 1))),
-    ("pg-100000 seed 1", lambda: sample_synthetic("pg", 10**5, 1, alpha=0.7, beta=0.1)),
+    LARGE_SET,
 )
 INDEX_R = (0.3, 0.5, 1.0, 2.0, 2.5)
 POLYGON_SETS = (
@@ -120,7 +123,7 @@ def answer_lines():
     yield from _fit_lines(curve, FitConfig())
     four = FitConfig(multistart_count=4)
     yield from _fit_lines(curve, four, "bundled")
-    for label, dataset in NESTED_SETS:
+    for label, dataset in (*NESTED_SETS, LARGE_SET):
         yield from _fit_lines(empirical_curve(dataset()), four, label)
     yield _index_line(("bundled",), empirical_indices(curve, INDEX_R))
     for label, dataset in INDEX_SETS:

@@ -12,15 +12,15 @@ end, and compares:
 - 20 seeded sample_synthetic draws of 500 per generator (power, pareto,
   pg, pig), parameters drawn from the draw's seed, with the default
   FitConfig;
-- one draw of 100,000 per generator (seed 0), on which `fit` runs each
-  start on a thinned polygon first, with the default FitConfig;
+- one draw of 100,000 per generator (seed 0), on which `fit` fits a
+  thinned polygon first and then makes one run on the full polygon from
+  that fit's answer, with the default FitConfig;
 - the benchmark's smoke input, every 20th line of the bundled data, with
   FitConfig(multistart_count=2).
 
-Above 2^15 points both runs let a start whose thinned run ends on an
-earlier start's minimum share that start's full-polygon run
-(`_same_minimum`); tests/test_fit.py compares fits with that sharing
-off, and --against can compare them with records saved without it.
+Above 2^15 points the second fit turns the stop rules off in the fit of
+the thinned polygon as well, so the comparison covers that fit and the
+one full-polygon run together.
 
 It prints one line per set, the worst relative SSE excess of the early
 stops over the full run, and every fit whose converged flag, nested

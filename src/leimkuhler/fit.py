@@ -35,21 +35,15 @@ point in every search coordinate, or at a nested limit with it.  So
 FitConfig.multistart_count is an upper bound on the sampled starts.
 The answer is the end point of the start with the lowest SSE.
 
-On more than 2^15 residual points each start runs first on a thinned
-polygon, every s-th vertex with s = ceil(m / 2^12) for m points, then
-on the full polygon from where the first run ended (a coarse-to-fine
-start, after Gratton, Sartenaer & Toint 2008).  The thinned minimum
-lies within the rounding of the full polygon's SSE or a few steps from
-it, so the full run, at s times the cost per evaluation, makes few
-steps.  Both runs are the same solver with the same budget; the limit
-stop below acts only in the full run, as it compares full-polygon
-SSEs, and a start whose thinned run fails runs from its own start
-point.  A start whose thinned run ends on the minimum of an earlier
-start's thinned run that went on to the full polygon, within 1e-10
-relative of its SSE and within 1e-6 of its end point in every search
-coordinate (_same_minimum), takes that start's full run as its own and
-makes none, as the two would start on one minimum.  Every rule that
-follows reads the full runs alone.
+On more than 2^15 residual points the fit starts coarse (after
+Gratton, Sartenaer & Toint 2008).  It fits the thinned polygon of every
+s-th residual point, s = ceil(m / 2^12) for m points, and the two end
+vertices, by all the rules here and with the same config, and then
+makes one run on the full polygon from that fit's answer.  The thinned
+polygon has about 4,097 vertices and its minimum lies within the
+rounding of the full polygon's SSE or a few steps from it, so the full
+run, at s times the cost per evaluation, makes few steps.  Where the
+thinned fit raises, the starts above run on the full polygon.
 
 A fit is converged when it is exact, its SSE at most n (4 eps)^2 for n
 residuals (each within the rounding of a K of at most 1), or when the
@@ -98,6 +92,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .curves import PARAM_NAMES, CurveModel, Family, ParamVector, _Points, evaluate
+from .empirical import EmpiricalCurve
 from .indices import _polygon_gini
 from .specfun import ConvergenceError
 
@@ -120,9 +115,8 @@ _RELATIVE_OFFSET_CUT = 1e-3  # Bates & Watts's suggested cut
 _GRAM_REFINE = 1e-8
 _GRAM_CUT = 100.0 * _EPS
 _RO_STOP = 1e-6  # a start ends at a relative offset this small (_run_start)
-# a fit on m > _THIN_ABOVE residual points runs each start on every s-th
-# point first, s = ceil(m / _THIN_SIZE); just above 2^14 points (s = 5)
-# that made the pg and pig sets' comparisons slower, from 2^15 on faster
+# a fit on m > _THIN_ABOVE residual points fits every s-th of them first,
+# s = ceil(m / _THIN_SIZE)
 _THIN_ABOVE = 2**15
 _THIN_SIZE = 2**12
 
@@ -139,7 +133,7 @@ class FitConfig:
     multistart_count is an upper bound on the number of sampled starts
     (see the module docstring); with more than one, a mixture adds 1 to
     5 starts at the fits of the families it nests, made with this same
-    config once per family in a call of fit or compare_models.
+    config once per family and polygon in a call of fit or compare_models.
     """
 
     max_iterations: int = 200
@@ -176,10 +170,9 @@ class FitResult:
     module docstring).
     sse is the SSE of model.  objective_history records the SSE of the
     start point and of each accepted step of the winning start, ends at
-    sse and never increases; iterations counts its steps.  Where the
-    start ran on a thinned polygon first (see the module docstring),
-    both cover its full-polygon run alone, from the point the thinned
-    run ended at.
+    sse and never increases; iterations counts its steps.  Above 2^15
+    points both cover the one full-polygon run alone, from the thinned
+    polygon's fit (see the module docstring).
 
     nested_limit is derived from the fitted parameters alone: the
     family a mixture has reduced to (pareto for pagb, power for pg and
@@ -260,8 +253,7 @@ _FIT_ERRORS = (ValueError, RuntimeError, OverflowError)
 
 # the multistart stops once its starts keep landing on one minimum (after
 # Boender & Rinnooy Kan 1987): see _starts_agree; _AGREE_RTOL also bounds
-# the limit stop, _ends_at_limit, and both bound the sharing of full runs,
-# _same_minimum
+# the limit stop, _ends_at_limit
 _AGREE_MIN_STARTS = 4
 _AGREE_COUNT = 3
 _AGREE_RTOL = 1e-10
@@ -500,30 +492,16 @@ def _starts_agree(family, outcomes):
     best_raw, best_history, *_ = min(outcomes, key=lambda outcome: outcome[1][-1])
     cut = best_history[-1] * (1.0 + _AGREE_RTOL)
     at_limit = _nested_limit(_make_model(family, best_raw)) is not None
+    best = _search_values(family, best_raw)
 
     def on_best_minimum(raw):
         if at_limit:
             return _nested_limit(_make_model(family, raw)) is not None
-        return _same_point(family, raw, best_raw)
+        return all(_gap(b, x, y) <= _AGREE_SPREAD for b, x, y in zip(
+            _search_bounds(family), _search_values(family, raw), best))
 
     return sum(history[-1] <= cut and on_best_minimum(raw)
                for raw, history, *_ in outcomes) >= _AGREE_COUNT
-
-
-def _same_point(family, raw, other):
-    # within _AGREE_SPREAD of other in every search coordinate, by _gap
-    return all(_gap(b, x, y) <= _AGREE_SPREAD for b, x, y in zip(
-        _search_bounds(family), _search_values(family, raw), _search_values(family, other)))
-
-
-def _same_minimum(family, outcome, other):
-    """The sharing rule: the (raw, history, ...) outcome ends on other's
-    minimum, its SSE within _AGREE_RTOL relative of other's and its end
-    point _same_point as other's.  fit shares a full-polygon run between
-    starts whose thinned runs end on one minimum."""
-    sse = other[1][-1]
-    return abs(outcome[1][-1] - sse) <= _AGREE_RTOL * sse and _same_point(
-        family, outcome[0], other[0])
 
 
 def _compress(J, r, turn=True):
@@ -653,8 +631,7 @@ def _gram(family, raw, grid):
 
 def _run_start(family, raw0, grid, config, limit_sse):
     """Bounded Levenberg-Marquardt least squares from raw0 (Moré 1978)
-    on the residual points of grid: all of a fit's, or every s-th of
-    them for a start's thinned first run, which fit gives no limit_sse.
+    on the residual points of grid.
 
     Returns (raw, history, gram), history being the SSE of the start
     point and of each accepted step and gram _compress's (R, z, r^T r) at
@@ -849,6 +826,8 @@ def fit(curve, family, config=FitConfig(), *, _fitted=None):
         docstring gives the starts, their stop rules and the converged
         flag).  A mixture fits each family it nests once, with config,
         to seed its starts (gpg fits pg, which fits power, and gp).
+        Above 2^15 points the thinned polygon's fit is the one start,
+        and a mixture fits its limit family for the limit stop.
 
     Raises
     ------
@@ -866,35 +845,33 @@ def fit(curve, family, config=FitConfig(), *, _fitted=None):
         raise ValueError(f"need at least {p + 1} residual points to fit "
                          f"{family.value!r}, got {u.size}")
     grid = _Grid(u, k_emp)
+    fitted = {} if _fitted is None else _fitted
 
-    gini_emp = min(max(_polygon_gini(curve.u, curve.k), 1e-6), 1.0 - 1e-6)
-    starts = _multistart_points(family, gini_emp, config)
-    nested, limit_sse = [], None
+    starts, nested = None, []
+    if u.size > _THIN_ABOVE:
+        # coarse to fine: the thinned polygon's fit is the one start
+        keep = np.r_[0, 1:u.size:-(-u.size // _THIN_SIZE), u.size]
+        thin = EmpiricalCurve._of(curve.u[keep], curve.k[keep])
+        try:
+            starts = [_fit_once(thin, family, config, fitted.setdefault("thinned", {}))
+                      .model.param_values()]
+        except _FIT_ERRORS:
+            pass
+    if starts is None:
+        gini_emp = min(max(_polygon_gini(curve.u, curve.k), 1e-6), 1.0 - 1e-6)
+        starts = _multistart_points(family, gini_emp, config)
+        if family in _NESTED and config.multistart_count > 1:
+            nested = _nested_starts(family, curve, config, fitted, grid)
+            starts[1:1] = nested
+    limit_sse = None
     if family in _NESTED and config.multistart_count > 1:
-        fitted = {} if _fitted is None else _fitted
-        nested = _nested_starts(family, curve, config, fitted, grid)
-        starts[1:1] = nested
-        limit = fitted[_NESTED[family][-1]]
-        if not isinstance(limit, Exception):
-            limit_sse = limit.sse
+        try:
+            limit_sse = _fit_once(curve, _NESTED[family][-1], config, fitted).sse
+        except _FIT_ERRORS:
+            pass
     outcomes = []  # (raw, history, gram) of each start that produced residuals
-    # each start runs on a thinned polygon first, with no limit stop as that
-    # compares full-polygon SSEs, and then on the full polygon unless an
-    # earlier start's thinned run ended on the same minimum (see the module
-    # docstring)
-    stride = -(-u.size // _THIN_SIZE)
-    thin = _Grid(u[::stride], k_emp[::stride]) if u.size > _THIN_ABOVE else None
-    full_runs = []  # (thinned outcome, full outcome) of each start run on both
     for i, start in enumerate(starts):
-        coarse = thin is not None and _run_start(family, start, thin, config, None)
-        shared = [full for ends, full in full_runs
-                  if coarse and _same_minimum(family, coarse, ends)]
-        if shared:
-            outcome = shared[0]
-        else:
-            outcome = _run_start(family, coarse[0] if coarse else start, grid, config, limit_sse)
-            if coarse:
-                full_runs.append((coarse, outcome))
+        outcome = _run_start(family, start, grid, config, limit_sse)
         if outcome is None:
             continue
         outcomes.append(outcome)
@@ -937,9 +914,10 @@ def fit(curve, family, config=FitConfig(), *, _fitted=None):
 
 
 def _fit_once(curve, family, config, fitted):
-    """The fit of family from fitted, a dict of the fits made so far in
-    one call: made there with fit on first use, and kept with the error
-    it raised, if any, which is raised again on every later use."""
+    """The fit of family to curve from fitted, a dict of the fits made
+    so far in one call: made there with fit on first use, and kept with
+    the error it raised, if any, which is raised again on every later
+    use.  fit keeps a thinned polygon's fits in fitted["thinned"]."""
     if family not in fitted:
         try:
             # through fit, so that a wrapper of fit (perfbench's tracer) sees it

@@ -670,8 +670,8 @@ def pg_curve(n):
 
 
 class TestThinnedStart:
-    """Above _THIN_ABOVE residual points each start runs on every s-th
-    point first, then on all of them from where that run ended."""
+    """Above _THIN_ABOVE residual points the fit fits a thinned polygon
+    first, then makes one run on all of them from that fit's answer."""
 
     JUST_ABOVE = fit_module._THIN_ABOVE + 100
 
@@ -682,82 +682,34 @@ class TestThinnedStart:
         assert calls and {size for _, size, _ in calls} == {fit_module._THIN_ABOVE}
 
     @pytest.mark.parametrize("family", ["power", "pagb"])
-    def test_thinned_run_per_start_above_the_size(self, family, monkeypatch):
-        # each start runs on the thinned polygon, then on the full one from
-        # where that run ended, unless an earlier start's thinned run that
-        # went on to the full polygon ended on the same minimum
+    def test_one_full_run_from_the_thinned_fit(self, family, monkeypatch):
+        # the thinned polygon, every s-th residual point and the two end
+        # vertices, goes through fit itself, limit stop included; then one
+        # run on the full polygon starts at its answer, with the SSE of the
+        # full polygon's limit fit
         family = Family(family)
-        curve = pg_curve(self.JUST_ABOVE)
-        limit_sse = fit(curve, "pareto").sse if family is Family.PAGB else None
-        starts = []  # [thinned outcome, full outcome if run] of each start
+        m = self.JUST_ABOVE
+        curve = pg_curve(m)
+        keep = np.r_[0, 1:m:math.ceil(m / fit_module._THIN_SIZE), m]
+        thin = EmpiricalCurve(curve.u[keep], curve.k[keep])
+        limits = (None, None)
+        if family is Family.PAGB:
+            limits = (fit(thin, "pareto").sse, fit(curve, "pareto").sse)
+        start = fit(thin, family).model.param_values()
+        runs = []  # (residual points, start point, limit SSE) of each run of family
         run_start = fit_module._run_start
 
-        def recording(run_family, raw0, grid, config, limit):
-            outcome = run_start(run_family, raw0, grid, config, limit)
-            if run_family is family and grid.points.size <= fit_module._THIN_SIZE:
-                assert limit is None
-                starts.append([outcome])
-            elif run_family is family:
-                assert grid.points.size == self.JUST_ABOVE and limit == limit_sse
-                assert starts and len(starts[-1]) == 1  # after its own thinned run
-                starts[-1].append(outcome)
-            return outcome
+        def recording(run_family, raw0, grid, config, limit_sse):
+            if run_family is family:
+                runs.append((grid.points.size, tuple(raw0), limit_sse))
+            return run_start(run_family, raw0, grid, config, limit_sse)
 
         monkeypatch.setattr(fit_module, "_run_start", recording)
         fit(curve, family)
-        ends = []  # the thinned outcomes of the starts that ran on
-        for thinned, *full in starts:
-            shared = thinned is not None and any(
-                fit_module._same_minimum(family, thinned, end) for end in ends)
-            assert len(full) == (0 if shared else 1)
-            if thinned is not None and not shared:
-                ends.append(thinned)
-        assert starts and (family is Family.PAGB or len(ends) < len(starts))
-
-    def test_one_full_run_per_thinned_minimum(self, monkeypatch):
-        # power's four starts on 40,000 points end on one thinned minimum:
-        # only the first of them runs on, and every full-polygon
-        # evaluation is that run's
-        curve = empirical_curve(sample_synthetic("power", n=40_000, seed=1, theta=3.0))
-        full_size = curve.u.size - 1
-        sizes, thinned, full_runs = [], [], []
-        residuals, run_start = fit_module._residuals, fit_module._run_start
-
-        def counting(family, raw, points, k_emp):
-            sizes.append(points.size)
-            return residuals(family, raw, points, k_emp)
-
-        def recording(family, raw0, grid, *args):
-            before = sizes.count(full_size)
-            outcome = run_start(family, raw0, grid, *args)
-            if grid.points.size <= fit_module._THIN_SIZE:
-                thinned.append(outcome)
-            else:
-                full_runs.append(sizes.count(full_size) - before)
-            return outcome
-
-        monkeypatch.setattr(fit_module, "_residuals", counting)
-        monkeypatch.setattr(fit_module, "_run_start", recording)
-        fit(curve, "power", FitConfig(multistart_count=4))
-        minima = []
-        for outcome in thinned:
-            if not any(fit_module._same_minimum(Family.POWER, outcome, end) for end in minima):
-                minima.append(outcome)
-        assert len(thinned) == 4 and None not in thinned and len(minima) == 1
-        assert len(full_runs) == len(minima) and sizes.count(full_size) == sum(full_runs)
-
-    @pytest.mark.parametrize("generator, params", [("power", {"theta": 3.0}),
-                                                   ("pg", {"alpha": 0.7, "beta": 0.1})])
-    def test_shared_runs_keep_the_sse(self, generator, params, monkeypatch):
-        curve = empirical_curve(sample_synthetic(generator, self.JUST_ABOVE, 2, **params))
-        config = FitConfig(multistart_count=4)
-        shared = {family: fit(curve, family, config) for family in ("power", "gp", "pg")}
-        monkeypatch.setattr(fit_module, "_same_minimum", lambda *args: False)
-        for family, result in shared.items():
-            alone = fit(curve, family, config)
-            assert result.sse == pytest.approx(alone.sse, rel=1e-10), family
-            assert result.converged == alone.converged, family
-            assert result.nested_limit is alone.nested_limit, family
+        *thinned, full = runs
+        assert full == (m, start, limits[1])
+        assert thinned and {(size, limit) for size, _, limit in thinned} == {
+            (thin.u.size - 1, limits[0])}
 
     def test_failed_thin_run_falls_back_to_the_start_point(self, monkeypatch):
         curve = pg_curve(self.JUST_ABOVE)
