@@ -682,7 +682,7 @@ class TestThinnedStart:
         assert calls and {size for _, size, _ in calls} == {fit_module._THIN_ABOVE}
 
     @pytest.mark.parametrize("family", ["power", "pagb"])
-    def test_one_full_run_from_the_thinned_fit(self, family, monkeypatch):
+    def test_thinned_run_per_start_above_the_size(self, family, monkeypatch):
         # the thinned polygon, every s-th residual point and the two end
         # vertices, goes through fit itself, limit stop included; then one
         # run on the full polygon starts at its answer, with the SSE of the
@@ -710,6 +710,35 @@ class TestThinnedStart:
         assert full == (m, start, limits[1])
         assert thinned and {(size, limit) for size, _, limit in thinned} == {
             (thin.u.size - 1, limits[0])}
+
+    def test_one_full_run_per_thinned_minimum(self, monkeypatch):
+        # power's four starts on 40,000 points all run on the thinned
+        # polygon; only the thinned fit's answer runs on, and every
+        # full-polygon evaluation is that one run's
+        curve = empirical_curve(sample_synthetic("power", n=40_000, seed=1, theta=3.0))
+        full_size = curve.u.size - 1
+        sizes, thinned, full_runs = [], [], []
+        residuals, run_start = fit_module._residuals, fit_module._run_start
+
+        def counting(family, raw, points, k_emp):
+            sizes.append(points.size)
+            return residuals(family, raw, points, k_emp)
+
+        def recording(family, raw0, grid, *args):
+            before = sizes.count(full_size)
+            outcome = run_start(family, raw0, grid, *args)
+            if grid.points.size <= fit_module._THIN_SIZE:
+                thinned.append(outcome)
+            else:
+                full_runs.append(sizes.count(full_size) - before)
+            return outcome
+
+        monkeypatch.setattr(fit_module, "_residuals", counting)
+        monkeypatch.setattr(fit_module, "_run_start", recording)
+        fit(curve, "power", FitConfig(multistart_count=4))
+        assert len(thinned) == 4 and None not in thinned
+        assert len(full_runs) == 1 and full_runs[0] > 0
+        assert sizes.count(full_size) == sum(full_runs)
 
     def test_failed_thin_run_falls_back_to_the_start_point(self, monkeypatch):
         curve = pg_curve(self.JUST_ABOVE)
