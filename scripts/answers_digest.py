@@ -17,6 +17,9 @@ The digest covers, bit for bit:
   summed in Python ints) and the pg sample of 100000 (seed 1);
 - model_indices and a 4097-point evaluate on [0, 1] of each of the 15
   pinned models of the benchmark's model sweep;
+- model_indices of the sweep's 32 seeded draws at seed 1 (pagb shifts
+  down to -30) and of the eight default-config fits to the bundled
+  data (pagb at its pareto limit, shift -200);
 - leimkuhler_compare of each of the 105 pairs of those models (relation,
   max_gap and crossing points) and the five check_proposition results
   of the sweep, with their default grids and tolerance.
@@ -67,7 +70,12 @@ from leimkuhler.empirical import (  # noqa: E402
 from leimkuhler.fit import FitConfig, fit  # noqa: E402
 from leimkuhler.indices import empirical_indices, model_indices  # noqa: E402
 from leimkuhler.order import check_proposition, leimkuhler_compare  # noqa: E402
-from perfbench.workloads import BUNDLED, FIXED_MODELS, PROPOSITIONS  # noqa: E402
+from perfbench.workloads import (  # noqa: E402
+    BUNDLED,
+    FIXED_MODELS,
+    PROPOSITIONS,
+    sweep_draws,
+)
 
 GRID = np.linspace(0.0, 1.0, 4097)
 NESTED_SETS = (
@@ -108,9 +116,12 @@ def _knot_line(label, dataset):
     return repr((label, empirical_curve(dataset).interpolate(knots).tobytes().hex()))
 
 
-def _fit_lines(curve, config, *label):
-    for family in Family:
-        result = fit(curve, family, config)
+def _fits(curve, config):
+    return [fit(curve, family, config) for family in Family]
+
+
+def _fit_lines(results, *label):
+    for family, result in zip(Family, results):
         yield repr(_exact((*label, family.value, result.model.param_values(), result.sse,
                            result.std_errors, result.converged, result.iterations,
                            result.objective_history)))
@@ -120,11 +131,12 @@ def answer_lines():
     """One line per answer."""
     bundled = ingest(ROOT / BUNDLED)
     curve = empirical_curve(bundled)
-    yield from _fit_lines(curve, FitConfig())
+    bundled_fits = _fits(curve, FitConfig())
+    yield from _fit_lines(bundled_fits)
     four = FitConfig(multistart_count=4)
-    yield from _fit_lines(curve, four, "bundled")
+    yield from _fit_lines(_fits(curve, four), "bundled")
     for label, dataset in (*NESTED_SETS, LARGE_SET):
-        yield from _fit_lines(empirical_curve(dataset()), four, label)
+        yield from _fit_lines(_fits(empirical_curve(dataset()), four), label)
     yield _index_line(("bundled",), empirical_indices(curve, INDEX_R))
     for label, dataset in INDEX_SETS:
         yield _index_line((label,), empirical_indices(empirical_curve(dataset()), INDEX_R))
@@ -135,6 +147,13 @@ def answer_lines():
     for (family, params), model in zip(FIXED_MODELS, models):
         yield _index_line((family, sorted(params.items())), model_indices(model))
         yield evaluate(model, GRID).tobytes().hex()
+    for family, params in sweep_draws(1, 4):
+        model = make_model(family, **params)
+        yield _index_line(("draw", family, sorted(params.items())), model_indices(model))
+    for result in bundled_fits:
+        model = result.model
+        yield _index_line(("bundled fit", model.family.value, *model.param_values()),
+                          model_indices(model))
     for (i, a), (j, b) in itertools.combinations(enumerate(models), 2):
         result = leimkuhler_compare(a, b)
         yield repr(_exact((i, j, result.relation.value, result.max_gap,

@@ -191,6 +191,22 @@ def pagb(alpha, beta, shift):
 _NO_ENDS = np.empty(0, dtype=np.intp)
 
 
+def _even_grid(lo, hi, n):
+    """np.linspace(lo, hi, n) for lo < hi and n >= 2, bit for bit: the
+    same float operations, without linspace's per-call overhead."""
+    step = (hi - lo) / (n - 1)
+    u = np.arange(n, dtype=float)
+    if step == 0.0:
+        # a step below the smallest subnormal: scale first, as linspace does
+        u /= n - 1
+        u *= hi - lo
+    else:
+        u *= step
+    u += lo
+    u[-1] = hi
+    return u
+
+
 class _Points:
     """Points u in [0, 1], checked once, as the kernels take them.
 
@@ -506,7 +522,7 @@ def validate_curve(model, grid_size=512):
     """
     if grid_size < 3:
         raise ValueError("grid_size must be at least 3")
-    u = np.linspace(0.0, 1.0, grid_size)
+    u = _even_grid(0.0, 1.0, grid_size)
     k = evaluate(model, u)
     violations = []
     if k[0] != 0.0:

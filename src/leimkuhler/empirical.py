@@ -168,7 +168,13 @@ class EmpiricalCurve:
         arr = np.asarray(u, dtype=float)
         if not np.all((arr >= 0.0) & (arr <= 1.0)):
             raise ValueError("u must lie in [0, 1]")
-        out = np.interp(arr, self.u, self.k)
+        # np.interp copies read-only vertex arrays whole; handed only the
+        # vertices j - 1 and j that bracket each point, it finds the same
+        # segment for each and gives the same values
+        j = np.searchsorted(self.u, arr, side="right")
+        near = np.union1d(j - 1, j)
+        near = near[(near >= 0) & (near < self.u.size)]
+        out = np.interp(arr, self.u[near], self.k[near])
         return float(out) if np.ndim(u) == 0 else out
 
 

@@ -12,10 +12,13 @@ families the table lacks and for closed forms that fail numerically at
 extreme parameters; the tag names the route actually taken.  The
 numeric routes evaluate the curve on arrays, one `evaluate` call per
 round: G_r integrates by the tanh-sinh (double exponential) rule of
-Takahasi and Mori, and the Pietra index refines a grid bracket around
-the maximum of K(u) - u.  The mixture families also support an
-independent route that averages the base family's Gini over the mixing
-density with scipy's adaptive quadrature, used as a cross-check oracle.
+Takahasi and Mori, one round per level of nodes, and the Pietra index
+refines a grid bracket around the maximum of K(u) - u.  The levels'
+nodes are the same for every r, so model_indices evaluates each level
+once and shares it among its r values.  The mixture families also
+support an independent route that averages the base family's Gini over
+the mixing density with scipy's adaptive quadrature, used as a
+cross-check oracle.
 """
 
 from __future__ import annotations
@@ -30,6 +33,7 @@ from . import specfun
 from .curves import (
     Family,
     ParamVector,
+    _even_grid,
     evaluate,
     gamma_mixing_density,
     inverse_gaussian_mixing_density,
@@ -226,19 +230,41 @@ def _de_integrate(f, tol):
     return value, err
 
 
-def _generalized_gini_quadrature(model, r, tol):
+def _level_gaps(model):
+    # gap(u) = 1 - K(u) on a level's nodes u, evaluated at its first
+    # request and kept for the life of gap; u is one of the _DE_LEVELS
+    # arrays, which live as long as the module, so its id names the level
+    gaps = {}
+
+    def gap(u):
+        if id(u) not in gaps:
+            gaps[id(u)] = 1.0 - evaluate(model, u)
+        return gaps[id(u)]
+
+    return gap
+
+
+def _generalized_gini_quadrature(r, tol, gap):
     # integral((1-u)**(r-1) K) = 1/r - integral((1-u)**(r-1) (1 - K)); the
     # second integrand is at most (1-u)**r, because a concave K lies above
     # the diagonal, so it vanishes at u = 1 for every r > 0 and the rule
     # needs no nodes closer to 1 than its last one
     scale = r * (r + 1.0)
-    value, err = _de_integrate(lambda u, c: c ** (r - 1.0) * (1.0 - evaluate(model, u)),
-                               tol / (2.0 * scale))
+    value, err = _de_integrate(lambda u, c: c ** (r - 1.0) * gap(u), tol / (2.0 * scale))
     if not scale * err <= tol:
         raise ConvergenceError(
             f"generalized Gini quadrature error estimate {scale * err:.3e} "
             f"exceeds tol {tol:.3e}", r - scale * value, scale * err)
     return r - scale * value
+
+
+def _generalized_gini(model, r, tol, method, gap):
+    # generalized_gini, its quadrature reading 1 - K from gap
+    _check_tol(tol)
+    _check_r(r)
+    value, tag = _dispatch(model, method, QUADRATURE, _GENERALIZED_GINI_CLOSED,
+                           lambda: _generalized_gini_quadrature(r, tol, gap), r)
+    return IndexValue(_range_check(value, 0.0, r, tol, "generalized gini"), tag)
 
 
 def generalized_gini(model, r, tol=1e-10, method="auto"):
@@ -268,11 +294,7 @@ def generalized_gini(model, r, tol=1e-10, method="auto"):
     IndexValue
         (value, method) with value in [0, r].
     """
-    _check_tol(tol)
-    _check_r(r)
-    value, tag = _dispatch(model, method, QUADRATURE, _GENERALIZED_GINI_CLOSED,
-                           lambda: _generalized_gini_quadrature(model, r, tol), r)
-    return IndexValue(_range_check(value, 0.0, r, tol, "generalized gini"), tag)
+    return _generalized_gini(model, r, tol, method, _level_gaps(model))
 
 
 def gini(model, tol=1e-10, method="auto"):
@@ -299,7 +321,7 @@ def _grid_max(f, tol):
     # best point, until the grid spacing is within tol
     lo, hi = 0.0, 1.0
     while True:
-        u = np.linspace(lo, hi, _GRID_POINTS)
+        u = _even_grid(lo, hi, _GRID_POINTS)
         values = f(u)
         best = int(np.argmax(values))
         if hi - lo <= tol * (_GRID_POINTS - 1):
@@ -418,10 +440,15 @@ def model_indices(model, r_values=DEFAULT_R_VALUES, tol=1e-10):
     """Full index report for a parametric curve model.
 
     The Gini is the r = 1 entry when 1.0 is among r_values, and is
-    computed as G_1 otherwise.
+    computed as G_1 otherwise.  Every G_r that takes the quadrature
+    route, the Gini's included, reads 1 - K at the nodes of each
+    tanh-sinh level from one evaluation of the level, made when an r
+    first needs it; each r keeps its own sum, stop test and error
+    check, so the values are those of generalized_gini and gini.
     """
-    gen = [(float(r), generalized_gini(model, float(r), tol=tol)) for r in r_values]
-    g = dict(gen).get(1.0) or gini(model, tol=tol)
+    gap = _level_gaps(model)
+    gen = [(float(r), _generalized_gini(model, float(r), tol, "auto", gap)) for r in r_values]
+    g = dict(gen).get(1.0) or _generalized_gini(model, 1.0, tol, "auto", gap)
     p = pietra(model, tol=tol)
     # closed_form only when every r took the closed form
     gen_tag = (CLOSED_FORM if all(v.method == CLOSED_FORM for _, v in gen) else QUADRATURE)

@@ -26,7 +26,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .curves import CurveModel, _Points, evaluate, gpg, pg, pig
+from .curves import CurveModel, _even_grid, _Points, evaluate, gpg, pg, pig
 
 __all__ = [
     "Relation",
@@ -172,19 +172,23 @@ def leimkuhler_compare(a, b, grid_size=257, tol=1e-9):
     if not (tol > 0):
         raise ValueError("tol must be positive")
 
-    u = np.linspace(0.0, 1.0, grid_size)
+    u = _even_grid(0.0, 1.0, grid_size)
     # K(0) = 0 and K(1) = 1 for every model: the gap is 0 at both ends
     gap = np.zeros(grid_size)
     gap[1:-1] = _curve_gap(a, b, u[1:-1])
-    max_gap = float(np.max(np.abs(gap)))
+    # abs makes a zero max_gap +0.0.  max and min carry a NaN gap into
+    # max_gap; the dominance test skips it, so fmax and fmin take over
+    top, bottom = float(gap.max()), float(gap.min())
+    max_gap = abs(max(top, -bottom))
+    if np.isnan(max_gap):
+        top, bottom = float(np.fmax.reduce(gap)), float(np.fmin.reduce(gap))
 
-    above = gap > tol
-    below = gap < -tol
-    if not above.any() and not below.any():
+    above, below = top > tol, bottom < -tol
+    if not above and not below:
         return DominanceResult(Relation.EQUAL, max_gap, ())
-    if not below.any():
+    if not below:
         return DominanceResult(Relation.FIRST_DOMINATES, max_gap, ())
-    if not above.any():
+    if not above:
         return DominanceResult(Relation.SECOND_DOMINATES, max_gap, ())
 
     # successive grid points outside the dead band with opposite signs
@@ -256,7 +260,7 @@ def check_proposition(prop, base_params, delta, grid_size=257):
 
     base = build(**base_kwargs)
     moved = build(**moved_kwargs)
-    u = np.linspace(0.0, 1.0, grid_size)
+    u = _even_grid(0.0, 1.0, grid_size)
     points = _Points(u)
     k_base = evaluate(base, points)
     k_moved = evaluate(moved, points)

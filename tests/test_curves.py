@@ -375,6 +375,19 @@ class TestVectorKummer:
                 assert got == pytest.approx(ref, rel=1e-12)
 
 
+@settings(deadline=None, max_examples=500)
+@given(st.floats(allow_nan=False, allow_infinity=False),
+       st.floats(allow_nan=False, allow_infinity=False), st.integers(2, 2000))
+def test_even_grid_is_linspace_bit_for_bit(a, b, n):
+    # subnormal brackets and differences that overflow included
+    lo, hi = min(a, b), max(a, b)
+    if not lo < hi:
+        return
+    with np.errstate(all="ignore"):
+        got, expected = curves._even_grid(lo, hi, n), np.linspace(lo, hi, n)
+    assert got.tobytes() == expected.tobytes()
+
+
 class TestValidateCurve:
     def test_all_families_valid_over_random_draws(self):
         rng = random.Random(303)

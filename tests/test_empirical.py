@@ -419,6 +419,41 @@ class TestEmpiricalCurve:
         with pytest.raises(ValueError):
             curve.interpolate(float("nan"))
 
+    @settings(deadline=None, max_examples=300)
+    @given(st.data())
+    def test_interpolate_is_np_interp_on_writeable_copies(self, data):
+        # uneven polygons, some with repeated abscissas, at random points
+        # and at the knots: interpolate hands np.interp only the vertices
+        # that bracket the points, and must give its values bit for bit
+        unit = st.floats(0.0, 1.0)
+        inner = data.draw(st.lists(unit, max_size=30))
+        inner += data.draw(st.lists(st.sampled_from(inner), max_size=10)) if inner else []
+        u = np.array([0.0, *sorted(inner), 1.0])
+        k = np.array(data.draw(st.lists(unit, min_size=u.size, max_size=u.size)))
+        curve = EmpiricalCurve(u, k)
+        x = np.array(data.draw(st.lists(unit, max_size=40)) + u.tolist())
+        data.draw(st.randoms()).shuffle(x)
+        expected = np.interp(x, u.copy(), k.copy())
+        assert curve.interpolate(x).tobytes() == expected.tobytes()
+        for point in x[:5].tolist():
+            assert curve.interpolate(point) == float(np.interp(point, u, k))
+
+    def test_interpolate_does_not_copy_the_polygon(self):
+        # np.interp copies read-only vertex arrays whole; a 257-point
+        # interpolate on 10^6 vertices stays well below one 8 MB array
+        n = 10**6
+        curve = EmpiricalCurve(np.arange(n + 1) / n, np.sqrt(np.arange(n + 1) / n))
+        x = np.linspace(0.0, 1.0, 257)
+        curve.interpolate(x)
+        tracemalloc.start()
+        try:
+            got = curve.interpolate(x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < curve.u.nbytes / 16
+        assert got.tobytes() == np.interp(x, curve.u.copy(), curve.k.copy()).tobytes()
+
     def test_vertices_must_be_two_columns_in_the_unit_square(self):
         curve = EmpiricalCurve([0.0, 0.25, 1.0], [0.0, 0.4, 1.0])
         assert (curve.u.dtype, curve.k.dtype) == (np.float64, np.float64)

@@ -11,7 +11,19 @@ import pytest
 from scipy.integrate import IntegrationWarning, quad
 
 from leimkuhler import indices
-from leimkuhler.curves import Family, evaluate, gp, gpg, gpig, pagb, pareto, pg, pig, power
+from leimkuhler.curves import (
+    Family,
+    evaluate,
+    gp,
+    gpg,
+    gpig,
+    make_model,
+    pagb,
+    pareto,
+    pg,
+    pig,
+    power,
+)
 from leimkuhler.empirical import (
     CitationDataset,
     EmpiricalCurve,
@@ -32,6 +44,7 @@ from leimkuhler.indices import (
     model_indices,
     pietra,
 )
+from perfbench.workloads import FIXED_MODELS
 from tests.test_curves import draw_model
 
 BUNDLED = Path(__file__).resolve().parents[1] / "demos" / "data" / "citations_synthetic.txt"
@@ -423,6 +436,49 @@ class TestModelIndices:
         with pytest.raises(ValueError, match="outside"):
             IndexReport(gini=1.5, generalized_gini=(), pietra=0.3,
                         pietra_argmax_u=0.4, method_tags={})
+
+
+def _bits(value):
+    return float(value).hex()
+
+
+class TestSharedQuadratureLevels:
+    # model_indices evaluates each tanh-sinh level once and shares it
+    # among its r values; each index must still be what the function
+    # that computes it alone gives, bit for bit
+
+    @pytest.mark.parametrize("r_values", [(0.5, 1.0, 2.0), (0.3, 2.5), (2.0, 0.75, 1.0, 0.5)])
+    def test_matches_the_single_index_functions_bit_for_bit(self, r_values):
+        # the 15 pinned models of the benchmark's model sweep cover every
+        # family; pg(500, 0.05)'s closed forms fail and fall back
+        models = [make_model(family, **params) for family, params in FIXED_MODELS]
+        assert {model.family for model in models} == set(Family)
+        models.append(pg(500.0, 0.05))
+        for model in models:
+            report = model_indices(model, r_values)
+            gen = [generalized_gini(model, r) for r in r_values]
+            assert [(r, _bits(v)) for r, v in report.generalized_gini] == [
+                (r, _bits(v.value)) for r, v in zip(r_values, gen)]
+            g, p = gini(model), pietra(model)
+            assert _bits(report.gini) == _bits(g.value)
+            assert (_bits(report.pietra), _bits(report.pietra_argmax_u)) == (
+                _bits(p.value), _bits(p.argmax_u))
+            assert report.method_tags["gini"] == g.method
+            assert report.method_tags["pietra"] == p.method
+        assert report.method_tags["gini"] == QUADRATURE
+        assert all(v.method == QUADRATURE for v in gen)
+
+    def test_each_level_is_evaluated_once_per_call(self, monkeypatch):
+        # pagb(2, 3, -5): four tanh-sinh levels serve all three r, and
+        # the Pietra search takes seven grids; a second call shares
+        # nothing with the first
+        calls = []
+        real = indices.evaluate
+        monkeypatch.setattr(indices, "evaluate", lambda *args: calls.append(1) or real(*args))
+        model_indices(pagb(2.0, 3.0, -5.0))
+        assert len(calls) == 11
+        model_indices(pagb(2.0, 3.0, -5.0))
+        assert len(calls) == 22
 
 
 class TestEmpiricalIndices:

@@ -207,6 +207,34 @@ class TestLeimkuhlerCompare:
         with pytest.raises(TypeError):
             leimkuhler_compare(power(1.0), "power")
 
+    @pytest.mark.parametrize("others, relation", [
+        ((), Relation.EQUAL),
+        ((1e-12,), Relation.EQUAL),
+        ((0.5,), Relation.FIRST_DOMINATES),
+        ((-0.5, -1e-12), Relation.SECOND_DOMINATES),
+    ])
+    def test_nan_gap_is_skipped_by_the_classification(self, monkeypatch, others, relation):
+        # a NaN gap makes max_gap NaN, but the dominance test looks past
+        # it, at the gaps beyond the dead band on either side
+        def gap(a, b, u):
+            values = np.zeros(u.size)
+            values[40] = np.nan
+            values[100:100 + len(others)] = others
+            return values
+
+        monkeypatch.setattr(order, "_curve_gap", gap)
+        result = leimkuhler_compare(power(1.0), power(2.0))
+        assert (result.relation, result.crossing_points) == (relation, ())
+        assert math.isnan(result.max_gap)
+
+    def test_zero_max_gap_is_positive_zero(self, monkeypatch):
+        # max_gap is max |gap|: +0.0 even where every gap inside is -0.0,
+        # of which numpy's max and min may both return -0.0
+        monkeypatch.setattr(order, "_curve_gap", lambda a, b, u: np.full(u.size, -0.0))
+        result = leimkuhler_compare(power(1.0), power(2.0))
+        assert result.relation is Relation.EQUAL
+        assert (result.max_gap, math.copysign(1.0, result.max_gap)) == (0.0, 1.0)
+
 
 class TestCheckProposition:
     def test_gamma_mixture_rises_with_shape(self):
