@@ -20,6 +20,8 @@ The digest covers, bit for bit:
 - model_indices of the sweep's 32 seeded draws at seed 1 (pagb shifts
   down to -30) and of the eight default-config fits to the bundled
   data (pagb at its pareto limit, shift -200);
+- evaluate with grad=True, K and each derivative column, on the same
+  4097 points for the 15 pinned models and the 32 seed-1 draws;
 - leimkuhler_compare of each of the 105 pairs of those models (relation,
   max_gap and crossing points) and the five check_proposition results
   of the sweep, with their default grids and tolerance.
@@ -116,6 +118,11 @@ def _knot_line(label, dataset):
     return repr((label, empirical_curve(dataset).interpolate(knots).tobytes().hex()))
 
 
+def _grad_line(model):
+    k, columns = evaluate(model, GRID, grad=True)
+    return " ".join(column.tobytes().hex() for column in (k, *columns))
+
+
 def _fits(curve, config):
     return [fit(curve, family, config) for family in Family]
 
@@ -147,9 +154,11 @@ def answer_lines():
     for (family, params), model in zip(FIXED_MODELS, models):
         yield _index_line((family, sorted(params.items())), model_indices(model))
         yield evaluate(model, GRID).tobytes().hex()
+        yield _grad_line(model)
     for family, params in sweep_draws(1, 4):
         model = make_model(family, **params)
         yield _index_line(("draw", family, sorted(params.items())), model_indices(model))
+        yield _grad_line(model)
     for result in bundled_fits:
         model = result.model
         yield _index_line(("bundled fit", model.family.value, *model.param_values()),

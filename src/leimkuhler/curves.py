@@ -4,10 +4,11 @@ A Leimkuhler curve K(u) gives the fraction of total citations held by
 the most-cited fraction u of sources.  Every family here satisfies
 K(0) = 0, K(1) = 1, K nondecreasing and concave on [0, 1].
 
-Four base families have elementary forms (power, generalized power,
+Three base families have elementary forms (power, generalized power,
 Pareto) and five arise by mixing a base family's exponent over a
 continuous density (gamma, inverse-Gaussian, or an exponentially
 tilted beta), which yields the pg/pig/gpg/gpig/pagb closed forms.
+pg, pig, gpg and gpig share one kernel, fed one function per mixing law.
 
 Numerical conventions: log(1 - u) is always computed as log1p(-u), and
 curve values near the endpoints go through expm1 so that K stays
@@ -263,26 +264,25 @@ class _Points:
         return out
 
 
-def _psi_gamma(logub, alpha, beta, grad=False):
-    # (beta / (beta - log(1-u)))**alpha, stable via log1p; with grad also
-    # the derivatives of its log
+def _gamma_law(logub, alpha, beta, grad=False):
+    # Theta ~ gamma(shape alpha, rate beta): M = (1 - log(1-u)/beta)**-alpha
     q = np.log1p(-logub / beta)
-    mix = np.exp(-alpha * q)
-    return (mix, -q, (alpha / beta) * logub / (logub - beta)) if grad else mix
+    log_m = -alpha * q
+    return (log_m, -q, (alpha / beta) * logub / (logub - beta)) if grad else log_m
 
 
-def _psi_invgauss(logub, alpha, beta, grad=False):
-    # (beta/alpha) * (1 - sqrt(1 - 2 alpha^2 log(1-u) / beta)),
+def _invgauss_law(logub, alpha, beta, grad=False):
+    # Theta ~ inverse Gaussian(mean alpha, shape beta):
+    # log M = (beta/alpha) * (1 - sqrt(1 - 2 alpha^2 log(1-u) / beta)),
     # written through m = -2 alpha^2 log(1-u)/beta >= 0 to avoid the
-    # sqrt(1+m)-1 cancellation at small m; with grad also its derivatives
-    # psi/(alpha s) and (psi/beta) m/(2 s (1+s)), s = sqrt(1+m), those of
-    # the log of the mixed term exp(psi)
+    # sqrt(1+m)-1 cancellation at small m; its derivatives are
+    # log M/(alpha s) and (log M/beta) m/(2 s (1+s)), s = sqrt(1+m)
     m = -2.0 * alpha * alpha * logub / beta
     s = np.sqrt(1.0 + m)
-    psi = -(beta / alpha) * m / (1.0 + s)
+    log_m = -(beta / alpha) * m / (1.0 + s)
     if not grad:
-        return psi
-    return psi, psi / (alpha * s), (psi / beta) * m / (2.0 * s * (1.0 + s))
+        return log_m
+    return log_m, log_m / (alpha * s), (log_m / beta) * m / (2.0 * s * (1.0 + s))
 
 
 # Each kernel returns K, a new array, at the points inside (0, 1) of a
@@ -316,46 +316,32 @@ def _eval_pareto(points, p, grad=False):
     return (k, (-logu * k,)) if grad else k
 
 
-def _eval_pg(points, p, grad=False):
-    logub = points.log1m_u
-    k = -np.expm1(logub - p.alpha * np.log1p(-logub / p.beta))
-    if not grad:
-        return k
-    _, d_alpha, d_beta = _psi_gamma(logub, p.alpha, p.beta, grad)
-    # K - 1 is minus (1 - u) times the mixed term, dK per unit of its log
-    k_mix = k - 1.0
-    return k, (k_mix * d_alpha, k_mix * d_beta)
+def _mixture(law):
+    """The kernel of pg and pig, K = 1 - (1 - u) M, or with kappa of gpg
+    and gpig, K = 1 + (u**kappa - 1) M, whose exponent Theta is mixed
+    over law: law(logub, alpha, beta) gives log M, M = E[(1 - u)**Theta]
+    at logub = log(1 - u), and with grad its alpha and beta derivatives
+    too.  K - 1 is dK per unit of log M."""
 
+    def kernel(points, p, grad=False):
+        logub = points.log1m_u
+        if p.kappa is None:
+            if not grad:
+                return -np.expm1(logub + law(logub, p.alpha, p.beta))
+            log_m, d_alpha, d_beta = law(logub, p.alpha, p.beta, grad)
+            k = -np.expm1(logub + log_m)
+            k_mix = k - 1.0
+            return k, (k_mix * d_alpha, k_mix * d_beta)
+        logu = points.log_u
+        a = np.expm1(p.kappa * logu)
+        if not grad:
+            return 1.0 + a * np.exp(law(logub, p.alpha, p.beta))
+        log_m, d_alpha, d_beta = law(logub, p.alpha, p.beta, grad)
+        mix = np.exp(log_m)
+        k_mix = a * mix
+        return 1.0 + k_mix, (logu * (1.0 + a) * mix, k_mix * d_alpha, k_mix * d_beta)
 
-def _eval_pig(points, p, grad=False):
-    logub = points.log1m_u
-    if not grad:
-        return -np.expm1(logub + _psi_invgauss(logub, p.alpha, p.beta))
-    psi, d_alpha, d_beta = _psi_invgauss(logub, p.alpha, p.beta, grad)
-    k = -np.expm1(logub + psi)
-    k_mix = k - 1.0
-    return k, (k_mix * d_alpha, k_mix * d_beta)
-
-
-def _eval_gpg(points, p, grad=False):
-    logu, logub = points.log_u, points.log1m_u
-    a = np.expm1(p.kappa * logu)
-    if not grad:
-        return 1.0 + a * _psi_gamma(logub, p.alpha, p.beta)
-    mix, d_alpha, d_beta = _psi_gamma(logub, p.alpha, p.beta, grad)
-    k_mix = a * mix  # K - 1, as for pg
-    return 1.0 + k_mix, (logu * (1.0 + a) * mix, k_mix * d_alpha, k_mix * d_beta)
-
-
-def _eval_gpig(points, p, grad=False):
-    logu, logub = points.log_u, points.log1m_u
-    a = np.expm1(p.kappa * logu)
-    if not grad:
-        return 1.0 + a * np.exp(_psi_invgauss(logub, p.alpha, p.beta))
-    psi, d_alpha, d_beta = _psi_invgauss(logub, p.alpha, p.beta, grad)
-    mix = np.exp(psi)
-    k_mix = a * mix
-    return 1.0 + k_mix, (logu * (1.0 + a) * mix, k_mix * d_alpha, k_mix * d_beta)
+    return kernel
 
 
 def _eval_pagb(points, p, grad=False):
@@ -376,10 +362,10 @@ _EVAL = {
     Family.POWER: _eval_power,
     Family.GP: _eval_gp,
     Family.PARETO: _eval_pareto,
-    Family.PG: _eval_pg,
-    Family.PIG: _eval_pig,
-    Family.GPG: _eval_gpg,
-    Family.GPIG: _eval_gpig,
+    Family.PG: _mixture(_gamma_law),
+    Family.PIG: _mixture(_invgauss_law),
+    Family.GPG: _mixture(_gamma_law),
+    Family.GPIG: _mixture(_invgauss_law),
     Family.PAGB: _eval_pagb,
 }
 

@@ -442,16 +442,13 @@ def sample_synthetic(family, n, seed, theta=None, sigma=1.0, alpha=None, beta=No
         if sigma <= 0:
             raise ValueError("pareto sampling needs sigma > 0")
         draws = sigma * (1.0 - uniforms) ** (-theta)
-    elif family is Family.PG:
+    elif family in (Family.PG, Family.PIG):
         if alpha is None or beta is None or alpha <= 0 or beta <= 0:
-            raise ValueError("pg sampling needs alpha > 0 and beta > 0")
-        thetas = rng.gamma(shape=alpha, scale=1.0 / beta, size=n)
-        draws = uniforms**thetas
-    elif family is Family.PIG:
-        if alpha is None or beta is None or alpha <= 0 or beta <= 0:
-            raise ValueError("pig sampling needs alpha > 0 and beta > 0")
-        thetas = rng.wald(alpha, beta, size=n)
-        draws = uniforms**thetas
+            raise ValueError(f"{family.value} sampling needs alpha > 0 and beta > 0")
+        if family is Family.PG:
+            draws = uniforms ** rng.gamma(alpha, 1.0 / beta, n)
+        else:
+            draws = uniforms ** rng.wald(alpha, beta, n)
     else:
         raise ValueError(f"sampling is not supported for family {family.value!r}")
 

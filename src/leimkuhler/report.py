@@ -4,9 +4,9 @@ An AnalysisReport bundles everything one analysis produces: dataset
 statistics, empirical indices, per-family fit results with model
 indices at the fitted parameters, and the CAIC ranking.  The report
 serializes to a versioned JSON document with deterministic key order
-and 12-significant-digit reals, renders as a fixed-width text table
-with standard errors parenthesized beneath the estimates, and exports
-plot-ready CSV curves.
+and 12-significant-digit reals, each record's fields listed once for
+both directions; renders as a fixed-width text table with standard
+errors beneath the estimates; and exports plot-ready CSV curves.
 
 JSON cannot represent non-finite reals, so infinities and NaN are
 written as the string markers "inf", "-inf", and "nan"; an
@@ -127,57 +127,64 @@ def _encode_real(x):
 
 
 def _decode_real(value):
-    if isinstance(value, str):
-        if value not in ("nan", "inf", "-inf"):
-            raise ValueError(f"unrecognized numeric marker {value!r}")
-        return float(value)
+    if isinstance(value, str) and value not in ("nan", "inf", "-inf"):
+        raise ValueError(f"unrecognized numeric marker {value!r}")
     return float(value)
 
 
-def _index_report_payload(report):
-    return {
-        "gini": _encode_real(report.gini),
-        "generalized_gini": [[_encode_real(r), _encode_real(v)]
-                             for r, v in report.generalized_gini],
-        "pietra": _encode_real(report.pietra),
-        "pietra_argmax_u": _encode_real(report.pietra_argmax_u),
-        "method_tags": {key: report.method_tags[key]
-                        for key in sorted(report.method_tags)},
-    }
+# Each record's fields, in document order, as (key, encode, decode):
+# the key names both the JSON member and the dataclass field.
+_STATS_FIELDS = (
+    ("n", int, int),
+    ("total", int, int),
+    ("min", int, int),
+    ("max", int, int),
+    ("mean", _encode_real, _decode_real),
+    ("variance", _encode_real, _decode_real),
+    ("dispersion_index", _encode_real, _decode_real),
+)
+_INDEX_FIELDS = (
+    ("gini", _encode_real, _decode_real),
+    ("generalized_gini", lambda pairs: [[_encode_real(r), _encode_real(v)] for r, v in pairs],
+     lambda pairs: tuple((_decode_real(r), _decode_real(v)) for r, v in pairs)),
+    ("pietra", _encode_real, _decode_real),
+    ("pietra_argmax_u", _encode_real, _decode_real),
+    ("method_tags", lambda tags: dict(sorted(tags.items())), dict),
+)
+# a fit's plain fields; its family, params, std_errors and indices are
+# written out in _fit_payload and _fit_from_payload
+_FIT_FIELDS = (
+    ("sse", _encode_real, _decode_real),
+    ("mse", _encode_real, _decode_real),
+    ("max_abs", _encode_real, _decode_real),
+    ("mae", _encode_real, _decode_real),
+    ("caic", _encode_real, _decode_real),
+    ("converged", bool, bool),
+    ("iterations", int, int),
+    ("objective_history", lambda values: [_encode_real(v) for v in values],
+     lambda values: tuple(_decode_real(v) for v in values)),
+)
 
 
-def _index_report_from_payload(payload):
-    return IndexReport(
-        gini=_decode_real(payload["gini"]),
-        generalized_gini=tuple((_decode_real(r), _decode_real(v))
-                               for r, v in payload["generalized_gini"]),
-        pietra=_decode_real(payload["pietra"]),
-        pietra_argmax_u=_decode_real(payload["pietra_argmax_u"]),
-        method_tags=dict(payload["method_tags"]),
-    )
+def _encode(record, fields):
+    return {key: encode(getattr(record, key)) for key, encode, _ in fields}
+
+
+def _decode(payload, fields):
+    return {key: decode(payload[key]) for key, _, decode in fields}
 
 
 def _fit_payload(result, indices):
     names = result.model.param_names()
-    if result.std_errors is None:
-        errors = None
-    else:
-        errors = {name: _encode_real(se)
-                  for name, se in zip(names, result.std_errors)}
+    errors = None if result.std_errors is None else {
+        name: _encode_real(se) for name, se in zip(names, result.std_errors)}
     return {
         "family": result.model.family.value,
         "params": {name: _encode_real(v)
                    for name, v in zip(names, result.model.param_values())},
         "std_errors": errors,
-        "sse": _encode_real(result.sse),
-        "mse": _encode_real(result.mse),
-        "max_abs": _encode_real(result.max_abs),
-        "mae": _encode_real(result.mae),
-        "caic": _encode_real(result.caic),
-        "converged": bool(result.converged),
-        "iterations": int(result.iterations),
-        "objective_history": [_encode_real(v) for v in result.objective_history],
-        "indices": _index_report_payload(indices),
+        **_encode(result, _FIT_FIELDS),
+        "indices": _encode(indices, _INDEX_FIELDS),
     }
 
 
@@ -185,25 +192,10 @@ def _fit_from_payload(payload):
     family = Family(payload["family"])
     params = {name: _decode_real(v) for name, v in payload["params"].items()}
     model = make_model(family, **params)
-    if payload["std_errors"] is None:
-        errors = None
-    else:
-        errors = tuple(_decode_real(payload["std_errors"][name])
-                       for name in PARAM_NAMES[family])
-    result = FitResult(
-        model=model,
-        std_errors=errors,
-        sse=_decode_real(payload["sse"]),
-        mse=_decode_real(payload["mse"]),
-        max_abs=_decode_real(payload["max_abs"]),
-        mae=_decode_real(payload["mae"]),
-        caic=_decode_real(payload["caic"]),
-        converged=bool(payload["converged"]),
-        iterations=int(payload["iterations"]),
-        objective_history=tuple(_decode_real(v)
-                                for v in payload["objective_history"]),
-    )
-    return result, _index_report_from_payload(payload["indices"])
+    errors = None if payload["std_errors"] is None else tuple(
+        _decode_real(payload["std_errors"][name]) for name in PARAM_NAMES[family])
+    result = FitResult(model=model, std_errors=errors, **_decode(payload, _FIT_FIELDS))
+    return result, IndexReport(**_decode(payload["indices"], _INDEX_FIELDS))
 
 
 def render_json(report):
@@ -213,20 +205,11 @@ def render_json(report):
     12 significant digits, so equal reports give byte-identical
     output.
     """
-    stats = report.dataset_stats
     document = {
         "schema_version": SCHEMA_VERSION,
         "metadata": report.metadata,
-        "dataset_stats": {
-            "n": int(stats.n),
-            "total": int(stats.total),
-            "min": int(stats.min),
-            "max": int(stats.max),
-            "mean": _encode_real(stats.mean),
-            "variance": _encode_real(stats.variance),
-            "dispersion_index": _encode_real(stats.dispersion_index),
-        },
-        "empirical_indices": _index_report_payload(report.empirical_indices),
+        "dataset_stats": _encode(report.dataset_stats, _STATS_FIELDS),
+        "empirical_indices": _encode(report.empirical_indices, _INDEX_FIELDS),
         "per_model": [_fit_payload(result, indices)
                       for result, indices in report.per_model],
         "ranking": list(report.ranking),
@@ -253,20 +236,12 @@ def parse_report(data):
         raise ValueError(f"unsupported schema version {version!r}, "
                          f"expected {SCHEMA_VERSION}")
     try:
-        stats_payload = document["dataset_stats"]
-        stats = DescriptiveStats(
-            n=int(stats_payload["n"]),
-            total=int(stats_payload["total"]),
-            min=int(stats_payload["min"]),
-            max=int(stats_payload["max"]),
-            mean=_decode_real(stats_payload["mean"]),
-            variance=_decode_real(stats_payload["variance"]),
-            dispersion_index=_decode_real(stats_payload["dispersion_index"]),
-        )
+        stats = DescriptiveStats(**_decode(document["dataset_stats"], _STATS_FIELDS))
         per_model = tuple(_fit_from_payload(entry) for entry in document["per_model"])
         return AnalysisReport(
             dataset_stats=stats,
-            empirical_indices=_index_report_from_payload(document["empirical_indices"]),
+            empirical_indices=IndexReport(**_decode(document["empirical_indices"],
+                                                    _INDEX_FIELDS)),
             per_model=per_model,
             ranking=tuple(document["ranking"]),
             metadata=document["metadata"],
@@ -295,8 +270,7 @@ def render_table(report):
 
     ordered = list(report.per_model)
     max_params = max((len(r.model.param_names()) for r, _ in ordered), default=1)
-    est_rows = []
-    err_rows = []
+    est_rows, err_rows = [], []
     for result, _ in ordered:
         names = result.model.param_names()
         cells = [f"{name}={value:.6g}"
@@ -328,11 +302,8 @@ def render_table(report):
         cells += [m.rjust(w) for m, w in zip(metrics, metric_widths)]
         return "  ".join(cells).rstrip()
 
-    lines.append(format_row("family", ["parameters"] + [""] * (max_params - 1),
-                            metric_headers))
-    total_width = (fam_width + sum(param_widths) + sum(metric_widths)
-                   + 2 * (1 + max_params + len(metric_widths) - 1))
-    lines.append("-" * total_width)
+    header = format_row("family", ["parameters"] + [""] * (max_params - 1), metric_headers)
+    lines += [header, "-" * len(header)]
     for (result, indices), cells, errs in zip(ordered, est_rows, err_rows):
         metrics = (
             format(result.mse, ".3e"),

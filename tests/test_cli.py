@@ -467,6 +467,31 @@ class TestConfigFile:
             assert f"{conf}:2" in err
             assert "xml" in err
 
+    def test_boolean_key_gives_the_flag_s_report(self, power_file, tmp_path, monkeypatch,
+                                                  capsys):
+        monkeypatch.setenv("SOURCE_DATE_EPOCH", "1700000000")
+        conf = self.write_config(tmp_path, "caic_counts_variance=yes\n")
+        blobs = []
+        for name, head, tail in (("file.json", ["--config", conf], []),
+                                 ("flag.json", [], ["--caic-count-variance"])):
+            path = tmp_path / name
+            assert main(head + ["fit", power_file, "--model", "power", "--multistart", "2",
+                                "--json", str(path)] + tail) == 0
+            blobs.append(path.read_bytes())
+        assert blobs[0] == blobs[1]
+        assert json.loads(blobs[0])["metadata"]["config"]["caic_counts_variance"] is True
+
+    def test_format_key_reads_csv_as_the_flag_does(self, tmp_path, capsys):
+        csv_path = str(tmp_path / "counts.csv")
+        Path(csv_path).write_text("journal,citations\na,4\nb,3\nc,2\nd,1\n",
+                                  encoding="utf-8")
+        assert main(["stats", csv_path, "--format", "csv", "--column", "citations"]) == 0
+        from_flag = capsys.readouterr().out
+        conf = self.write_config(tmp_path, "format=csv\n")
+        assert main(["--config", conf, "stats", csv_path, "--column", "citations"]) == 0
+        assert capsys.readouterr().out == from_flag
+        assert parsed_lines(from_flag)["total"] == "10"
+
     def test_resolution_from_config(self, counts_file, tmp_path, capsys):
         conf = self.write_config(tmp_path, "resolution=3\n")
         assert main(["--config", conf, "export-plot", counts_file]) == 0

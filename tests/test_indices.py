@@ -44,6 +44,7 @@ from leimkuhler.indices import (
     model_indices,
     pietra,
 )
+from leimkuhler.specfun import ConvergenceError
 from perfbench.workloads import FIXED_MODELS
 from tests.test_curves import draw_model
 
@@ -232,6 +233,22 @@ class TestGeneralizedGini:
         for r in (0.0, -1.0, math.inf, math.nan):
             with pytest.raises(ValueError, match="r must be"):
                 generalized_gini(power(1.0), r)
+
+    def test_unreachable_tolerance_raises_with_the_partial_result(self):
+        with pytest.raises(ConvergenceError) as caught:
+            generalized_gini(pagb(0.05, 0.05, 50.0), 1.0, tol=1e-300)
+        assert math.isfinite(caught.value.partial_value)
+        assert math.isfinite(caught.value.abs_error_estimate)
+        assert caught.value.abs_error_estimate > 1e-300
+
+    def test_requested_closed_form_reraises_its_failure(self):
+        # pg's incomplete gamma underflows at alpha = 1e4; "auto" falls back
+        model = pg(1e4, 10.0)
+        with pytest.raises(ArithmeticError, match="incomplete gamma underflowed"):
+            generalized_gini(model, 1.0, method="closed_form")
+        got = generalized_gini(model, 1.0)
+        assert got.method == QUADRATURE
+        assert got.value == pytest.approx(0.99800379319146, abs=1e-12)
 
 
 class TestPietra:

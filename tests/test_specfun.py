@@ -536,6 +536,14 @@ class TestKummerSeriesStopRule:
             assert not rescaling_shifts(a, b, z).any()
             self.assert_matches_reference(a, b, z, grad=True)
 
+    def test_rescaled_sums_carry_their_derivative_rows(self):
+        # far enough below zero the transformed sums pass exp(_RESCALE), so
+        # the derivative sums are rescaled with them
+        for a, b, z in ((3.0, 5.0, [-900.0]), (7.0, 12.0, [-800.0, -720.0])):
+            z = np.array(z)
+            assert rescaling_shifts(a, b, z).all()
+            self.assert_matches_reference(a, b, z, grad=True)
+
     def test_witness_rescales_as_the_arrays_do(self, monkeypatch):
         # its stop index is then the final one: with sa >= 0 one witness
         # run serves the call, however far the sum passes the double range
