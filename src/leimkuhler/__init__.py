@@ -9,153 +9,26 @@ generalized Gini, Pietra), nonlinear least-squares fitting with
 CAIC-based model ranking, curve dominance orderings, and report
 rendering.  The `leimkuhler` console script exposes the same pipeline
 on the command line.
+
+Each module's `__all__` declares its public names; the package
+re-exports them all.
 """
 
-from ._version import __version__
-from .curves import (
-    CurveModel,
-    Family,
-    ParamVector,
-    ValidationReport,
-    Violation,
-    evaluate,
-    gamma_mixing_density,
-    gp,
-    gpg,
-    gpig,
-    inverse_gaussian_mixing_density,
-    make_model,
-    pagb,
-    pareto,
-    pg,
-    pig,
-    power,
-    tilted_beta_mixing_density,
-    validate_curve,
-)
-from .empirical import (
-    CitationDataset,
-    DataError,
-    DescriptiveStats,
-    EmpiricalCurve,
-    descriptive_stats,
-    dispersion_index,
-    empirical_curve,
-    ingest,
-    sample_synthetic,
-)
-from .fit import (
-    FitConfig,
-    FitMetrics,
-    FitResult,
-    ModelComparison,
-    caic,
-    compare_models,
-    fit,
-    fit_metrics,
-    standard_errors,
-)
-from .indices import (
-    IndexReport,
-    IndexValue,
-    PietraValue,
-    empirical_indices,
-    generalized_gini,
-    gini,
-    gini_via_mixture,
-    model_indices,
-    pietra,
-)
-from .order import (
-    DominanceResult,
-    PropositionCase,
-    PropositionCheck,
-    Relation,
-    check_proposition,
-    leimkuhler_compare,
-)
-from .report import (
-    SCHEMA_VERSION,
-    AnalysisReport,
-    build_report,
-    export_plot_data,
-    parse_report,
-    render_json,
-    render_table,
-)
-from .specfun import (
-    ConvergenceError,
-    SpecFunResult,
-    kummer_1f1,
-    log_gamma,
-    regularized_incomplete_beta,
-    upper_incomplete_gamma,
-)
+import sys
 
-__all__ = [
-    "__version__",
-    "AnalysisReport",
-    "CitationDataset",
-    "ConvergenceError",
-    "CurveModel",
-    "DataError",
-    "DescriptiveStats",
-    "DominanceResult",
-    "EmpiricalCurve",
-    "Family",
-    "FitConfig",
-    "FitMetrics",
-    "FitResult",
-    "IndexReport",
-    "IndexValue",
-    "ModelComparison",
-    "ParamVector",
-    "PietraValue",
-    "PropositionCase",
-    "PropositionCheck",
-    "Relation",
-    "SCHEMA_VERSION",
-    "SpecFunResult",
-    "ValidationReport",
-    "Violation",
-    "build_report",
-    "caic",
-    "check_proposition",
-    "compare_models",
-    "descriptive_stats",
-    "dispersion_index",
-    "empirical_curve",
-    "empirical_indices",
-    "evaluate",
-    "export_plot_data",
-    "fit",
-    "fit_metrics",
-    "gamma_mixing_density",
-    "generalized_gini",
-    "gini",
-    "gini_via_mixture",
-    "gp",
-    "gpg",
-    "gpig",
-    "ingest",
-    "inverse_gaussian_mixing_density",
-    "kummer_1f1",
-    "leimkuhler_compare",
-    "log_gamma",
-    "make_model",
-    "model_indices",
-    "pagb",
-    "pareto",
-    "parse_report",
-    "pg",
-    "pietra",
-    "pig",
-    "power",
-    "regularized_incomplete_beta",
-    "render_json",
-    "render_table",
-    "sample_synthetic",
-    "standard_errors",
-    "upper_incomplete_gamma",
-    "validate_curve",
+from ._version import __version__
+from .curves import *
+from .empirical import *
+from .fit import *
+from .indices import *
+from .order import *
+from .report import *
+from .specfun import *
+
+# the wildcard imports bind `fit` to the function, so the submodules
+# are taken from sys.modules
+__all__ = ["__version__"] + [
+    name
+    for module in ("curves", "empirical", "fit", "indices", "order", "report", "specfun")
+    for name in sys.modules[f"{__name__}.{module}"].__all__
 ]

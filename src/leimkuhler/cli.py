@@ -167,13 +167,9 @@ def _print_index_report(report):
 def cmd_stats(args):
     dataset = _open_dataset(args)
     stats = descriptive_stats(dataset, ddof=args.ddof)
-    print(f"n={stats.n}")
-    print(f"total={stats.total}")
-    print(f"min={stats.min}")
-    print(f"max={stats.max}")
-    print(f"mean={_fmt(stats.mean)}")
-    print(f"variance={_fmt(stats.variance)}")
-    print(f"dispersion_index={_fmt(stats.dispersion_index)}")
+    for field in fields(stats):
+        value = getattr(stats, field.name)
+        print(f"{field.name}={_fmt(value) if isinstance(value, float) else value}")
     return 0
 
 
@@ -281,12 +277,17 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _add_input_arguments(parser):
-    parser.add_argument("input", help="dataset path, or - for stdin")
+def _add_input_arguments(parser, nargs=None):
+    parser.add_argument("input", nargs=nargs, help="dataset path, or - for stdin")
     parser.add_argument("--format", choices=_FORMATS, default=None,
                         help="input format (default lines)")
     parser.add_argument("--column", default=None,
                         help="column name for csv input")
+
+
+def _add_r_argument(parser):
+    parser.add_argument("--r", dest="r_values", type=_parse_r_list,
+                        help="comma-separated generalized-Gini orders")
 
 
 def _add_fit_arguments(parser):
@@ -328,22 +329,17 @@ def build_parser():
                          help="write the JSON report to this path (- for stdout)")
     fit_cmd.add_argument("--table", action="store_true",
                          help="print the text table even when --json is given")
-    fit_cmd.add_argument("--r", dest="r_values", type=_parse_r_list,
-                         help="comma-separated generalized-Gini orders")
+    _add_r_argument(fit_cmd)
     _add_fit_arguments(fit_cmd)
     fit_cmd.set_defaults(handler=cmd_fit)
 
     indices = commands.add_parser("indices", help="concentration indices")
-    indices.add_argument("input", nargs="?", default=None,
-                         help="dataset path, or - for stdin")
-    indices.add_argument("--format", choices=_FORMATS, default=None)
-    indices.add_argument("--column", default=None)
+    _add_input_arguments(indices, nargs="?")
     indices.add_argument("--model", choices=FAMILY_TAGS,
                          help="parametric family instead of a dataset")
     indices.add_argument("--params", default=None,
                          help="comma-separated name=value pairs")
-    indices.add_argument("--r", dest="r_values", type=_parse_r_list,
-                         help="comma-separated generalized-Gini orders")
+    _add_r_argument(indices)
     indices.add_argument("--tol", type=_positive_float, default=1e-10,
                          help="numeric tolerance for model indices")
     indices.set_defaults(handler=cmd_indices)

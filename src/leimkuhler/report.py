@@ -250,6 +250,18 @@ def parse_report(data):
         raise ValueError(f"malformed report: {type(exc).__name__} {exc}") from None
 
 
+# render_table's metric columns: header, width, and the cell of one
+# (FitResult, IndexReport) pair
+_METRIC_COLUMNS = (
+    ("MSE", 10, lambda result, indices: format(result.mse, ".3e")),
+    ("MAX", 10, lambda result, indices: format(result.max_abs, ".3e")),
+    ("MAE", 10, lambda result, indices: format(result.mae, ".3e")),
+    ("CAIC", 12, lambda result, indices: format(result.caic, ".2f")),
+    ("Gini", 8, lambda result, indices: format(indices.gini, ".4f")),
+    ("Pietra", 8, lambda result, indices: format(indices.pietra, ".4f")),
+)
+
+
 def render_table(report):
     """Fixed-width text table of the ranked fits.
 
@@ -293,28 +305,20 @@ def render_table(report):
             + [len(row[j]) for row in err_rows])
         for j in range(max_params)
     ]
-    metric_headers = ("MSE", "MAX", "MAE", "CAIC", "Gini", "Pietra")
-    metric_widths = [10, 10, 10, 12, 8, 8]
 
     def format_row(family, params, metrics):
         cells = [family.ljust(fam_width)]
         cells += [params[j].ljust(param_widths[j]) for j in range(max_params)]
-        cells += [m.rjust(w) for m, w in zip(metrics, metric_widths)]
+        cells += [m.rjust(width) for m, (_, width, _) in zip(metrics, _METRIC_COLUMNS)]
         return "  ".join(cells).rstrip()
 
-    header = format_row("family", ["parameters"] + [""] * (max_params - 1), metric_headers)
+    header = format_row("family", ["parameters"] + [""] * (max_params - 1),
+                        [name for name, _, _ in _METRIC_COLUMNS])
     lines += [header, "-" * len(header)]
     for (result, indices), cells, errs in zip(ordered, est_rows, err_rows):
-        metrics = (
-            format(result.mse, ".3e"),
-            format(result.max_abs, ".3e"),
-            format(result.mae, ".3e"),
-            format(result.caic, ".2f"),
-            format(indices.gini, ".4f"),
-            format(indices.pietra, ".4f"),
-        )
+        metrics = [cell(result, indices) for _, _, cell in _METRIC_COLUMNS]
         lines.append(format_row(result.model.family.value, cells, metrics))
-        lines.append(format_row("", errs, ("",) * len(metric_headers)))
+        lines.append(format_row("", errs, ()))
     return "\n".join(lines) + "\n"
 
 

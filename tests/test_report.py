@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from leimkuhler.curves import pagb, power
+from leimkuhler.curves import pagb, pg, power
 from leimkuhler.empirical import (
     CitationDataset,
     DescriptiveStats,
@@ -235,6 +235,41 @@ class TestRenderTable:
         assert "(unavailable)" not in text
         # the JSON keeps the parameters, from which the limit follows
         assert render_table(parse_report(render_json(report))) == text
+
+    def test_whole_layout_pinned(self):
+        # one fit with standard errors, one at a nested limit and one
+        # whose errors are unavailable; the JSON round trip prints the
+        # same bytes
+        with_errors = make_fit_result(theta=2.0 / 3.0, std_errors=(0.0123,), caic=-151.25)
+        nested = replace(make_fit_result(std_errors=None, caic=-148.5),
+                         model=pagb(6e13, 4e13, -40.0), converged=False,
+                         mse=1.25e-6, mae=3.5e-4)
+        unavailable = replace(make_fit_result(std_errors=None, caic=-147.0),
+                              model=pg(1.5, 0.25), max_abs=2.5e-3)
+        report = make_report(
+            per_model=((with_errors, make_index_report(0.5)),
+                       (nested, make_index_report(0.4)),
+                       (unavailable, make_index_report(0.45))),
+            ranking=("power", "pagb", "pg"))
+        expected = "\n".join([
+            "dataset: example  n=4  total=10  mean=2.50  dispersion=0.50",
+            "empirical: gini=0.2500  pietra=0.1875",
+            "",
+            "family  parameters                                               MSE"
+            "         MAX         MAE          CAIC      Gini    Pietra",
+            "-" * 126,
+            "power   theta=0.666667                                     2.500e-07"
+            "   1.000e-03   4.000e-04       -151.25    0.5000    0.3750",
+            "        (0.0123)",
+            "pagb    alpha=6e+13             beta=4e+13     shift=-40   1.250e-06"
+            "   1.000e-03   3.500e-04       -148.50    0.4000    0.3000",
+            "        (nested limit: pareto)",
+            "pg      alpha=1.5               beta=0.25                  2.500e-07"
+            "   2.500e-03   4.000e-04       -147.00    0.4500    0.3375",
+            "        (unavailable)           (unavailable)",
+        ]) + "\n"
+        assert render_table(report) == expected
+        assert render_table(parse_report(render_json(report))) == expected
 
     def test_fixed_width_alignment(self):
         dataset = sample_synthetic("power", n=300, seed=4, theta=2.5)
