@@ -12,10 +12,20 @@ directory alone.  For each workload and seed it then runs
 once in each directory, the parent first on odd seeds and the change
 first on even ones.  For each workload and end-to-end metric of
 BENCHMARK.json it prints the parent's and the change's medians, the
-parent's interquartile range and the number of pairs in which the
-change is better.  It then lists every run that failed: a non-zero
-exit, no result line, or a result with failed operations.  Run from
-the repository root:
+parent's interquartile range, the number of pairs in which the change
+is better, and, "per pair", the median and interquartile range of the
+change's run over the parent's in each pair, less 1.  It then lists
+every run that failed: a non-zero exit, no result line, or a result
+with failed operations.
+
+Read the per-pair figure for the size of a change.  The two runs of a
+pair run back to back, so the machine's drift between pairs, which
+moves the medians of both sides by several percent from one set of
+pairs to the next, mostly cancels in their ratio; its IQR shows how
+far single pairs spread.  The medians, the parent's IQR and the count
+of better pairs stay for the benchmark's own rule: a gain needs the
+change better in nine of ten pairs and a median better by more than
+the parent's IQR.  Run from the repository root:
 
     python3 scripts/bench_pairs.py --parent REV [--workloads W,...]
         [--pairs N] [--first-seed S] [--workdir DIR]
@@ -102,9 +112,13 @@ def summarize(workload, pairs, declared):
         sign = 1.0 if metric["better"] == "lower" else -1.0
         wins = sum(sign * (c - p) < 0 for p, c in zip(parent, change))
         before, after = statistics.median(parent), statistics.median(change)
-        print(f"{workload:15s} {name:12s} parent {before:10.4f}  change {after:10.4f} "
+        ratios = [c / p - 1.0 for p, c in zip(parent, change) if p]
+        per_pair = (f"{statistics.median(ratios):+7.2%} (IQR {quartile_range(ratios):.2%})"
+                    if ratios else "n/a")
+        unit = metric["unit"]
+        print(f"{workload:15s} {name:12s} parent {before:10.4f} {unit}  change {after:10.4f} {unit} "
               f"({(after - before) / before:+7.2%})  parent IQR {quartile_range(parent):.4f}  "
-              f"change better in {wins}/{len(complete)} {metric['unit']}")
+              f"change better in {wins}/{len(complete)}  per pair {per_pair}")
 
 
 def main(argv=None):

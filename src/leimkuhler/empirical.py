@@ -174,7 +174,7 @@ class EmpiricalCurve:
         j = np.searchsorted(self.u, arr, side="right")
         near = np.union1d(j - 1, j)
         near = near[(near >= 0) & (near < self.u.size)]
-        out = np.interp(arr, self.u[near], self.k[near])
+        out = np.interp(arr, self.u[near], self.k[near]) if arr.size else np.empty(arr.shape)
         return float(out) if np.ndim(u) == 0 else out
 
 

@@ -333,16 +333,17 @@ def _residuals(family, raw, points, k_emp):
             r, dk = evaluate(model, points, grad=True)
         except (ConvergenceError, OverflowError, ArithmeticError):
             return None
-    r -= k_emp  # K, a new array
-    if not (np.isfinite(r).all() and all(np.isfinite(d).all() for d in dk)):
-        return None
-    return r, dk
+        r -= k_emp  # K, a new array
+        # a finite sum of squares rules out inf and nan; an overflow is checked again
+        if math.isfinite(r @ r + sum(d @ d for d in dk)) or (
+                np.isfinite(r).all() and all(np.isfinite(d).all() for d in dk)):
+            return r, dk
+    return None
 
 
 def _log_scale(family, raw):
     # d value / d t of each search coordinate t: the value where t is its log, else 1
-    values = _search_values(family, raw)
-    return [v if b.log else 1.0 for v, b in zip(values, _search_bounds(family))]
+    return np.where(_BOXES[family][0], _search_values(family, raw), 1.0)
 
 
 def _jacobian(family, raw, dk, search):
@@ -518,11 +519,11 @@ def _compress(J, r, turn=True):
     None where the Gram overflows.
     """
     a = J.T @ J
-    if not np.isfinite(a.diagonal()).all():
-        return None
     d = np.sqrt(a.diagonal())
+    if not np.isfinite(d).all():
+        return None
     d[d == 0.0] = 1.0
-    lam, v = np.linalg.eigh(a / np.outer(d, d))
+    lam, v = np.linalg.eigh(a / (d[:, np.newaxis] * d))
     if turn and lam[0] < _GRAM_REFINE * lam[-1]:
         R, z, rr = _compress(J @ (v / d[:, np.newaxis]), r, turn=False)
         return R @ (v.T * d), z, rr
@@ -570,7 +571,7 @@ def _lm_step(M, z, radius, lo, hi):
     free = ~(((lo == 0.0) & (g > 0.0)) | ((hi == 0.0) & (g < 0.0)))
     y = np.zeros(lo.size)
     if free.any():
-        u, sigma, wt = np.linalg.svd(M[:, free], full_matrices=False)
+        u, sigma, wt = np.linalg.svd(M if free.all() else M[:, free], full_matrices=False)
         s = sigma * sigma
         beta = sigma * (u.T @ z)  # M^T z on the rows of wt
         lam = (100.0 * _EPS) ** 2 * s[0] or 1.0  # M = 0 has step 0 at any damping
@@ -605,22 +606,32 @@ def _to_t(family, values):
     return np.array([math.log(x) if b.log else x for b, x in zip(_search_bounds(family), values)])
 
 
-def _start_t(family, raw0):
-    # the search coordinates of raw0 clipped into the parameter box, then the search box
+def _box(family):
+    # a family's search box as arrays (_BOXES): log mask, box in t, parameter box
+    lo, hi, log = np.array(_search_bounds(family)).T
     raw_lo, raw_hi, _ = np.array(_BOUNDS[family]).T
-    lo, hi, _ = np.array(_search_bounds(family)).T
-    t = _to_t(family, _search_values(family, np.clip(raw0, raw_lo, raw_hi)))
-    return np.clip(t, _to_t(family, lo), _to_t(family, hi))
+    return log == 1.0, _to_t(family, lo), _to_t(family, hi), raw_lo, raw_hi
+
+
+_BOXES = {family: _box(family) for family in Family}
+
+
+def _start_t(family, raw0):
+    # the search coordinates of raw0 clipped into the parameter box, then the
+    # search box (np.minimum of np.maximum: np.clip's values without its overhead)
+    _, t_lo, t_hi, raw_lo, raw_hi = _BOXES[family]
+    t = _to_t(family, _search_values(family, np.minimum(np.maximum(raw0, raw_lo), raw_hi)))
+    return np.minimum(np.maximum(t, t_lo), t_hi)
 
 
 def _raw_of(family, t):
     # the parameters at search coordinates t, clipped into the parameter box
-    values = np.where([b.log for b in _search_bounds(family)], np.exp(t), t)
+    log, _, _, raw_lo, raw_hi = _BOXES[family]
+    values = np.where(log, np.exp(t), t)
     if family is Family.PAGB:
         m, lam, shift = values
         values = ((1.0 - m) / lam, m / lam, shift)
-    raw_lo, raw_hi, _ = np.array(_BOUNDS[family]).T
-    return tuple(map(float, np.clip(values, raw_lo, raw_hi)))
+    return tuple(np.minimum(np.maximum(values, raw_lo), raw_hi).tolist())
 
 
 def _gram(family, raw, grid):
@@ -654,32 +665,31 @@ def _run_start(family, raw0, grid, config, limit_sse):
     - given limit_sse, the SSE of the fit of family's nested limit, at
       its first accepted step that meets _ends_at_limit.
     """
-    lo, hi, _ = np.array(_search_bounds(family)).T
-    t_lo, t_hi = _to_t(family, lo), _to_t(family, hi)
+    _, t_lo, t_hi, *_ = _BOXES[family]
     t = _start_t(family, raw0)
     got = grid.firsts.get(tuple(raw0)) or _gram(family, _raw_of(family, t), grid)
     if got is None:
         return None
     history = [got[2] + grid.sse_ends]
     m, p, tol = grid.k.size, t.size, config.step_tolerance
-    scale = np.linalg.norm(got[0], axis=0)
+    scale = np.sqrt(np.add.reduce(got[0] * got[0], axis=0))  # as np.linalg.norm(axis=0)
     scale[scale == 0.0] = 1.0
-    radius = float(np.linalg.norm(scale * t)) or 1.0
+    radius = math.sqrt((scale * t) @ (scale * t)) or 1.0
     for _ in range(config.max_iterations * (p + 1) - 1):
         R, z, rr = got
         zz = float(z @ z)
         if m > p and (m - p) * zz <= _RO_STOP**2 * p * (rr - zz) or zz <= math.sqrt(m) * _EPS * rr:
             break
-        scale = np.maximum(scale, np.linalg.norm(R, axis=0))
+        scale = np.maximum(scale, np.sqrt(np.add.reduce(R * R, axis=0)))
         lo_y, hi_y = scale * (t_lo - t), scale * (t_hi - t)
         y, drop = _lm_step(R / scale, z, radius, lo_y, hi_y)
         step = y / scale
-        done = np.linalg.norm(step) < tol * (tol + np.linalg.norm(t))
+        done = math.sqrt(step @ step) < tol * (tol + math.sqrt(t @ t))
         # a step onto a face of the box lands on its bounds exactly
         t_new = np.where(y <= lo_y, t_lo, np.where(y >= hi_y, t_hi,
-                                                   np.clip(t + step, t_lo, t_hi)))
+                                                   np.minimum(np.maximum(t + step, t_lo), t_hi)))
         new = _gram(family, _raw_of(family, t_new), grid)
-        size = float(np.linalg.norm(y))
+        size = math.sqrt(y @ y)
         gain = -math.inf if new is None else rr - new[2]
         if gain < 0.25 * drop:
             radius = 0.25 * size

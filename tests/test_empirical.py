@@ -419,6 +419,14 @@ class TestEmpiricalCurve:
         with pytest.raises(ValueError):
             curve.interpolate(float("nan"))
 
+    def test_interpolate_at_no_points_is_empty(self):
+        # as np.interp and evaluate(model, []) give it: an empty float array
+        curve = empirical_curve(CitationDataset((4, 3, 2, 1)))
+        for u in ([], np.array([]), np.empty((0, 2))):
+            got = curve.interpolate(u)
+            assert isinstance(got, np.ndarray)
+            assert (got.dtype, got.shape) == (np.float64, np.shape(u))
+
     @settings(deadline=None, max_examples=300)
     @given(st.data())
     def test_interpolate_is_np_interp_on_writeable_copies(self, data):

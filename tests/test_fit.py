@@ -795,9 +795,141 @@ def damped_problem(rng, p, kind):
     return J, r, lam, A, b
 
 
+def per_call_start_t(family, raw0):
+    """_start_t with its boxes built on every call, as before the
+    per-family tables: the reference for their bits."""
+    raw_lo, raw_hi, _ = np.array(fit_module._BOUNDS[family]).T
+    lo, hi, _ = np.array(fit_module._search_bounds(family)).T
+    values = fit_module._search_values(family, np.clip(raw0, raw_lo, raw_hi))
+    t = fit_module._to_t(family, values)
+    return np.clip(t, fit_module._to_t(family, lo), fit_module._to_t(family, hi))
+
+
+def per_call_raw_of(family, t):
+    """_raw_of with its boxes built on every call."""
+    values = np.where([b.log for b in fit_module._search_bounds(family)], np.exp(t), t)
+    if family is Family.PAGB:
+        m, lam, shift = values
+        values = ((1.0 - m) / lam, m / lam, shift)
+    raw_lo, raw_hi, _ = np.array(fit_module._BOUNDS[family]).T
+    return tuple(map(float, np.clip(values, raw_lo, raw_hi)))
+
+
+def per_call_log_scale(family, raw):
+    """_log_scale with its log flags read on every call."""
+    values = fit_module._search_values(family, raw)
+    return [v if b.log else 1.0 for v, b in zip(values, fit_module._search_bounds(family))]
+
+
+def box_points(rng, bounds, n=60):
+    """n seeded points of the box of bounds (_Bound each, log-uniform where
+    log): inside it, on its faces and corners, and beyond it by up to half
+    its width on either side."""
+    lo, hi, log = (np.array(column) for column in zip(*bounds))
+    log = log.astype(bool)
+    f = rng.uniform(-0.5, 1.5, size=(n, lo.size))
+    on_face = rng.uniform(size=f.shape) < 0.3
+    f[on_face] = rng.integers(0, 2, size=f.shape)[on_face]
+    a, b = (np.where(log, np.log(np.where(log, x, 1.0)), x) for x in (lo, hi))
+    x = a + f * (b - a)
+    x = np.where(log, np.exp(x), x)
+    return np.where(f == 0.0, lo, np.where(f == 1.0, hi, x))
+
+
+def same_bits(a, b):
+    return np.asarray(a, dtype=float).tobytes() == np.asarray(b, dtype=float).tobytes()
+
+
+class TestBoxTables:
+    """_start_t, _raw_of and _log_scale read each family's box from
+    _BOXES, made once; they must give the values of the boxes built on
+    every call bit for bit, inside the box, on it and beyond it."""
+
+    @pytest.mark.parametrize("family", list(Family))
+    def test_start_points(self, family):
+        rng = np.random.default_rng(sum(map(ord, family.value)))
+        # the parameter box; pagb's maps into its (m, lam, shift) box, and
+        # beyond it, through the clip into the search box
+        for raw0 in box_points(rng, fit_module._BOUNDS[family]).tolist():
+            t = fit_module._start_t(family, tuple(raw0))
+            assert same_bits(t, per_call_start_t(family, tuple(raw0))), raw0
+
+    @pytest.mark.parametrize("family", list(Family))
+    def test_parameters_and_log_scales(self, family):
+        rng = np.random.default_rng(1 + sum(map(ord, family.value)))
+        # the search box in t, where every coordinate is linear
+        lo, hi, _ = np.array(fit_module._search_bounds(family)).T
+        t_box = [fit_module._Bound(a, b, False) for a, b in
+                 zip(fit_module._to_t(family, lo), fit_module._to_t(family, hi))]
+        for t in box_points(rng, t_box):
+            raw = fit_module._raw_of(family, t)
+            assert type(raw) is tuple and all(type(x) is float for x in raw)
+            assert same_bits(raw, per_call_raw_of(family, t)), t
+            assert same_bits(fit_module._log_scale(family, raw),
+                             per_call_log_scale(family, raw)), raw
+        for raw in box_points(rng, fit_module._BOUNDS[family]).tolist():
+            assert same_bits(fit_module._log_scale(family, raw),
+                             per_call_log_scale(family, raw)), raw
+
+
+def gathered_lm_step(M, z, radius, lo, hi):
+    """_lm_step as it was before it skipped the gather of M's free
+    columns: the reference for its bits."""
+    g = z @ M
+    free = ~(((lo == 0.0) & (g > 0.0)) | ((hi == 0.0) & (g < 0.0)))
+    y = np.zeros(lo.size)
+    if free.any():
+        u, sigma, wt = np.linalg.svd(M[:, free], full_matrices=False)
+        s = sigma * sigma
+        beta = sigma * (u.T @ z)
+        lam = (100.0 * fit_module._EPS) ** 2 * s[0] or 1.0
+        w = beta / (s + lam)
+        for _ in range(10):
+            q = math.sqrt(w @ w)
+            if q <= 1.1 * radius:
+                break
+            lam += (q / radius - 1.0) / ((w / q) @ (w / q / (s + lam)))
+            w = beta / (s + lam)
+        y[free] = -(w @ wt)
+        if (y < lo).any() or (y > hi).any():
+            lo, hi = np.where(free, lo, 0.0), np.where(free, hi, 0.0)
+            y = fit_module._box_minimum(M, z, lam, lo, hi)
+            if math.sqrt(y @ y) > 1.1 * radius:
+                y = fit_module._box_minimum(M, z, math.sqrt(g[free] @ g[free]) / radius, lo, hi)
+    my = M @ y
+    return y, -float((2.0 * z + my) @ my)
+
+
 class TestBoundedStep:
     """The step on the box: the minimum of the damped problem over the
     faces of the box, against scipy's bounded linear least squares."""
+
+    @pytest.mark.parametrize("p", [1, 2, 3])
+    def test_every_coordinate_free_is_the_gathered_step(self, p):
+        # inside the box, damped to the trust radius, and cut by the box
+        rng = np.random.default_rng(20 + p)
+        for radius, width in ((1e6, 1e6), (0.1, 1e6), (1e6, 0.05), (0.3, 0.2)):
+            for _ in range(10):
+                M, z = rng.normal(size=(p, p)), rng.normal(size=p)
+                lo, hi = -width * rng.uniform(0.5, 1.0, p), width * rng.uniform(0.5, 1.0, p)
+                y, drop = fit_module._lm_step(M, z, radius, lo, hi)
+                ref_y, ref_drop = gathered_lm_step(M, z, radius, lo, hi)
+                assert np.array_equal(y, ref_y) and same_bits(drop, ref_drop), (radius, width)
+
+    @pytest.mark.parametrize("radius, width", [(1e6, 1e6), (0.1, 1e6), (1e6, 0.05)])
+    def test_a_face_holds_the_coordinate_pushed_against_it(self, radius, width):
+        rng = np.random.default_rng(7)
+        for held in range(3):
+            M, z = rng.normal(size=(3, 3)), rng.normal(size=3)
+            lo, hi = -width * rng.uniform(0.5, 1.0, 3), width * rng.uniform(0.5, 1.0, 3)
+            # on the lower face where the gradient M^T z is positive, else the upper
+            g = z @ M
+            (lo if g[held] > 0.0 else hi)[held] = 0.0
+            y, drop = fit_module._lm_step(M, z, radius, lo, hi)
+            ref_y, ref_drop = gathered_lm_step(M, z, radius, lo, hi)
+            assert np.array_equal(y, ref_y) and same_bits(drop, ref_drop)
+            assert y[held] == 0.0 and np.all((lo <= y) & (y <= hi))
+            assert drop == pytest.approx(z @ z - np.sum((M @ y + z) ** 2), rel=1e-9, abs=1e-15)
 
     @pytest.mark.parametrize("p", [1, 2, 3])
     def test_matches_lsq_linear(self, p):
