@@ -22,9 +22,10 @@ The digest covers, bit for bit:
   data (pagb at its pareto limit, shift -200);
 - evaluate with grad=True, K and each derivative column, on the same
   4097 points for the 15 pinned models and the 32 seed-1 draws;
-- leimkuhler_compare of each of the 105 pairs of those models (relation,
-  max_gap and crossing points) and the five check_proposition results
-  of the sweep, with their default grids and tolerance.
+- leimkuhler_compare of each of the 1081 pairs of the sweep's 47 models,
+  the 15 pinned and the 32 seed-1 draws (relation, max_gap and crossing
+  points), and the five check_proposition results of the sweep, with
+  their default grids and tolerance.
 
 Two checkouts whose digests agree give the same answers; a change meant
 to be numerically neutral (a speed-up, a refactor) should leave it as
@@ -155,15 +156,16 @@ def answer_lines():
         yield _index_line((family, sorted(params.items())), model_indices(model))
         yield evaluate(model, GRID).tobytes().hex()
         yield _grad_line(model)
-    for family, params in sweep_draws(1, 4):
-        model = make_model(family, **params)
+    draws = sweep_draws(1, 4)
+    draw_models = [make_model(family, **params) for family, params in draws]
+    for (family, params), model in zip(draws, draw_models):
         yield _index_line(("draw", family, sorted(params.items())), model_indices(model))
         yield _grad_line(model)
     for result in bundled_fits:
         model = result.model
         yield _index_line(("bundled fit", model.family.value, *model.param_values()),
                           model_indices(model))
-    for (i, a), (j, b) in itertools.combinations(enumerate(models), 2):
+    for (i, a), (j, b) in itertools.combinations(enumerate(models + draw_models), 2):
         result = leimkuhler_compare(a, b)
         yield repr(_exact((i, j, result.relation.value, result.max_gap,
                            result.crossing_points)))

@@ -18,6 +18,7 @@ accurate when it is close to 0 or 1.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from enum import Enum
 
@@ -206,6 +207,17 @@ def _even_grid(lo, hi, n):
     u += lo
     u[-1] = hi
     return u
+
+
+def _grid_size(n, least):
+    """n as an int of at least least; any non-integer, 257.0 too, is a TypeError."""
+    try:
+        n = operator.index(n)
+    except TypeError:
+        raise TypeError(f"grid_size must be an integer, got {n!r}") from None
+    if n < least:
+        raise ValueError(f"grid_size must be at least {least}, got {n}")
+    return n
 
 
 class _Points:
@@ -506,9 +518,7 @@ def validate_curve(model, grid_size=512):
     -------
     ValidationReport
     """
-    if grid_size < 3:
-        raise ValueError("grid_size must be at least 3")
-    u = _even_grid(0.0, 1.0, grid_size)
+    u = _even_grid(0.0, 1.0, _grid_size(grid_size, 3))
     k = evaluate(model, u)
     violations = []
     if k[0] != 0.0:

@@ -21,12 +21,13 @@ generalized exponent lowers it.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .curves import CurveModel, _even_grid, _Points, evaluate, gpg, pg, pig
+from .curves import CurveModel, _even_grid, _grid_size, _Points, evaluate, gpg, pg, pig
 
 __all__ = [
     "Relation",
@@ -38,6 +39,13 @@ __all__ = [
 ]
 
 _MIN_GRID = 16
+# the default grid and its points inside (0, 1), logs included: a table
+# that every default compare reads, read-only so that a write raises
+_GRID_SIZE = 257
+_GRID = _even_grid(0.0, 1.0, _GRID_SIZE)
+_GRID_POINTS = _Points(_GRID[1:-1])
+for _table in (_GRID, _GRID_POINTS.u, _GRID_POINTS.log_u, _GRID_POINTS.log1m_u):
+    _table.flags.writeable = False
 # interior points per round of crossing refinement: an even round puts
 # them at these fractions of the bracket, a secant round at these
 # multiples of tol around the secant root, so that neighbours are
@@ -92,8 +100,7 @@ class PropositionCheck(NamedTuple):
     witness: tuple | None
 
 
-def _curve_gap(a, b, u):
-    points = _Points(u)
+def _curve_gap(a, b, points):
     return evaluate(a, points) - evaluate(b, points)
 
 
@@ -111,25 +118,29 @@ def _refine_crossing(a, b, lo, hi, gap_lo, gap_hi, tol):
     # the bracket.  A bracket that one even round ends gets an even one.
     # Below the spacing of floats, refinement ends at adjacent floats.
     secant = False
-    while hi - lo > tol and np.nextafter(lo, hi) < hi:
+    while hi - lo > tol and math.nextafter(lo, hi) < hi:
         if secant and hi - lo > (_REFINE_POINTS + 1) * tol:
-            u = np.clip(_secant_root(lo, hi, gap_lo, gap_hi) + tol * _SECANT_STEPS, lo, hi)
+            u = np.minimum(np.maximum(
+                _secant_root(lo, hi, gap_lo, gap_hi) + tol * _SECANT_STEPS, lo), hi)
         else:
             u = lo + (hi - lo) * _EVEN_FRACTIONS
-        gap = _curve_gap(a, b, u)
-        changed = (gap == 0.0) | ((gap > 0.0) != (gap_lo > 0.0))
-        first = int(np.argmax(changed)) if changed.any() else gap.size
-        if first < gap.size:
+        gap = _curve_gap(a, b, _Points(u))
+        # a gap of 0 or of the other sign than gap_lo, which is never 0;
+        # a NaN gap counts only after a positive gap_lo
+        changed = ~(gap > 0.0) if gap_lo > 0.0 else gap >= 0.0
+        first = int(changed.argmax())
+        if changed[first]:
             if gap[first] == 0.0:
                 return float(u[first])
             hi, gap_hi = float(u[first]), float(gap[first])
-        if first > 0:
+        # where no gap changed, first is 0 and the last point is the new lo
+        if first > 0 or not changed[0]:
             lo, gap_lo = float(u[first - 1]), float(gap[first - 1])
         secant = not secant
     return _secant_root(lo, hi, gap_lo, gap_hi)
 
 
-def leimkuhler_compare(a, b, grid_size=257, tol=1e-9):
+def leimkuhler_compare(a, b, grid_size=_GRID_SIZE, tol=1e-9):
     """Classify the pointwise order of two curve models.
 
     Parameters
@@ -167,20 +178,22 @@ def leimkuhler_compare(a, b, grid_size=257, tol=1e-9):
     """
     if not isinstance(a, CurveModel) or not isinstance(b, CurveModel):
         raise TypeError("leimkuhler_compare expects two CurveModel values")
-    if grid_size < _MIN_GRID:
-        raise ValueError(f"grid_size must be at least {_MIN_GRID}, got {grid_size}")
+    grid_size = _grid_size(grid_size, _MIN_GRID)
     if not (tol > 0):
         raise ValueError("tol must be positive")
 
-    u = _even_grid(0.0, 1.0, grid_size)
+    u, points = _GRID, _GRID_POINTS
+    if grid_size != _GRID_SIZE:
+        u = _even_grid(0.0, 1.0, grid_size)
+        points = _Points(u[1:-1])
     # K(0) = 0 and K(1) = 1 for every model: the gap is 0 at both ends
     gap = np.zeros(grid_size)
-    gap[1:-1] = _curve_gap(a, b, u[1:-1])
+    gap[1:-1] = _curve_gap(a, b, points)
     # abs makes a zero max_gap +0.0.  max and min carry a NaN gap into
     # max_gap; the dominance test skips it, so fmax and fmin take over
     top, bottom = float(gap.max()), float(gap.min())
     max_gap = abs(max(top, -bottom))
-    if np.isnan(max_gap):
+    if math.isnan(max_gap):
         top, bottom = float(np.fmax.reduce(gap)), float(np.fmin.reduce(gap))
 
     above, below = top > tol, bottom < -tol
@@ -248,8 +261,7 @@ def check_proposition(prop, base_params, delta, grid_size=257):
     prop = PropositionCase(prop)
     if not (delta > 0):
         raise ValueError("delta must be positive")
-    if grid_size < _MIN_GRID:
-        raise ValueError(f"grid_size must be at least {_MIN_GRID}, got {grid_size}")
+    grid_size = _grid_size(grid_size, _MIN_GRID)
     names, build, varied, direction = _CASES[prop]
     missing = set(names) - set(base_params)
     if missing:

@@ -299,8 +299,11 @@ def _kummer_series(a, b, z, grad=False):
     deriv = np.empty((3, z.size)) if grad else None
     neg = z < 0
     for mask, sa, sign in ((~neg, a, 1.0), (neg, b - a, -1.0)):
-        if not mask.any():
+        count = np.count_nonzero(mask)
+        if not count:
             continue
+        if count == z.size:  # every z in one class: no gather and no scatter
+            mask = slice(None)
         x = sign * z[mask]
         total, term, total_abs, n, shift, dsum = _taylor_sum(
             sa, b, x, grad, _LOG_MAX if sign > 0 else math.inf)

@@ -413,6 +413,13 @@ class TestValidateCurve:
         with pytest.raises(ValueError, match="grid_size"):
             validate_curve(power(1.0), grid_size=2)
 
+    def test_rejects_a_grid_size_that_is_not_an_integer(self):
+        # 100.5 would make a grid of 101 points with a short last step
+        for size in (100.5, 512.0, "512"):
+            with pytest.raises(TypeError, match="grid_size"):
+                validate_curve(power(1.0), grid_size=size)
+        assert validate_curve(power(1.0), grid_size=np.int64(100)).is_valid
+
 
 @settings(deadline=None)
 @given(st.sampled_from(list(Family)), st.integers(0, 2**32 - 1))

@@ -8,7 +8,18 @@ import pytest
 from scipy.optimize import brentq
 
 from leimkuhler import order
-from leimkuhler.curves import Family, evaluate, gp, gpg, pareto, pg, pig, power
+from leimkuhler.curves import (
+    Family,
+    _even_grid,
+    _Points,
+    evaluate,
+    gp,
+    gpg,
+    pareto,
+    pg,
+    pig,
+    power,
+)
 from leimkuhler.order import (
     DominanceResult,
     PropositionCase,
@@ -202,6 +213,9 @@ class TestLeimkuhlerCompare:
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
             leimkuhler_compare(power(1.0), power(2.0), grid_size=8)
+        for size in (257.0, 100.5, "257", None):
+            with pytest.raises(TypeError, match="grid_size"):
+                leimkuhler_compare(power(1.0), power(2.0), grid_size=size)
         with pytest.raises(ValueError):
             leimkuhler_compare(power(1.0), power(2.0), tol=0.0)
         with pytest.raises(TypeError):
@@ -234,6 +248,106 @@ class TestLeimkuhlerCompare:
         result = leimkuhler_compare(power(1.0), power(2.0))
         assert result.relation is Relation.EQUAL
         assert (result.max_gap, math.copysign(1.0, result.max_gap)) == (0.0, 1.0)
+
+
+def clipped_refine_crossing(a, b, lo, hi, gap_lo, gap_hi, tol):
+    """_refine_crossing as it was before its rounds took math.nextafter,
+    minimum and maximum for np.clip and a one-ufunc sign test: the
+    reference for its bits."""
+    secant = False
+    while hi - lo > tol and np.nextafter(lo, hi) < hi:
+        if secant and hi - lo > (order._REFINE_POINTS + 1) * tol:
+            u = np.clip(order._secant_root(lo, hi, gap_lo, gap_hi) + tol * order._SECANT_STEPS,
+                        lo, hi)
+        else:
+            u = lo + (hi - lo) * order._EVEN_FRACTIONS
+        gap = order._curve_gap(a, b, _Points(u))
+        changed = (gap == 0.0) | ((gap > 0.0) != (gap_lo > 0.0))
+        first = int(np.argmax(changed)) if changed.any() else gap.size
+        if first < gap.size:
+            if gap[first] == 0.0:
+                return float(u[first])
+            hi, gap_hi = float(u[first]), float(gap[first])
+        if first > 0:
+            lo, gap_lo = float(u[first - 1]), float(gap[first - 1])
+        secant = not secant
+    return order._secant_root(lo, hi, gap_lo, gap_hi)
+
+
+def _outcome(a, b, **kwargs):
+    """leimkuhler_compare's result with max_gap and the crossings as
+    bits, or the message of the ValueError it raised."""
+    try:
+        result = leimkuhler_compare(a, b, **kwargs)
+    except ValueError as exc:
+        return type(exc), str(exc)
+    return result.relation, np.float64(result.max_gap).tobytes(), [
+        np.float64(x).tobytes() for x in result.crossing_points]
+
+
+class TestDefaultGrid:
+    def test_table_is_a_fresh_grid_and_read_only(self):
+        grid = _even_grid(0.0, 1.0, 257)
+        fresh = _Points(grid[1:-1])
+        table = order._GRID_POINTS
+        assert order._GRID.tobytes() == grid.tobytes()
+        assert (table.size, table.inside, table.ends.size) == (fresh.size, fresh.inside, 0)
+        for got, want in ((order._GRID, grid), (table.u, fresh.u), (table.log_u, fresh.log_u),
+                          (table.log1m_u, fresh.log1m_u)):
+            assert got.tobytes() == want.tobytes()
+            assert not got.flags.writeable
+            with pytest.raises(ValueError):
+                got[1] = 0.5
+
+    def test_default_grid_matches_a_grid_built_per_call(self, monkeypatch):
+        # 257 points read the table, any other size builds its grid: a
+        # table built per call gives the same answers
+        rng = random.Random(88)
+        pairs = [(draw_model(rng, Family.PAGB), draw_model(rng, rng.choice(list(Family))))
+                 for _ in range(20)]
+        got = [_outcome(a, b) for a, b in pairs]
+        monkeypatch.setattr(order, "_GRID_SIZE", -1)
+        assert got == [_outcome(a, b) for a, b in pairs]
+
+
+class TestRefinementRounds:
+    """_refine_crossing against its reference copy, bit for bit, with
+    the arguments either way round."""
+
+    @pytest.mark.parametrize("tol", [1e-6, 1e-9, 1e-12, 1e-18])
+    def test_seeded_draws(self, monkeypatch, tol):
+        rng = random.Random(int(-np.log10(tol)) + 500)
+        families = list(Family)
+        pairs = [(draw_model(rng, Family.PAGB if i % 3 == 0 else rng.choice(families)),
+                  draw_model(rng, rng.choice(families))) for i in range(60)]
+        pairs += [(pareto(0.9), power(150.0)), (power(1.0), pareto(0.9))]
+        pairs += [(b, a) for a, b in pairs]
+        got = [_outcome(a, b, tol=tol) for a, b in pairs]
+        monkeypatch.setattr(order, "_refine_crossing", clipped_refine_crossing)
+        want = [_outcome(a, b, tol=tol) for a, b in pairs]
+        assert got == want
+        assert sum(relation is Relation.CROSSING for relation, *_ in got) >= 20
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    @pytest.mark.parametrize("tol", [1e-3, 1e-9, 1e-18])
+    def test_gaps_with_exact_zeros_and_nans(self, monkeypatch, sign, tol):
+        # sign -1 is the gap with the arguments swapped
+        shapes = [
+            lambda u: np.where(u < 0.3, 1.0, np.where(u < 0.31, 0.0, -1.0)),
+            lambda u: np.where(u < 0.3, 1.0, np.where(u < 0.31, np.nan, -1.0)),
+            lambda u: np.where(u < 0.3, -1.0, np.where(u < 0.31, np.nan, 1.0)),
+            lambda u: np.where((u > 0.6) & (u < 0.6004), np.nan, u - 0.5),
+            lambda u: np.round(np.sin(37.0 * u), 1),
+            lambda u: np.where(np.round(np.sin(91.0 * u), 1) == 0.0, np.nan, np.sin(91.0 * u)),
+            lambda u: np.sign(u - 0.123456789) * (u - 0.123456789) ** 2,
+        ]
+        model = power(1.0)
+        for shape in shapes:
+            monkeypatch.setattr(order, "_curve_gap", lambda a, b, points: sign * shape(points.u))
+            got = _outcome(model, model, tol=tol)
+            with monkeypatch.context() as patch:
+                patch.setattr(order, "_refine_crossing", clipped_refine_crossing)
+                assert got == _outcome(model, model, tol=tol)
 
 
 class TestCheckProposition:
@@ -311,5 +425,8 @@ class TestCheckProposition:
             check_proposition("P3_pg_alpha", {"alpha": 1.0}, 0.1)
         with pytest.raises(ValueError):
             check_proposition("P3_pg_alpha", params, 0.1, grid_size=4)
+        for size in (257.0, 100.5):
+            with pytest.raises(TypeError, match="grid_size"):
+                check_proposition("P3_pg_alpha", params, 0.1, grid_size=size)
         with pytest.raises(ValueError):
             check_proposition("P5_kappa", {"kappa": 0.8, "alpha": 1.0, "beta": 1.0}, 0.5)

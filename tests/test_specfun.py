@@ -575,6 +575,69 @@ class TestKummerSeriesStopRule:
         assert specfun._taylor_sum(42.0, 1.5, np.array([700.0]))[4][0] >= 800.0
 
 
+@np.errstate(over="ignore", invalid="ignore")
+def masked_kummer_series(a, b, z, grad=False):
+    """_kummer_series as it was before a sign class that holds every z
+    skipped its gather and scatter: the reference for its bits."""
+    z = np.asarray(z, dtype=float)
+    value = np.empty_like(z)
+    err = np.empty_like(z)
+    deriv = np.empty((3, z.size)) if grad else None
+    neg = z < 0
+    for mask, sa, sign in ((~neg, a, 1.0), (neg, b - a, -1.0)):
+        if not mask.any():
+            continue
+        x = sign * z[mask]
+        total, term, total_abs, n, shift, dsum = specfun._taylor_sum(
+            sa, b, x, grad, specfun._LOG_MAX if sign > 0 else math.inf)
+        series_err = np.abs(term) + (n * specfun._EPS) * total_abs
+        if sign < 0 or np.ndim(shift):
+            scale = np.exp(shift - x if sign < 0 else shift)
+            total, series_err = scale * total, scale * series_err
+            dsum = scale * dsum if grad else None
+        if sign < 0:
+            series_err += specfun._EPS * np.abs(total)
+        elif not np.isfinite(total).all():
+            raise OverflowError("1F1 series overflowed")
+        value[mask], err[mask] = total, series_err
+        if grad:
+            deriv[:, mask] = dsum if sign > 0 else dsum * specfun._FLIP
+    return (value, err, deriv) if grad else (value, err)
+
+
+class TestKummerSeriesSignClasses:
+    """_kummer_series against its masked reference copy, bit for bit,
+    where every z has one sign, and where z has both."""
+
+    @staticmethod
+    def arguments(signs, size, rng):
+        negative, positive = rng.uniform(-40.0, 0.0, size), rng.uniform(0.0, 30.0, size)
+        if signs == "negative":
+            return negative
+        if signs == "non-negative":
+            positive[0] = 0.0
+            return positive
+        # half of each sign, or one element of either
+        return np.where(rng.random(size) < 0.5, negative, positive)
+
+    @pytest.mark.parametrize("grad", [False, True])
+    @pytest.mark.parametrize("signs, sizes", [
+        ("negative", (2, 700)), ("non-negative", (2, 700)), ("mixed", (2, 700)), ("mixed", (1, 2)),
+    ])
+    def test_matches_the_masked_series(self, grad, signs, sizes):
+        rng = np.random.default_rng(sizes[0] + len(signs))
+        for size in [6826, *rng.integers(*sizes, 15)]:
+            z = self.arguments(signs, size, rng)
+            if signs == "mixed" and size > 1:
+                assert (z < 0).any() and (z >= 0).any()
+            # pagb's parameters: a = beta, b = alpha + beta
+            a = rng.uniform(0.2, 5.0)
+            b = a + rng.uniform(0.2, 5.0)
+            for got, want in zip(specfun._kummer_series(a, b, z, grad),
+                                 masked_kummer_series(a, b, z, grad)):
+                assert got.tobytes() == want.tobytes(), (a, b, z)
+
+
 class TestLogGamma:
     def test_half_integer(self):
         assert specfun.log_gamma(0.5) == pytest.approx(math.log(math.sqrt(math.pi)), rel=1e-14)
