@@ -2,15 +2,18 @@
 
 Subcommands: stats, fit, indices, simulate, export-plot.  Exit codes
 follow one contract everywhere: 0 success, 1 usage error, 2 I/O or
-data error, 3 numerical failure.
+data error, 3 numerical failure.  The type of the exception a command
+raises picks its code, in main alone: DataError and OSError give 2,
+UsageError and any other ValueError 1, ArithmeticError and RuntimeError
+3.  So the library's own checks of values serve the command as they are.
 
 argparse checks the flags.  A key=value config file (documented in the
 README), named by --config or the LEIMKUHLER_CONFIG environment
 variable, supplies defaults: each key is the argparse destination of
 its flag, and main fills every flag the user left unset from the file.
 fit builds its FitConfig from the flags named after FitConfig's fields.
-The file is checked line by line when it is read; FitConfig and
-export-plot check the ranges of the values they use.
+The file is checked line by line when it is read; the library checks
+the ranges of the values it is given.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ from .empirical import (
     sample_synthetic,
 )
 from .fit import FitConfig
-from .indices import DEFAULT_R_VALUES, empirical_indices, model_indices
+from .indices import empirical_indices, model_indices
 from .report import (
     build_report,
     export_plot_data,
@@ -45,13 +48,6 @@ __all__ = ["UsageError", "main"]
 ENV_CONFIG = "LEIMKUHLER_CONFIG"
 FAMILY_TAGS = tuple(f.value for f in Family)
 _FORMATS = ("lines", "csv")
-
-_REQUIRED_SIM_PARAMS = {
-    "power": ("theta",),
-    "pareto": ("theta",),
-    "pg": ("alpha", "beta"),
-    "pig": ("alpha", "beta"),
-}
 
 
 class UsageError(Exception):
@@ -106,7 +102,7 @@ _CONFIG_PARSERS = {
 def _load_config_file(path):
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise UsageError(f"cannot read config file {path}: {exc}") from exc
     values = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -126,22 +122,16 @@ def _load_config_file(path):
     return values
 
 
-def _fit_config(args):
-    given = {field.name: getattr(args, field.name) for field in fields(FitConfig)
-             if getattr(args, field.name) is not None}
-    try:
-        return FitConfig(**given)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+def _given(args, names):
+    # the flags among names that the command line or the config file set,
+    # so that the library states every default once
+    return {name: getattr(args, name) for name in names if getattr(args, name) is not None}
 
 
 def _open_dataset(args):
-    input_format = args.format or "lines"
-    if input_format == "csv" and not args.column:
-        raise UsageError("csv format requires --column")
-    if args.input == "-":
-        return ingest(sys.stdin, format=input_format, column=args.column, label="stdin")
-    return ingest(args.input, format=input_format, column=args.column)
+    stdin = args.input == "-"
+    return ingest(sys.stdin if stdin else args.input, label="stdin" if stdin else None,
+                  **_given(args, ("format", "column")))
 
 
 def _write_bytes(path, blob):
@@ -175,10 +165,9 @@ def cmd_stats(args):
 
 def cmd_fit(args):
     families = FAMILY_TAGS if args.all else (args.model,)
-    config = _fit_config(args)
+    config = FitConfig(**_given(args, (field.name for field in fields(FitConfig))))
     dataset = _open_dataset(args)
-    report = build_report(dataset, families, config,
-                          r_values=args.r_values or DEFAULT_R_VALUES)
+    report = build_report(dataset, families, config, **_given(args, ("r_values",)))
     if args.json is not None:
         _write_bytes(args.json, render_json(report))
     if args.table or args.json is None:
@@ -198,10 +187,7 @@ def _parse_params(text):
         if "=" not in chunk:
             raise UsageError(f"expected name=value in --params, got {chunk!r}")
         name, _, value = chunk.partition("=")
-        try:
-            params[name.strip()] = float(value)
-        except ValueError:
-            raise UsageError(f"bad numeric value in --params: {chunk!r}") from None
+        params[name.strip()] = float(value)
     if not params:
         raise UsageError("empty --params")
     return params
@@ -213,61 +199,36 @@ def cmd_indices(args):
     if has_dataset == has_model:
         raise UsageError("give exactly one of a dataset input or "
                          "--model with --params")
-    r_values = args.r_values or DEFAULT_R_VALUES
     if has_model:
         if args.params is None:
             raise UsageError("--model requires --params")
         try:
             model = make_model(Family(args.model), **_parse_params(args.params))
-        except (ValueError, TypeError) as exc:
+        except TypeError as exc:  # a parameter name the family does not take
             raise UsageError(f"bad --params: {exc}") from exc
-        report = model_indices(model, r_values=r_values, tol=args.tol)
+        report = model_indices(model, **_given(args, ("r_values", "tol")))
     else:
-        dataset = _open_dataset(args)
-        report = empirical_indices(empirical_curve(dataset), r_values=r_values)
+        curve = empirical_curve(_open_dataset(args))
+        report = empirical_indices(curve, **_given(args, ("r_values",)))
     _print_index_report(report)
     return 0
 
 
 def cmd_simulate(args):
-    given = {
-        "theta": args.theta,
-        "sigma": args.sigma,
-        "alpha": args.alpha,
-        "beta": args.beta,
-        "scale": args.scale,
-    }
-    missing = [name for name in _REQUIRED_SIM_PARAMS[args.family]
-               if given[name] is None]
-    if missing:
-        raise UsageError(f"family {args.family!r} requires "
-                         f"{' '.join('--' + name for name in missing)}")
-    kwargs = {name: value for name, value in given.items() if value is not None}
-    try:
-        dataset = sample_synthetic(args.family, n=args.n, seed=args.seed, **kwargs)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    dataset = sample_synthetic(args.family, n=args.n, seed=args.seed,
+                               **_given(args, ("theta", "sigma", "alpha", "beta", "scale")))
     text = "\n".join(map(str, dataset.counts_desc.tolist())) + "\n"
     _write_bytes(args.out, text.encode("utf-8"))
     return 0
 
 
 def cmd_export_plot(args):
-    resolution = 257 if args.resolution is None else args.resolution
-    if resolution < 2:
-        raise UsageError(f"resolution must be at least 2, got {resolution}")
-    dataset = _open_dataset(args)
-    curve = empirical_curve(dataset)
+    curve = empirical_curve(_open_dataset(args))
     models = []
     if args.models_from is not None:
-        try:
-            blob = Path(args.models_from).read_bytes()
-        except OSError as exc:
-            raise DataError(f"cannot read {args.models_from}: {exc}") from exc
-        report = parse_report(blob)
+        report = parse_report(Path(args.models_from).read_bytes())
         models = [result.model for result, _ in report.per_model]
-    blob = export_plot_data(curve, models, resolution)
-    _write_bytes(args.out, blob)
+    _write_bytes(args.out, export_plot_data(curve, models, **_given(args, ("resolution",))))
     return 0
 
 
@@ -340,12 +301,14 @@ def build_parser():
     indices.add_argument("--params", default=None,
                          help="comma-separated name=value pairs")
     _add_r_argument(indices)
-    indices.add_argument("--tol", type=_positive_float, default=1e-10,
-                         help="numeric tolerance for model indices")
+    indices.add_argument("--tol", type=_positive_float, default=None,
+                         help="numeric tolerance for model indices (default 1e-10)")
     indices.set_defaults(handler=cmd_indices)
 
     simulate = commands.add_parser("simulate", help="generate a synthetic dataset")
-    simulate.add_argument("--family", required=True, choices=tuple(_REQUIRED_SIM_PARAMS))
+    simulate.add_argument("--family", required=True,
+                          help="power (--theta), pareto (--theta, --sigma), "
+                               "pg or pig (--alpha, --beta)")
     simulate.add_argument("--n", type=int, required=True)
     simulate.add_argument("--seed", type=int, default=0)
     simulate.add_argument("--out", required=True,
@@ -378,21 +341,18 @@ def main(argv=None):
             if key in vars(args) and getattr(args, key) is None:
                 setattr(args, key, value)
         return args.handler(args)
-    except UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 1
-    except DataError as exc:
+    except DataError as exc:  # before ValueError, which it subclasses
         print(f"data error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 2
+    except (UsageError, ValueError) as exc:
+        print(f"usage error: {exc}", file=sys.stderr)
+        return 1
     except (ArithmeticError, RuntimeError) as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return 3
-    except ValueError as exc:
-        print(f"data error: {exc}", file=sys.stderr)
-        return 2
 
 
 if __name__ == "__main__":

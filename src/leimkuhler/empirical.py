@@ -259,15 +259,14 @@ def _read_lines_fast(text):
 
 def _read_csv(stream, column):
     reader = csv.DictReader(stream)
-    if reader.fieldnames is None:
-        raise DataError("empty CSV input")
-    if column not in reader.fieldnames:
-        raise DataError(f"column {column!r} not found among {reader.fieldnames}")
-    counts = []
-    for row in reader:
-        token = (row[column] or "").strip()
-        counts.append(_parse_count(token, reader.line_num))
-    return counts
+    try:
+        if reader.fieldnames is None:
+            raise DataError("empty CSV input")
+        if column not in reader.fieldnames:
+            raise DataError(f"column {column!r} not found among {reader.fieldnames}")
+        return [_parse_count((row[column] or "").strip(), reader.line_num) for row in reader]
+    except csv.Error as exc:  # such as a field over the csv module's size limit
+        raise DataError(str(exc), reader.reader.line_num) from None
 
 
 def ingest(source, format="lines", column=None, label=None):
@@ -300,8 +299,11 @@ def ingest(source, format="lines", column=None, label=None):
     Raises
     ------
     DataError
-        On unreadable, empty, malformed, or negative input; parse
-        errors carry the 1-based line number.
+        On unreadable, undecodable, empty, malformed, or negative input
+        (a CSV field over the csv module's size limit too); parse errors
+        carry the 1-based line number.
+    ValueError
+        On an unknown format, or csv without a column name.
     """
     if format not in ("lines", "csv"):
         raise ValueError(f"format must be 'lines' or 'csv', got {format!r}")
@@ -321,12 +323,15 @@ def ingest(source, format="lines", column=None, label=None):
             except (OSError, UnicodeDecodeError) as exc:
                 raise DataError(f"cannot read {path}: {exc}") from exc
 
-    if format == "csv":
-        counts = _read_csv(source if text is None else io.StringIO(text), column)
-    elif text is not None:
-        counts = _read_lines(io.StringIO(text, newline=None))  # numpy's parse did not stand
-    elif counts is None:
-        counts = _read_lines_fast(source.read())
+    try:
+        if format == "csv":
+            counts = _read_csv(source if text is None else io.StringIO(text), column)
+        elif text is not None:
+            counts = _read_lines(io.StringIO(text, newline=None))  # numpy's parse did not stand
+        elif counts is None:
+            counts = _read_lines_fast(source.read())
+    except UnicodeDecodeError as exc:  # a stream of bytes that are not its encoding
+        raise DataError(f"cannot read {label or 'stream'}: {exc}") from None
     if not len(counts):
         raise DataError("no counts found in input")
     return CitationDataset(counts, label=label or "")
@@ -373,10 +378,15 @@ def descriptive_stats(dataset, ddof=0):
     Returns
     -------
     DescriptiveStats
+
+    Raises
+    ------
+    DataError
+        If the dataset has too few counts for the divisor, n - ddof <= 0.
     """
     counts = dataset.counts_desc.astype(float)
     if dataset.n - ddof <= 0:
-        raise ValueError("variance divisor n - ddof must be positive")
+        raise DataError("variance divisor n - ddof must be positive")
     mean = float(counts.mean())
     variance = float(counts.var(ddof=ddof))
     return DescriptiveStats(

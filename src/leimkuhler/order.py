@@ -10,7 +10,8 @@ alternate between an even grid across the bracket and a grid finer
 than the tolerance around the bracket's secant root (Dekker 1969;
 Brent 1973, ch. 4), so a crossing takes about two rounds; each
 crossing is the secant root of a bracket no wider than the
-tolerance, and so within it of a sign change.  check_proposition
+tolerance, and so within it of a sign change, or the bracket's
+midpoint where a NaN gap leaves no secant root.  check_proposition
 verifies the known monotonicity of the mixture families in their
 mixing parameters: for the gamma mixture the curve rises pointwise in
 the shape parameter and falls in the rate parameter, for the
@@ -27,7 +28,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .curves import CurveModel, _even_grid, _grid_size, _Points, evaluate, gpg, pg, pig
+from .curves import (PARAM_NAMES, CurveModel, Family, _even_grid, _grid_size, _Points, evaluate,
+                     gpg, pg, pig)
 
 __all__ = [
     "Relation",
@@ -71,8 +73,9 @@ class DominanceResult:
 
     max_gap is the largest absolute vertical gap seen on the grid.
     crossing_points holds the u locations of sign changes, each the
-    secant root of a bracket no wider than the tolerance, and is
-    nonempty exactly when relation is crossing.
+    secant root of a bracket no wider than the tolerance (its midpoint
+    where a NaN gap leaves no secant root), and is nonempty exactly when
+    relation is crossing.
     """
 
     relation: Relation
@@ -115,13 +118,14 @@ def _refine_crossing(a, b, lo, hi, gap_lo, gap_hi, tol):
     # Rounds alternate between even and secant grids, and each keeps the
     # first sign change.  A secant round ends the refinement when the
     # sign change falls among its points; one that misses still trims
-    # the bracket.  A bracket that one even round ends gets an even one.
+    # the bracket.  A bracket that one even round ends gets an even one,
+    # and so does one with a NaN gap at an end, which has no secant root.
     # Below the spacing of floats, refinement ends at adjacent floats.
     secant = False
     while hi - lo > tol and math.nextafter(lo, hi) < hi:
-        if secant and hi - lo > (_REFINE_POINTS + 1) * tol:
-            u = np.minimum(np.maximum(
-                _secant_root(lo, hi, gap_lo, gap_hi) + tol * _SECANT_STEPS, lo), hi)
+        if secant and hi - lo > (_REFINE_POINTS + 1) * tol and math.isfinite(
+                root := _secant_root(lo, hi, gap_lo, gap_hi)):
+            u = np.minimum(np.maximum(root + tol * _SECANT_STEPS, lo), hi)
         else:
             u = lo + (hi - lo) * _EVEN_FRACTIONS
         gap = _curve_gap(a, b, _Points(u))
@@ -137,7 +141,8 @@ def _refine_crossing(a, b, lo, hi, gap_lo, gap_hi, tol):
         if first > 0 or not changed[0]:
             lo, gap_lo = float(u[first - 1]), float(gap[first - 1])
         secant = not secant
-    return _secant_root(lo, hi, gap_lo, gap_hi)
+    root = _secant_root(lo, hi, gap_lo, gap_hi)
+    return root if math.isfinite(root) else 0.5 * (lo + hi)
 
 
 def leimkuhler_compare(a, b, grid_size=_GRID_SIZE, tol=1e-9):
@@ -168,9 +173,9 @@ def leimkuhler_compare(a, b, grid_size=_GRID_SIZE, tol=1e-9):
     even rounds space them evenly across it, secant rounds just under
     tol apart around its secant root, which ends the refinement when
     the sign change falls among them.  Each crossing is the secant
-    root of a final bracket no wider than tol that holds a sign change,
-    or a point where the gap is exactly 0, so it lies within tol of a
-    sign change.
+    root of a final bracket no wider than tol that holds a sign change
+    (its midpoint where a NaN gap leaves none), or a point where the gap
+    is exactly 0, so it lies within tol of a sign change.
 
     The classification is antisymmetric: swapping the arguments swaps
     the dominance relations and preserves max_gap and the crossing
@@ -218,11 +223,11 @@ def leimkuhler_compare(a, b, grid_size=_GRID_SIZE, tol=1e-9):
 # each case: required parameter names, model builder, varied name,
 # +1 when the curve must rise pointwise as the parameter grows
 _CASES = {
-    PropositionCase.P3_PG_ALPHA: (("alpha", "beta"), pg, "alpha", +1),
-    PropositionCase.P3_PG_BETA: (("alpha", "beta"), pg, "beta", -1),
-    PropositionCase.P4_PIG_ALPHA: (("alpha", "beta"), pig, "alpha", +1),
-    PropositionCase.P4_PIG_BETA: (("alpha", "beta"), pig, "beta", +1),
-    PropositionCase.P5_KAPPA: (("kappa", "alpha", "beta"), gpg, "kappa", -1),
+    PropositionCase.P3_PG_ALPHA: (PARAM_NAMES[Family.PG], pg, "alpha", +1),
+    PropositionCase.P3_PG_BETA: (PARAM_NAMES[Family.PG], pg, "beta", -1),
+    PropositionCase.P4_PIG_ALPHA: (PARAM_NAMES[Family.PIG], pig, "alpha", +1),
+    PropositionCase.P4_PIG_BETA: (PARAM_NAMES[Family.PIG], pig, "beta", +1),
+    PropositionCase.P5_KAPPA: (PARAM_NAMES[Family.GPG], gpg, "kappa", -1),
 }
 
 
@@ -236,7 +241,7 @@ def _find_violation(u, k_base, k_moved, direction, slack=_INEQ_SLACK):
     return (float(u[i]), float(k_base[i]), float(k_moved[i]))
 
 
-def check_proposition(prop, base_params, delta, grid_size=257):
+def check_proposition(prop, base_params, delta, grid_size=_GRID_SIZE):
     """Verify pointwise monotonicity of a mixture curve in one
     parameter.
 

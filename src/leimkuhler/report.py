@@ -27,7 +27,7 @@ import numpy as np
 
 from ._version import __version__
 from .curves import PARAM_NAMES, Family, evaluate, make_model
-from .empirical import DescriptiveStats, descriptive_stats, empirical_curve
+from .empirical import DataError, DescriptiveStats, descriptive_stats, empirical_curve
 from .fit import FitConfig, FitResult, compare_models
 from .indices import DEFAULT_R_VALUES, IndexReport, empirical_indices, model_indices
 
@@ -74,8 +74,8 @@ def _timestamp(created_at):
             try:
                 created_at = datetime.fromtimestamp(int(epoch), timezone.utc)
             except (ValueError, OverflowError, OSError):
-                raise ValueError(f"SOURCE_DATE_EPOCH must be an integer count of "
-                                 f"seconds, got {epoch!r}") from None
+                raise DataError(f"SOURCE_DATE_EPOCH must be an integer count of "
+                                f"seconds, got {epoch!r}") from None
     elif created_at.tzinfo is None:
         raise ValueError("created_at must be a timezone-aware datetime")
     return created_at.astimezone(timezone.utc).isoformat(timespec="seconds")
@@ -222,19 +222,20 @@ def parse_report(data):
 
     Raises
     ------
-    ValueError
-        On a schema version other than SCHEMA_VERSION or a malformed
-        document.
+    DataError
+        On bytes that are not UTF-8, text that is not JSON, a schema
+        version other than SCHEMA_VERSION, or a malformed document.
     """
-    if isinstance(data, bytes):
-        data = data.decode("utf-8")
-    document = json.loads(data)
+    try:
+        document = json.loads(data.decode("utf-8") if isinstance(data, bytes) else data)
+    except ValueError as exc:  # UnicodeDecodeError and JSONDecodeError
+        raise DataError(f"not a JSON report: {exc}") from None
     if not isinstance(document, dict):
-        raise ValueError(f"a report is a JSON object, got {type(document).__name__}")
+        raise DataError(f"a report is a JSON object, got {type(document).__name__}")
     version = document.get("schema_version")
     if version != SCHEMA_VERSION:
-        raise ValueError(f"unsupported schema version {version!r}, "
-                         f"expected {SCHEMA_VERSION}")
+        raise DataError(f"unsupported schema version {version!r}, "
+                        f"expected {SCHEMA_VERSION}")
     try:
         stats = DescriptiveStats(**_decode(document["dataset_stats"], _STATS_FIELDS))
         per_model = tuple(_fit_from_payload(entry) for entry in document["per_model"])
@@ -246,8 +247,9 @@ def parse_report(data):
             ranking=tuple(document["ranking"]),
             metadata=document["metadata"],
         )
-    except (KeyError, TypeError, AttributeError) as exc:
-        raise ValueError(f"malformed report: {type(exc).__name__} {exc}") from None
+    # ValueError: a bad real marker, or values that a record's own checks reject
+    except (KeyError, TypeError, AttributeError, ValueError) as exc:
+        raise DataError(f"malformed report: {type(exc).__name__} {exc}") from None
 
 
 # render_table's metric columns: header, width, and the cell of one

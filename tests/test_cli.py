@@ -14,11 +14,13 @@ from pathlib import Path
 
 import pytest
 
+from leimkuhler import cli
 from leimkuhler.cli import main
 from leimkuhler.curves import Family
 from leimkuhler.empirical import ingest
 from leimkuhler.fit import FitConfig
 from leimkuhler.report import build_report, parse_report, render_json
+from leimkuhler.specfun import ConvergenceError
 
 
 def write_counts(path, counts):
@@ -74,6 +76,22 @@ class TestStats:
                      "--column", "citations"]) == 0
         from_csv = parsed_lines(capsys.readouterr().out)
         assert from_csv == from_lines
+
+    def test_over_limit_csv_field_exit_2(self, tmp_path, capsys):
+        # the csv module rejects a field above 131,072 characters
+        csv_path = tmp_path / "big.csv"
+        csv_path.write_text("journal,citations\na,4\nb," + "9" * 200_000 + "\nc,2\n",
+                            encoding="utf-8")
+        assert main(["stats", str(csv_path), "--format", "csv", "--column", "citations"]) == 2
+        err = capsys.readouterr().err
+        assert "data error" in err and "line 3" in err
+
+    def test_undecodable_stdin_exit_2(self, monkeypatch, capsys):
+        for argv in (["stats", "-"], ["stats", "-", "--format", "csv", "--column", "c"]):
+            stream = io.TextIOWrapper(io.BytesIO(b"c\n4\n\xff\n"), encoding="utf-8")
+            monkeypatch.setattr("sys.stdin", stream)
+            assert main(argv) == 2
+            assert "data error: cannot read stdin" in capsys.readouterr().err
 
     def test_csv_without_column_usage_error(self, counts_file, capsys):
         assert main(["stats", counts_file, "--format", "csv"]) == 1
@@ -272,7 +290,7 @@ class TestSimulate:
         rc = main(["simulate", "--family", "pg", "--n", "10",
                    "--alpha", "1.0", "--out", str(tmp_path / "x.txt")])
         assert rc == 1
-        assert "--beta" in capsys.readouterr().err
+        assert "beta" in capsys.readouterr().err
 
     def test_unknown_family(self, tmp_path):
         rc = main(["simulate", "--family", "gpig", "--n", "10",
@@ -357,6 +375,25 @@ class TestExportPlot:
         rc = main(["export-plot", counts_file, "--models-from", str(bad_path)])
         assert rc == 2
         assert "data error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("blob", [b"not json\n", b'{"schema_version": \xff}'],
+                             ids=["not-json", "not-utf-8"])
+    def test_undecodable_report_exit_2(self, counts_file, tmp_path, capsys, blob):
+        bad_path = tmp_path / "bad.json"
+        bad_path.write_bytes(blob)
+        rc = main(["export-plot", counts_file, "--models-from", str(bad_path)])
+        assert rc == 2
+        assert "data error: not a JSON report" in capsys.readouterr().err
+
+    def test_report_with_a_bad_parameter_exit_2(self, counts_file, tmp_path, capsys):
+        report_path = self.two_model_report(counts_file, tmp_path / "r.json")
+        document = json.loads(open(report_path).read())
+        document["per_model"][0]["params"]["theta"] = -1.0
+        bad_path = tmp_path / "bad.json"
+        bad_path.write_text(json.dumps(document), encoding="utf-8")
+        rc = main(["export-plot", counts_file, "--models-from", str(bad_path)])
+        assert rc == 2
+        assert "data error: malformed report" in capsys.readouterr().err
 
     def test_missing_report_exit_2(self, counts_file, tmp_path):
         rc = main(["export-plot", counts_file,
@@ -518,6 +555,14 @@ class TestConfigFile:
 
 
 class TestParser:
+    def test_numerical_failure_exit_3(self, monkeypatch, capsys):
+        def failing(*args, **kwargs):
+            raise ConvergenceError("quadrature did not converge")
+
+        monkeypatch.setattr(cli, "model_indices", failing)
+        assert main(["indices", "--model", "power", "--params", "theta=2"]) == 3
+        assert "numerical error: quadrature did not converge" in capsys.readouterr().err
+
     def test_no_subcommand(self, capsys):
         assert main([]) == 1
         assert "subcommand" in capsys.readouterr().err

@@ -388,6 +388,15 @@ def test_even_grid_is_linspace_bit_for_bit(a, b, n):
     assert got.tobytes() == expected.tobytes()
 
 
+@pytest.mark.parametrize("lo, hi, n", [(0.0, 5e-324, 3), (0.0, 1e-323, 7), (5e-324, 1e-323, 5)])
+def test_even_grid_below_the_smallest_step_is_linspace(lo, hi, n):
+    # a step that rounds to 0 takes the branch that scales first
+    assert (hi - lo) / (n - 1) == 0.0
+    got = curves._even_grid(lo, hi, n)
+    assert got.tobytes() == np.linspace(lo, hi, n).tobytes()
+    assert got[-1] == hi
+
+
 class TestValidateCurve:
     def test_all_families_valid_over_random_draws(self):
         rng = random.Random(303)

@@ -78,6 +78,24 @@ class TestIngest:
         with pytest.raises(DataError, match="'cites' not found"):
             ingest(io.StringIO("a,b\n1,2\n"), format="csv", column="cites")
 
+    def test_csv_faults_are_data_errors(self):
+        # an empty input, and a field over the csv module's 131,072-character
+        # limit, on the line where it lies, in a quoted field across lines too
+        with pytest.raises(DataError, match="empty CSV input"):
+            ingest(io.StringIO(""), format="csv", column="citations")
+        big = "9" * 200_000
+        for text, line in (("journal,citations\na,4\nb," + big + "\nc,2\n", 3),
+                           ('journal,citations\na,4\nb,"x\ny\n' + big + '"\n', 5),
+                           ("journal," + big + "\na,4\n", 1)):
+            with pytest.raises(DataError, match=f"line {line}: field larger than field limit"):
+                ingest(io.StringIO(text), format="csv", column="citations")
+
+    def test_undecodable_stream_is_a_data_error(self):
+        for fmt, column in (("lines", None), ("csv", "c")):
+            stream = io.TextIOWrapper(io.BytesIO(b"c\n4\n\xff\n"), encoding="utf-8")
+            with pytest.raises(DataError, match="cannot read stream"):
+                ingest(stream, format=fmt, column=column)
+
     def test_csv_requires_column(self):
         with pytest.raises(ValueError, match="column"):
             ingest(io.StringIO("a\n1\n"), format="csv")
@@ -540,6 +558,10 @@ class TestDescriptiveStats:
 
     def test_ddof_too_large(self):
         with pytest.raises(ValueError):
+            descriptive_stats(CitationDataset((3,)), ddof=1)
+
+    def test_ddof_too_large_is_a_data_error(self):
+        with pytest.raises(DataError, match="n - ddof"):
             descriptive_stats(CitationDataset((3,)), ddof=1)
 
 

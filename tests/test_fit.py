@@ -15,6 +15,7 @@ from scipy.stats import qmc
 
 from leimkuhler.curves import (
     Family,
+    _Points,
     evaluate,
     gp,
     gpg,
@@ -43,6 +44,7 @@ from leimkuhler.fit import (
     _latin_hypercube,
 )
 from leimkuhler.indices import empirical_indices
+from leimkuhler.specfun import ConvergenceError
 from tests.oracles import svd_convergence_test
 from tests.test_curves import draw_model
 
@@ -1222,6 +1224,61 @@ class TestRelativeOffset:
         assert self.offset(np.zeros((4, 2)), [1.0, 0.0, 0.0, 0.0]) == math.inf
         # n = p leaves no room across the span
         assert self.offset(np.eye(3), [1.0, 2.0, 3.0]) == math.inf
+
+
+class TestFailedEvaluations:
+    """The fit's guards on evaluations that fail or overflow."""
+
+    POINTS = _Points(np.linspace(0.0, 1.0, 11)[1:-1])
+
+    @pytest.mark.parametrize("error", [ConvergenceError, OverflowError])
+    def test_residuals_are_none_where_evaluate_raises(self, monkeypatch, error):
+        def failing(*args, **kwargs):
+            raise error("no value")
+
+        monkeypatch.setattr(fit_module, "evaluate", failing)
+        assert fit_module._residuals(Family.POWER, (2.0,), self.POINTS, np.zeros(9)) is None
+
+    def test_residuals_are_none_where_k_is_nan(self, monkeypatch):
+        monkeypatch.setattr(fit_module, "evaluate", lambda model, points, grad: (
+            np.full(9, np.nan), (np.ones(9),)))
+        assert fit_module._residuals(Family.POWER, (2.0,), self.POINTS, np.zeros(9)) is None
+
+    def test_residuals_kept_where_only_the_sum_of_squares_overflows(self, monkeypatch):
+        # every entry finite, r^T r not: the per-element test keeps them
+        monkeypatch.setattr(fit_module, "evaluate", lambda model, points, grad: (
+            np.full(9, 1e200), (np.full(9, 1e-3),)))
+        r, (d,) = fit_module._residuals(Family.POWER, (2.0,), self.POINTS, np.zeros(9))
+        assert np.all(r == 1e200) and np.all(d == 1e-3)
+
+    def test_compress_is_none_where_the_gram_overflows(self):
+        J = np.column_stack([np.full(5, 1e200), np.ones(5)])
+        with np.errstate(over="ignore"):
+            assert fit_module._compress(J, np.ones(5)) is None
+
+    @pytest.fixture()
+    def bundled_step(self):
+        # pig's heterogeneity step off the power fit of the bundled data
+        curve = empirical_curve(ingest(BUNDLED))
+        params = fit(curve, "power").model.param_values()
+        grid = fit_module._Grid(curve.u[1:], curve.k[1:])
+        assert fit_module._heterogeneity_step(Family.PIG, Family.POWER, params,
+                                              fit_module._Grid(curve.u[1:], curve.k[1:]))
+        return params, grid
+
+    def test_no_step_where_the_nested_residuals_fail(self, monkeypatch, bundled_step):
+        params, grid = bundled_step
+        monkeypatch.setattr(fit_module, "_residuals", lambda *args: None)
+        assert fit_module._heterogeneity_step(Family.PIG, Family.POWER, params, grid) is None
+
+    @pytest.mark.parametrize("gram", [None, (np.eye(2), np.zeros(2), math.inf)],
+                             ids=["failed", "higher-sse"])
+    def test_no_step_where_the_mixture_gram_fails_or_is_worse(self, monkeypatch,
+                                                              bundled_step, gram):
+        params, grid = bundled_step
+        monkeypatch.setattr(fit_module, "_gram", lambda *args: gram)
+        assert fit_module._heterogeneity_step(Family.PIG, Family.POWER, params, grid) is None
+        assert grid.firsts == {}
 
 
 class TestCompressedProblem:

@@ -331,23 +331,53 @@ class TestRefinementRounds:
     @pytest.mark.parametrize("sign", [1.0, -1.0])
     @pytest.mark.parametrize("tol", [1e-3, 1e-9, 1e-18])
     def test_gaps_with_exact_zeros_and_nans(self, monkeypatch, sign, tol):
-        # sign -1 is the gap with the arguments swapped
-        shapes = [
+        # sign -1 is the gap with the arguments swapped.  Finite gaps match
+        # the reference bit for bit.  Where a NaN band ends a bracket, the
+        # reference takes the NaN secant root, and fails or returns a NaN
+        # crossing; the round goes even instead, and the crossings are finite
+        finite_shapes = [
             lambda u: np.where(u < 0.3, 1.0, np.where(u < 0.31, 0.0, -1.0)),
+            lambda u: np.round(np.sin(37.0 * u), 1),
+            lambda u: np.sign(u - 0.123456789) * (u - 0.123456789) ** 2,
+        ]
+        nan_shapes = [
             lambda u: np.where(u < 0.3, 1.0, np.where(u < 0.31, np.nan, -1.0)),
             lambda u: np.where(u < 0.3, -1.0, np.where(u < 0.31, np.nan, 1.0)),
             lambda u: np.where((u > 0.6) & (u < 0.6004), np.nan, u - 0.5),
-            lambda u: np.round(np.sin(37.0 * u), 1),
             lambda u: np.where(np.round(np.sin(91.0 * u), 1) == 0.0, np.nan, np.sin(91.0 * u)),
-            lambda u: np.sign(u - 0.123456789) * (u - 0.123456789) ** 2,
         ]
         model = power(1.0)
-        for shape in shapes:
+        for shape in finite_shapes:
             monkeypatch.setattr(order, "_curve_gap", lambda a, b, points: sign * shape(points.u))
             got = _outcome(model, model, tol=tol)
             with monkeypatch.context() as patch:
                 patch.setattr(order, "_refine_crossing", clipped_refine_crossing)
                 assert got == _outcome(model, model, tol=tol)
+        for shape in nan_shapes:
+            monkeypatch.setattr(order, "_curve_gap", lambda a, b, points: sign * shape(points.u))
+            result = leimkuhler_compare(model, model, tol=tol)
+            assert result.relation is Relation.CROSSING
+            # max_gap is NaN where the grid meets the band
+            assert math.isnan(result.max_gap) == np.isnan(shape(order._GRID)).any()
+            assert all(math.isfinite(x) and 0.0 <= x <= 1.0 for x in result.crossing_points)
+            assert list(result.crossing_points) == sorted(result.crossing_points)
+            with monkeypatch.context() as patch:
+                patch.setattr(order, "_refine_crossing", clipped_refine_crossing)
+                want = _outcome(model, model, tol=tol)
+            if want[0] is Relation.CROSSING and not np.isnan(
+                    np.frombuffer(b"".join(want[2]))).any():
+                assert _outcome(model, model, tol=tol) == want
+
+    def test_bracket_ending_on_a_nan_gap(self, monkeypatch):
+        # the gap of 1 falls to -1 through a NaN band at [0.3, 0.31): each
+        # crossing lies within tol of the band, or within a float spacing
+        # where tol is finer
+        monkeypatch.setattr(order, "_curve_gap", lambda a, b, points: np.where(
+            points.u < 0.3, 1.0, np.where(points.u < 0.31, np.nan, -1.0)))
+        for tol in (1e-3, 1e-9, 1e-18):
+            (x,) = leimkuhler_compare(power(1.0), power(1.0), tol=tol).crossing_points
+            slack = max(tol, math.ulp(0.31))
+            assert 0.3 - slack <= x <= 0.31 + slack, tol
 
 
 class TestCheckProposition:

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from leimkuhler.curves import pagb, pg, power
 from leimkuhler.empirical import (
     CitationDataset,
+    DataError,
     DescriptiveStats,
     empirical_curve,
     sample_synthetic,
@@ -187,6 +188,29 @@ class TestRoundTrip:
                            ([1, 2], "JSON object"), (document, "total")):
             with pytest.raises(ValueError, match=named):
                 parse_report(json.dumps(bad))
+
+    def test_every_bad_document_is_a_data_error(self):
+        # DataError is a ValueError: callers that catch ValueError still do
+        def edited(path, value):
+            document = json.loads(render_json(make_report()))
+            *keys, last = path
+            record = document
+            for key in keys:
+                record = record[key]
+            record[last] = value
+            return json.dumps(document)
+
+        for data, named in (
+                (b'{"schema_version": \xff}', "not a JSON report"),
+                ("{", "not a JSON report"),
+                (json.dumps([1, 2]), "JSON object"),
+                (edited(["schema_version"], SCHEMA_VERSION + 1), "schema version"),
+                (edited(["per_model", 0, "params", "theta"], -1.0), "theta must be positive"),
+                (edited(["per_model", 0, "sse"], "huge"), "numeric marker"),
+                (edited(["per_model", 0, "indices", "gini"], 2.0), "outside"),
+                (edited(["ranking"], ["pg"]), "permutation")):
+            with pytest.raises(DataError, match=named):
+                parse_report(data)
 
     def test_accepts_str_and_bytes(self):
         blob = render_json(make_report())
@@ -383,6 +407,11 @@ class TestBuildReport:
         monkeypatch.setenv("SOURCE_DATE_EPOCH", "1.5e9")
         with pytest.raises(ValueError, match="SOURCE_DATE_EPOCH"):
             build_report(dataset, ["power"], FAST)
+
+    def test_bad_source_date_epoch_is_a_data_error(self, monkeypatch):
+        monkeypatch.setenv("SOURCE_DATE_EPOCH", "yesterday")
+        with pytest.raises(DataError, match="SOURCE_DATE_EPOCH"):
+            build_report(CitationDataset((4, 3, 2, 1)), ["power"], FAST)
 
     def test_failed_family_recorded_not_fatal(self):
         dataset = CitationDataset((3, 2, 1))
