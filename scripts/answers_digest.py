@@ -12,6 +12,12 @@ The digest covers, bit for bit:
   and 5, alpha 0.7, beta 0.1);
 - the same for the pg sample of 100000 (seed 1, alpha 0.7, beta 0.1),
   above the 2**15 points from which fit fits a thinned polygon first;
+- empirical_indices (r = 0.3, 0.5, 1, 2 and 2.5) of the bundled data,
+  the counts (7, 3, 2, 1) and the pg sample of 100000 (seed 1); of the
+  degenerate polygons of one count (5), of one non-zero count (9 and
+  nine zeros), of 1000 equal counts and of counts above 2**53 and
+  2**63; and of (10, 7 x 50, 4) and (3, 2, 2, 2, 1), whose runs of
+  counts equal to the mean make K - u flat at its maximum;
 - the empirical polygon's interpolate at its knots i/n, for the bundled
   data, the counts (7, 3, 2, 1) and (2**60, 3, 1) (a total above 2**53,
   summed in Python ints) and the pg sample of 100000 (seed 1);
@@ -94,6 +100,16 @@ INDEX_SETS = (
     LARGE_SET,
 )
 INDEX_R = (0.3, 0.5, 1.0, 2.0, 2.5)
+# degenerate polygons, and polygons with a run of counts equal to the mean
+EDGE_INDEX_SETS = (
+    (5,),
+    (9,) + (0,) * 9,
+    (7,) * 1000,
+    (10,) + (7,) * 50 + (4,),
+    (3, 2, 2, 2, 1),
+    (2**54, 2**53 + 1, 3, 3, 0),
+    (2**64, 2**63, 2**63, 5, 5, 0),
+)
 POLYGON_SETS = (
     *INDEX_SETS,
     ("(2**60, 3, 1)", lambda: CitationDataset((2**60, 3, 1))),
@@ -148,6 +164,9 @@ def answer_lines():
     yield _index_line(("bundled",), empirical_indices(curve, INDEX_R))
     for label, dataset in INDEX_SETS:
         yield _index_line((label,), empirical_indices(empirical_curve(dataset()), INDEX_R))
+    for counts in EDGE_INDEX_SETS:
+        yield _index_line((f"{counts[:3]} n={len(counts)}",),
+                          empirical_indices(empirical_curve(CitationDataset(counts)), INDEX_R))
     yield _knot_line("bundled", bundled)
     for label, dataset in POLYGON_SETS:
         yield _knot_line(label, dataset())

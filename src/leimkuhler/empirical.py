@@ -133,6 +133,11 @@ class EmpiricalCurve:
 
     u: np.ndarray
     k: np.ndarray
+    # (ends, top) where empirical_curve built the curve, else None: the
+    # read-only vertex indices of the ends of its runs of equal counts,
+    # the only vertices its indices need, and the position among them of
+    # the first largest K - u; equality and hashing ignore it
+    _runs = None
 
     def __post_init__(self):
         self._own(np.array(self.u, dtype=float), np.array(self.k, dtype=float))
@@ -349,13 +354,27 @@ def empirical_curve(dataset):
     if total <= 0:
         raise DataError("dataset total is zero; the empirical curve is undefined")
     n = dataset.n
+    # the polygon is straight along each run of equal counts, so its
+    # indices need only vertex 0, each vertex where the count changes,
+    # and vertex n; found before k and u, its n-byte mask stays off
+    # their peak
+    counts = dataset.counts_desc
+    ends = np.concatenate(([0], np.flatnonzero(counts[1:] != counts[:-1]) + 1, [n]))
+    ends.flags.writeable = False
+    # K - u rises along the counts above the mean, total / n, and nowhere
+    # else, so its first maximum is at the end of the runs of those
+    # counts; for integers c > total / n is c > total // n, exactly
+    top = int(np.count_nonzero(counts[ends[:-1]] > total // n))
     # int64 sums convert to float exactly below 2**53, so s / total rounds
     # as it does for Python ints; larger totals take Python ints
-    counts = dataset.counts_desc if total < 2**53 else dataset.counts_desc.astype(object)
+    if total >= 2**53:
+        counts = counts.astype(object)
     k = np.concatenate(([0.0], np.cumsum(counts) / total)).astype(float, copy=False)
     u = np.arange(n + 1, dtype=float)
     u /= n  # in place: one array of each at 10^6 vertices
-    return EmpiricalCurve._of(u, k)
+    curve = EmpiricalCurve._of(u, k)
+    object.__setattr__(curve, "_runs", (ends, top))
+    return curve
 
 
 def dispersion_index(variance, mean):

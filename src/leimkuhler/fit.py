@@ -868,7 +868,7 @@ def fit(curve, family, config=FitConfig(), *, _fitted=None):
         except _FIT_ERRORS:
             pass
     if starts is None:
-        gini_emp = min(max(_polygon_gini(curve.u, curve.k), 1e-6), 1.0 - 1e-6)
+        gini_emp = min(max(_polygon_gini(curve), 1e-6), 1.0 - 1e-6)
         starts = _multistart_points(family, gini_emp, config)
         if family in _NESTED and config.multistart_count > 1:
             nested = _nested_starts(family, curve, config, fitted, grid)

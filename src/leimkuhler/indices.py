@@ -461,14 +461,26 @@ def model_indices(model, r_values=DEFAULT_R_VALUES, tol=1e-10):
     )
 
 
+def _polygon_vertices(curve):
+    # the vertices that the polygon's indices read, and the position among
+    # them of the Pietra's vertex (None: the first largest K - u): the run
+    # ends where empirical_curve recorded them, every vertex otherwise
+    if curve._runs is None:
+        return curve.u, curve.k, None
+    ends, top = curve._runs
+    return curve.u[ends], curve.k[ends], top
+
+
 def _polygon_generalized_ginis(u, k, r_values, gini):
     # G_r of the polygon through the vertices (u, k) for each r, integrated
     # by parts in t = 1 - u: with the slope b_i = dk/dt of each segment,
     #   r(r+1) int (1-u)**(r-1) K du
     #     = sum_i b_i (t_(i+1)**(r+1) - t_i**(r+1)) + (r+1)(t_0**r k_0 - t_n**r k_n),
-    # one power per vertex.  The slopes, shared by every r, are taken
-    # against the same rounded t as the powers (against u they lose
-    # digits); G_1 is the trapezoid Gini
+    # one power per vertex.  On a run of equal counts the slope is one
+    # value and its terms telescope, so the vertices can be the run ends
+    # alone, and the cost grows with the number of distinct counts.  The
+    # slopes, shared by every r, are taken against the same rounded t as
+    # the powers (against u they lose digits); G_1 is the trapezoid Gini
     t = 1.0 - u
     slopes = np.diff(k) / np.diff(t)
     values = []
@@ -483,23 +495,29 @@ def _polygon_generalized_ginis(u, k, r_values, gini):
     return values
 
 
-def _polygon_gini(u, k):
-    """Gini of the polygon through the vertices (u_i, k_i), u ascending
-    from 0 to 1; the trapezoid rule is exact on it."""
+def _polygon_gini(curve):
+    """Gini of an empirical polygon by the trapezoid rule, which is exact
+    on it, over the vertices that _polygon_vertices selects."""
+    u, k, _ = _polygon_vertices(curve)
     return 2.0 * float(np.trapezoid(k, u)) - 1.0
 
 
 def empirical_indices(curve, r_values=DEFAULT_R_VALUES):
     """Index report for an empirical polygon.
 
-    The Gini uses the trapezoid rule, which is exact on the polygon;
-    the Pietra is the exact vertex maximum of K - u (the maximum of a
-    piecewise-linear function over each segment is attained at an
-    endpoint).  The generalized Gini integrates the weighted polygon by
-    parts in closed form, which stays exact for r < 1, where the weight
-    (1-u)**(r-1) is unbounded at u = 1: the slopes of the segments are
-    computed once, and each r takes one power of 1 - u per vertex.  Its
-    r = 1 entry is the trapezoid Gini itself.
+    For a curve from empirical_curve every index reads only the ends of
+    its runs of equal counts, along which the polygon is straight, so
+    the cost grows with the number of distinct counts; a curve built
+    from vertex arrays reads every vertex.  The Gini is the trapezoid
+    rule, exact on the polygon.  The Pietra is the largest K - u, which
+    lies at a vertex, and its argmax the first such vertex: the end of
+    the counts above the mean, an exact integer rule, for a curve from
+    empirical_curve, else the first float maximum.  The generalized
+    Gini integrates the weighted polygon by parts in closed form, which
+    stays exact for r < 1, where the weight (1-u)**(r-1) is unbounded
+    at u = 1: the slopes of the segments are computed once, and each r
+    takes one power of 1 - u per vertex read.  Its r = 1 entry is the
+    trapezoid Gini itself.
 
     Parameters
     ----------
@@ -511,18 +529,19 @@ def empirical_indices(curve, r_values=DEFAULT_R_VALUES):
     -------
     IndexReport
     """
-    u, k = curve.u, curve.k
-    if u.size < 2:
+    if curve.u.size < 2:
         raise ValueError("empirical curve needs at least 2 points")
     r_values = [float(r) for r in r_values]
     for r in r_values:
         _check_r(r)
-    gini_value = min(max(_polygon_gini(u, k), 0.0), 1.0)
+    gini_value = min(max(_polygon_gini(curve), 0.0), 1.0)
 
     # the first largest gap; the origin vertex has gap 0, so a polygon
     # that never rises above the diagonal reports (0, 0)
+    u, k, top = _polygon_vertices(curve)
     gaps = k - u
-    top = int(np.argmax(gaps))
+    if top is None:
+        top = int(np.argmax(gaps))
 
     gen = _polygon_generalized_ginis(u, k, r_values, gini_value)
     return IndexReport(

@@ -576,15 +576,69 @@ class TestEmpiricalIndices:
             assert value == pytest.approx(r * (r + 1.0) * total - 1.0, abs=1e-12)
 
     def test_even_counts_give_zero(self):
-        report = empirical_indices(empirical_curve(CitationDataset((1, 1, 1, 1))))
-        assert report.gini == 0.0
-        assert report.pietra == 0.0
+        # over its run ends the polygon is the diagonal's two vertices, so
+        # every index is 0 with no rounding (G_2 of 1000 sevens summed over
+        # every vertex is -1.1e-16, outside the index's range)
+        for counts in [(1,) * 4, (7,) * 1000]:
+            report = empirical_indices(empirical_curve(CitationDataset(counts)),
+                                       r_values=(0.3, 0.5, 1.0, 2.0, 2.5))
+            assert report.gini == 0.0
+            assert all(value == 0.0 for _, value in report.generalized_gini)
+            assert (report.pietra, report.pietra_argmax_u) == (0.0, 0.0)
+
+    @pytest.mark.parametrize("counts, argmax", [
+        ((10,) + (7,) * 50 + (4,), 1 / 52),
+        ((3, 2, 2, 2, 1), 0.2),
+    ])
+    def test_pietra_argmax_is_first_on_a_flat_run(self, counts, argmax):
+        # where a run's count equals the mean, K - u is flat along it and
+        # its float maximum lands anywhere in the run; the reported argmax
+        # is the run's first vertex, the end of the counts above the mean
+        curve = empirical_curve(CitationDataset(counts))
+        report = empirical_indices(curve)
+        assert report.pietra_argmax_u == argmax
+        assert report.pietra == float(curve.interpolate(argmax)) - argmax
+        assert report.pietra >= float(np.max(curve.k - curve.u)) - 1e-15
+
+    def test_pietra_argmax_of_a_curve_without_run_ends_is_the_float_argmax(self):
+        curve = empirical_curve(CitationDataset((10,) + (7,) * 50 + (4,)))
+        plain = EmpiricalCurve(curve.u, curve.k)
+        top = int(np.argmax(curve.k - curve.u))
+        report = empirical_indices(plain)
+        assert (report.pietra, report.pietra_argmax_u) == (curve.k[top] - curve.u[top], curve.u[top])
+
+    @pytest.mark.parametrize("counts", [
+        (5,),
+        (9,) + (0,) * 9,
+        (2**54, 2**53 + 1, 3, 3, 0),
+        (2**64, 2**63, 2**63, 5, 5, 0),
+        (2**70,) * 3 + (1, 1, 0),
+    ], ids=["n-1", "one-nonzero", "above-2**53", "above-2**63", "ties-above-2**63"])
+    def test_run_ends_match_every_vertex(self, counts):
+        dataset = CitationDataset(counts)
+        curve = empirical_curve(dataset)
+        ends, top = curve._runs
+        desc = sorted(counts, reverse=True)
+        changes = [i for i in range(1, len(desc)) if desc[i] != desc[i - 1]]
+        assert ends.tolist() == [0, *changes, len(desc)]
+        assert not ends.flags.writeable
+        assert ends[top] == sum(c * len(desc) > sum(desc) for c in desc)
+        plain = EmpiricalCurve(curve.u, curve.k)
+        assert plain._runs is None
+        assert plain == curve and hash(plain) == hash(curve)
+        r_values = (0.3, 0.5, 1.0, 2.0, 2.5)
+        runs, every = empirical_indices(curve, r_values), empirical_indices(plain, r_values)
+        for a, b in [(runs.gini, every.gini), (runs.pietra, every.pietra),
+                     (runs.pietra_argmax_u, every.pietra_argmax_u),
+                     *zip(dict(runs.generalized_gini).values(),
+                          dict(every.generalized_gini).values())]:
+            assert abs(a - b) <= 1e-15
 
     def test_single_dominant_source(self):
-        report = empirical_indices(empirical_curve(CitationDataset((1, 0, 0, 0))))
-        assert report.gini == pytest.approx(0.75, abs=1e-15)
-        assert report.pietra == pytest.approx(0.75, abs=1e-15)
-        assert report.pietra_argmax_u == pytest.approx(0.25, abs=1e-15)
+        for counts, value, argmax in [((1, 0, 0, 0), 0.75, 0.25), ((9,) + (0,) * 9, 0.9, 0.1)]:
+            report = empirical_indices(empirical_curve(CitationDataset(counts)))
+            assert report.gini == pytest.approx(value, abs=1e-15)
+            assert (report.pietra, report.pietra_argmax_u) == (value, argmax)
 
     @pytest.mark.parametrize("r_values", [(0.5, 0.0), (-1.0,), (2.0, math.nan), (math.inf,)])
     def test_rejects_bad_r(self, r_values):

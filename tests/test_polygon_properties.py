@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from leimkuhler.empirical import CitationDataset, empirical_curve, ingest
+from leimkuhler.empirical import CitationDataset, EmpiricalCurve, empirical_curve, ingest
 from leimkuhler.indices import empirical_indices
 
 # count magnitudes whose totals fall below 2**53, between 2**53 and
@@ -41,8 +41,31 @@ def test_polygon_and_index_invariants(counts):
     report = empirical_indices(curve, r_values=(1.0,))
     assert 0.0 <= report.gini <= 1.0
     assert abs(report.generalized_gini[0][1] - report.gini) <= 1e-12
-    top = int(np.argmax(k - u))
+    # the first exact argmax: the vertex after the counts above the mean
+    top = sum(c * len(counts) > sum(counts) for c in counts)
     assert (report.pietra, report.pietra_argmax_u) == (k[top] - u[top], u[top])
+    assert report.pietra >= float(np.max(k - u)) - 1e-15
+
+
+# few distinct counts, each repeated, so that most vertices lie inside runs
+TIED_COUNTS = st.tuples(
+    st.lists(st.sampled_from([0, 1, 7, 1000, 2**50, 2**62, 2**70]), min_size=1, max_size=4,
+             unique=True),
+    st.lists(st.integers(0, 3), min_size=1, max_size=400),
+).map(lambda drawn: [drawn[0][i % len(drawn[0])] for i in drawn[1]]).filter(
+    lambda counts: sum(counts) > 0)
+
+
+@settings(deadline=None)
+@given(TIED_COUNTS, st.sampled_from([0.3, 0.5, 2.0, 2.5]))
+def test_run_end_indices_match_every_vertex(counts, r):
+    curve = empirical_curve(CitationDataset(tuple(counts)))
+    runs = empirical_indices(curve, r_values=(r, 1.0))
+    every = empirical_indices(EmpiricalCurve(curve.u, curve.k), r_values=(r, 1.0))
+    assert abs(runs.gini - every.gini) <= 1e-13
+    assert abs(runs.pietra - every.pietra) <= 1e-13
+    for (_, a), (_, b) in zip(runs.generalized_gini, every.generalized_gini):
+        assert abs(a - b) <= 1e-13
 
 
 # np.array([2**63, 1]) is float64 and an int64 sum wraps above 2**63 - 1,
